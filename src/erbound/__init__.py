@@ -35,20 +35,17 @@ from .errors import (
 from .matching import (
     MatchModel,
     TrainConfig,
-    base_match,
+    condensed_pairwise_scores,
     featurize_pair,
     levenshtein,
     normalized_levenshtein,
     score_pair,
     train_match_model,
-    wrapper_match,
 )
 from .metrics import (
     PairMetrics,
-    count_direct_match_pairs,
+    clustering_pair_metrics,
     intra_cluster_pair_count,
-    intra_cluster_pairs,
-    pair_metrics,
     pairs_from_labels,
 )
 from .records import (
@@ -59,9 +56,7 @@ from .records import (
     FeatureSchema,
     Record,
     base_record,
-    merge_records,
-    validate_record,
 )
-from .resolver import Clustering, UnionFind, resolve_connected_components, resolve_rswoosh
+from .resolver import Clustering, UnionFind, resolve_from_condensed
 
 __version__ = "0.1.0"

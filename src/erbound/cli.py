@@ -18,7 +18,7 @@ from pathlib import Path
 import numpy as np
 
 from . import bounds, dataset, matching, metrics, pipeline, resolver
-from .errors import ErboundError
+from .errors import DataError, ErboundError
 
 EXIT_OK = 0
 EXIT_DATA = 3
@@ -169,18 +169,24 @@ def _stats_payload(outcome: pipeline.TrainOutcome, threshold: float,
 
 def load_validation_stats(path) -> tuple[np.ndarray, np.ndarray, dict]:
     doc = json.loads(Path(path).read_text())
+    if not isinstance(doc, dict):
+        raise DataError(f"{path}: validation stats are not a JSON object")
     if doc.get("format_version") != STATS_FORMAT_VERSION:
         raise ErboundError(f"unsupported stats format_version {doc.get('format_version')!r}")
-    scores = np.array([p["score"] for p in doc["pairs"]], dtype=float)
-    labels = np.array([p["label"] for p in doc["pairs"]], dtype=int)
+    try:
+        scores = np.array([p["score"] for p in doc["pairs"]], dtype=float)
+        labels = np.array([p["label"] for p in doc["pairs"]], dtype=int)
+    except KeyError as exc:
+        raise DataError(f"{path}: validation stats have no field {exc}") from exc
+    except (TypeError, IndexError) as exc:
+        raise DataError(f"{path}: malformed validation stats: {exc}") from exc
     return scores, labels, doc
 
 
 def cmd_train(args) -> int:
     schema = dataset.load_schema_json(args.schema)
     records = dataset.load_records_csv(args.records, schema)
-    gold = dataset.load_gold(args.gold, mode=args.gold_mode,
-                             valid_ids=[r.record_id for r in records])
+    gold = dataset.load_gold(args.gold, valid_ids=[r.record_id for r in records])
     spec = dataset.SplitSpec(
         n_train_pairs=args.n_train_pairs,
         n_validation_pairs=args.n_validation_pairs,
@@ -228,8 +234,7 @@ def cmd_sweep(args) -> int:
     val_scores, val_labels, _ = load_validation_stats(args.validation_stats)
     gold = None
     if args.gold:
-        gold = dataset.load_gold(args.gold, mode=args.gold_mode,
-                                 valid_ids=[r.record_id for r in records])
+        gold = dataset.load_gold(args.gold, valid_ids=[r.record_id for r in records])
     grid = np.linspace(args.grid_start, args.grid_stop, args.grid_steps)
     result = pipeline.sweep_thresholds(
         model, records, val_scores, val_labels, grid,
@@ -260,7 +265,7 @@ def cmd_sweep(args) -> int:
     (out / "best.json").write_text(json.dumps(best_doc, indent=2, sort_keys=True) + "\n")
     if args.write_clusterings:
         for row in result.rows:
-            clustering = pipeline.resolve_at(model, records, row.threshold)
+            clustering = resolver.resolve_from_condensed(records, result.scores, row.threshold)
             resolver.write_clustering_csv(
                 out / f"clustering_{row.threshold:.6f}.csv", clustering)
     _write_effective_config(out, "sweep", args)
@@ -274,18 +279,21 @@ def cmd_sweep(args) -> int:
 
 
 def cmd_resolve(args) -> int:
+    if args.threshold is not None and not 0.0 < args.threshold < 1.0:
+        raise ErboundError(f"--threshold must lie strictly inside (0, 1), got {args.threshold}")
     model = matching.load_model(args.model)
     records = dataset.load_records_csv(args.records, model.schema)
     val_scores, val_labels, _ = load_validation_stats(args.validation_stats)
     threshold = model.threshold if args.threshold is None else args.threshold
-    clustering = pipeline.resolve_at(model, records, threshold)
+    scores = matching.condensed_pairwise_scores(model, records)
+    clustering = resolver.resolve_from_condensed(records, scores, threshold)
     out = _out_dir(args)
     resolver.write_clustering_csv(out / "clustering.csv", clustering)
 
     stats = bounds.ValidationStats.from_scores(val_scores, val_labels, threshold)
     n = len(records)
-    total_pairs = n * (n - 1) // 2
-    tm_pairs = int((matching.condensed_pairwise_scores(model, records) >= threshold).sum())
+    total_pairs = len(scores)
+    tm_pairs = int((scores >= threshold).sum())
     r_pairs = metrics.intra_cluster_pair_count(clustering)
     report = bounds.compute_bound_report(stats, tm_pairs, r_pairs, total_pairs,
                                          c_t=args.ct, confidence=args.confidence)
@@ -340,7 +348,6 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argument
     t.add_argument("--records")
     t.add_argument("--gold")
     t.add_argument("--schema")
-    t.add_argument("--gold-mode", choices=dataset.GOLD_MODES, default="cluster-labels")
     t.add_argument("--n-train-pairs", type=int, default=100)
     t.add_argument("--n-validation-pairs", type=int, default=100)
     t.add_argument("--positive-fraction-train", type=float, default=0.5)
@@ -361,7 +368,6 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argument
     s.add_argument("--records")
     s.add_argument("--validation-stats")
     s.add_argument("--gold", help="optional gold CSV to add true metrics")
-    s.add_argument("--gold-mode", choices=dataset.GOLD_MODES, default="cluster-labels")
     s.add_argument("--grid-start", type=float, default=0.05)
     s.add_argument("--grid-stop", type=float, default=0.95)
     s.add_argument("--grid-steps", type=int, default=19)

@@ -5,7 +5,6 @@ File formats
 records CSV       : header `id,<feature...>`; multi-valued cells joined with
                     `|`; an empty cell is a missing feature. UTF-8.
 gold CSV          : header `id,label`; an empty label leaves the id unlabeled.
-labeled pairs CSV : header `id_a,id_b,label` with label 1 (match) or 0.
 schema JSON       : {"features": [{"name": ..., "kind": ...}, ...]}
 """
 
@@ -25,8 +24,8 @@ from .records import NUMERIC, Feature, FeatureSchema, Record, base_record
 
 @dataclass(frozen=True)
 class GoldTruth:
-    """Ground-truth entity labels (or proxy keys) for base-record ids.
-    Unlabeled ids contribute no truth pairs."""
+    """Ground-truth entity labels for base-record ids. Unlabeled ids
+    contribute no truth pairs."""
 
     labels: dict[str, str]
 
@@ -146,18 +145,12 @@ def write_records_csv(path, records: Sequence[Record], schema: FeatureSchema) ->
             writer.writerow(cells)
 
 
-GOLD_MODES = ("cluster-labels", "proxy-key")
-
-
-def load_gold(path, mode: str = "cluster-labels",
-              valid_ids: Iterable[str] | None = None) -> GoldTruth:
-    """Read `id,label` rows into a GoldTruth. In cluster-labels mode the
-    label is an entity id; in proxy-key mode it is a shared natural key
-    (e.g. a phone number) standing in for the entity. Both induce the same
-    pair set: all same-label pairs. Rows with an empty label are unlabeled.
+def load_gold(path, valid_ids: Iterable[str] | None = None) -> GoldTruth:
+    """Read `id,label` rows into a GoldTruth. The label is an entity id or
+    any shared natural key (e.g. a phone number) standing in for one; the
+    truth pairs are all same-label pairs. Rows with an empty label are
+    unlabeled.
     """
-    if mode not in GOLD_MODES:
-        raise ConfigError(f"unknown gold mode {mode!r}; expected one of {GOLD_MODES}")
     known = set(valid_ids) if valid_ids is not None else None
     path = Path(path)
     labels = {}
@@ -190,57 +183,6 @@ def write_gold_csv(path, gold: GoldTruth) -> None:
         writer.writerow(["id", "label"])
         for rid in sorted(gold.labels):
             writer.writerow([rid, gold.labels[rid]])
-
-
-def proxy_gold_from_records(records: Sequence[Record], schema: FeatureSchema,
-                            feature_name: str) -> GoldTruth:
-    """Derive proxy labels from a feature column: records carrying exactly
-    one value of the feature get that value as their label; records with
-    zero or several values stay unlabeled."""
-    idx = schema.index(feature_name)
-    labels = {}
-    for rec in records:
-        slot = rec.values[idx]
-        if len(slot) == 1:
-            labels[rec.record_id] = _format_value(next(iter(slot)))
-    return GoldTruth(labels)
-
-
-def load_labeled_pairs_csv(path, records: Sequence[Record]) -> list["LabeledPair"]:
-    """Read `id_a,id_b,label` rows into (record, record, label) triples
-    suitable for training; every id must name one of `records`."""
-    by_id = {r.record_id: r for r in records}
-    path = Path(path)
-    pairs = []
-    with path.open(newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise DataError(f"{path}: empty file, expected a header row") from None
-        if [h.strip() for h in header] != ["id_a", "id_b", "label"]:
-            raise DataError(f"{path}: expected header `id_a,id_b,label`, got {header}")
-        for row_no, row in enumerate(reader, start=2):
-            if len(row) != 3:
-                raise DataError(f"{path}:{row_no}: expected 3 cells, got {len(row)}")
-            id_a, id_b, label = (cell.strip() for cell in row)
-            if label not in ("0", "1"):
-                raise DataError(f"{path}:{row_no}: label must be 0 or 1, got {label!r}")
-            if id_a == id_b:
-                raise DataError(f"{path}:{row_no}: self-pair {id_a!r}")
-            for rid in (id_a, id_b):
-                if rid not in by_id:
-                    raise DataError(f"{path}:{row_no}: unknown id {rid!r}")
-            pairs.append((by_id[id_a], by_id[id_b], int(label)))
-    return pairs
-
-
-def write_labeled_pairs_csv(path, pairs: Sequence["LabeledPair"]) -> None:
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["id_a", "id_b", "label"])
-        for a, b, label in pairs:
-            writer.writerow([a.record_id, b.record_id, label])
 
 
 def save_schema_json(path, schema: FeatureSchema) -> None:

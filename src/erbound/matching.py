@@ -5,17 +5,15 @@ intersection, numeric features by the smallest absolute difference across
 the two value sets, text features by the smallest normalized Levenshtein
 distance. A logistic model over those features gives a match probability,
 and a single cut-off threshold turns it into a boolean match decision.
-
-Composite (merged) records are matched through a wrapper that takes the
-max over all pairs of constituent base records, which preserves
-representativity for any underlying base matcher.
+Scoring every pair of a record set once yields a condensed score array,
+from which the resolver and the bounds read every threshold's edges.
 """
 
 import json
 from dataclasses import dataclass, asdict, field, replace
 from itertools import product
 from pathlib import Path
-from typing import Callable, Mapping, Sequence
+from typing import Mapping, Sequence
 
 import numpy as np
 
@@ -148,17 +146,24 @@ class MatchModel:
 
     @classmethod
     def from_dict(cls, d: Mapping) -> "MatchModel":
+        if not isinstance(d, Mapping):
+            raise DataError("model document is not a JSON object")
         if d.get("format_version") != MODEL_FORMAT_VERSION:
             raise DataError(f"unsupported model format_version {d.get('format_version')!r}")
-        return cls(
-            schema=FeatureSchema.from_dict(d["schema"]),
-            weights=np.array(d["weights"], dtype=float),
-            bias=float(d["bias"]),
-            threshold=float(d["threshold"]),
-            feature_means=np.array(d["standardization"]["mean"], dtype=float),
-            feature_scales=np.array(d["standardization"]["scale"], dtype=float),
-            config=TrainConfig(**d["config"]),
-        )
+        try:
+            return cls(
+                schema=FeatureSchema.from_dict(d["schema"]),
+                weights=np.array(d["weights"], dtype=float),
+                bias=float(d["bias"]),
+                threshold=float(d["threshold"]),
+                feature_means=np.array(d["standardization"]["mean"], dtype=float),
+                feature_scales=np.array(d["standardization"]["scale"], dtype=float),
+                config=TrainConfig(**d["config"]),
+            )
+        except KeyError as exc:
+            raise DataError(f"model document has no field {exc}") from exc
+        except (TypeError, IndexError) as exc:
+            raise DataError(f"malformed model document: {exc}") from exc
 
 
 def save_model(path, model: MatchModel) -> None:
@@ -166,7 +171,11 @@ def save_model(path, model: MatchModel) -> None:
 
 
 def load_model(path) -> MatchModel:
-    return MatchModel.from_dict(json.loads(Path(path).read_text()))
+    doc = json.loads(Path(path).read_text())
+    try:
+        return MatchModel.from_dict(doc)
+    except (DataError, SchemaError) as exc:
+        raise DataError(f"{path}: {exc}") from exc
 
 
 def sigmoid(z):
@@ -267,29 +276,6 @@ def score_pair(model: MatchModel, a: Record, b: Record) -> float:
     return float(sigmoid(model.weights @ model.standardize(x) + model.bias))
 
 
-def base_match(model: MatchModel, a: Record, b: Record) -> bool:
-    """Thresholded match between two base records. Identical records match
-    at any threshold, which makes the predicate idempotent."""
-    if not a.is_base() or not b.is_base():
-        raise ValueError("base_match takes base records; use wrapper_match for composites")
-    if a == b:
-        return True
-    return score_pair(model, a, b) >= model.threshold
-
-
-def wrapper_match(model: MatchModel, o1: Record, o2: Record,
-                  base_records: Mapping[str, Record]) -> bool:
-    """Match two possibly-composite records: true iff any pair of their
-    constituent base records matches. Reduces to base_match on base
-    records, and merging can only ever add constituents, so a merge never
-    destroys an existing match."""
-    return any(
-        base_match(model, base_records[i], base_records[j])
-        for i in sorted(o1.base_ids)
-        for j in sorted(o2.base_ids)
-    )
-
-
 def _single_valued_numeric_matrix(records: Sequence[Record],
                                   schema: FeatureSchema) -> np.ndarray | None:
     """Matrix of feature values when every feature is numeric and every
@@ -341,37 +327,3 @@ def condensed_pairwise_scores(model: MatchModel,
             out[pos] = score_pair(model, records[i], records[j])
             pos += 1
     return out
-
-
-def pairwise_scores(model: MatchModel,
-                    records: Sequence[Record]) -> dict[tuple[str, str], float]:
-    """Score every unordered pair of base records, keyed by the sorted id
-    pair. All inputs must be base records with distinct ids."""
-    ids = [r.record_id for r in records]
-    if len(set(ids)) != len(ids):
-        raise DataError("duplicate record ids")
-    condensed = condensed_pairwise_scores(model, records)
-    scores: dict[tuple[str, str], float] = {}
-    pos = 0
-    n = len(records)
-    for i in range(n - 1):
-        for j in range(i + 1, n):
-            key = (ids[i], ids[j]) if ids[i] < ids[j] else (ids[j], ids[i])
-            scores[key] = float(condensed[pos])
-            pos += 1
-    return scores
-
-
-def matcher_from_scores(scores: Mapping[tuple[str, str], float], threshold: float,
-                        ) -> Callable[[Record, Record], bool]:
-    """Base-record match predicate backed by a precomputed score table.
-    Equivalent to base_match for the model/threshold the table came from."""
-    def match(a: Record, b: Record) -> bool:
-        if not a.is_base() or not b.is_base():
-            raise ValueError("scored matcher takes base records")
-        if a == b:
-            return True
-        ia, ib = a.record_id, b.record_id
-        key = (ia, ib) if ia < ib else (ib, ia)
-        return scores[key] >= threshold
-    return match

@@ -1,38 +1,24 @@
-"""Pairwise evaluation: pair sets, precision/recall/F1, direct-match counts.
+"""Pairwise evaluation of a clustering against gold truth, from counts.
 
 A clustering is scored through the set of unordered within-cluster id
 pairs. Precision and recall compare that pair set against the pair set of
-the true clustering; counting the subset of within-cluster pairs whose base
-records directly match gives the |T_M| ingredient of the precision bound.
+the true clustering; both are computed here from cluster sizes and label
+lookups, without materializing the clustering's pairs. The set-algebra
+oracle is `reference.pair_metrics`.
 """
 
-import csv
 from dataclasses import dataclass
 from itertools import combinations
-from typing import Callable, Iterable, Mapping
+from typing import Iterable, Mapping
 
-from .records import Record
+from .bounds import f1_lower_bound
 from .resolver import Clustering
 
 Pair = tuple[str, str]
 
 
-def ordered_pair(a: str, b: str) -> Pair:
-    if a == b:
-        raise ValueError(f"self-pair ({a!r}, {b!r})")
-    return (a, b) if a < b else (b, a)
-
-
-def intra_cluster_pairs(clustering: Clustering) -> frozenset[Pair]:
-    """Every unordered pair of ids that share a cluster."""
-    pairs = set()
-    for members in clustering.clusters.values():
-        pairs.update(combinations(sorted(members), 2))
-    return frozenset(pairs)
-
-
 def intra_cluster_pair_count(clustering: Clustering) -> int:
-    """|intra_cluster_pairs| without materializing the pairs."""
+    """Number of unordered id pairs that share a cluster."""
     return sum(len(m) * (len(m) - 1) // 2 for m in clustering.clusters.values())
 
 
@@ -54,26 +40,6 @@ class PairMetrics:
     f1: float
 
 
-def _f1(precision: float, recall: float) -> float:
-    if precision + recall == 0.0:
-        return 0.0
-    return 2.0 * precision * recall / (precision + recall)
-
-
-def pair_metrics(predicted: Iterable[Pair], truth: Iterable[Pair]) -> PairMetrics:
-    """Pairwise precision, recall, and F1 of two pair sets.
-
-    An empty predicted set has precision 1.0 and an empty truth set has
-    recall 1.0, so sweeps stay defined at extreme thresholds.
-    """
-    predicted = frozenset(predicted)
-    truth = frozenset(truth)
-    hit = len(predicted & truth)
-    precision = hit / len(predicted) if predicted else 1.0
-    recall = hit / len(truth) if truth else 1.0
-    return PairMetrics(precision, recall, _f1(precision, recall))
-
-
 def truth_pairs_in_clustering(clustering: Clustering,
                               truth: Iterable[Pair]) -> int:
     """How many true pairs are within-cluster, via label lookups rather
@@ -89,40 +55,11 @@ def truth_pairs_in_clustering(clustering: Clustering,
 
 def clustering_pair_metrics(clustering: Clustering,
                             truth: Iterable[Pair]) -> PairMetrics:
-    """pair_metrics(intra_cluster_pairs(clustering), truth) computed from
-    counts; suitable for large clusterings."""
+    """Pairwise precision, recall and F1 of a clustering against true pairs.
+    An empty prediction has precision 1.0 and an empty truth recall 1.0."""
     truth = frozenset(truth)
     r = intra_cluster_pair_count(clustering)
     hit = truth_pairs_in_clustering(clustering, truth)
     precision = hit / r if r else 1.0
     recall = hit / len(truth) if truth else 1.0
-    return PairMetrics(precision, recall, _f1(precision, recall))
-
-
-def count_direct_match_pairs(clustering: Clustering,
-                             base_match: Callable[[Record, Record], bool],
-                             base_records: Mapping[str, Record]) -> int:
-    """Number of within-cluster pairs whose base records directly match.
-
-    For a clustering produced by a representativity-preserving resolver no
-    cross-cluster pair can match, so scanning within clusters counts every
-    direct match.
-    """
-    count = 0
-    for members in clustering.clusters.values():
-        for a, b in combinations(sorted(members), 2):
-            if base_match(base_records[a], base_records[b]):
-                count += 1
-    return count
-
-
-def write_metrics_csv(path, rows: Iterable[tuple[float, int, int, PairMetrics]]) -> None:
-    """One evaluation per row: threshold, pair counts, and the metrics."""
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["threshold", "r_pairs", "tm_pairs", "precision", "recall", "f1"])
-        for threshold, r_pairs, tm_pairs, m in rows:
-            writer.writerow([
-                "%.10g" % threshold, r_pairs, tm_pairs,
-                "%.10g" % m.precision, "%.10g" % m.recall, "%.10g" % m.f1,
-            ])
+    return PairMetrics(precision, recall, f1_lower_bound(precision, recall))

@@ -13,13 +13,13 @@ from typing import Sequence
 
 import numpy as np
 
-from .bounds import ValidationStats, compute_bound_report, wilson_interval
+from .bounds import ValidationStats, compute_bound_report, f1_lower_bound, wilson_interval
 from .dataset import GoldTruth, Split, SplitSpec, split_dataset
 from .errors import ConfigError, DegenerateDataError, UninformativeMatcherError
 from .matching import MatchModel, TrainConfig, condensed_pairwise_scores, train_match_model
 from .metrics import Pair
 from .records import FeatureSchema, Record
-from .resolver import Clustering, UnionFind, components_from_condensed, resolve_from_condensed
+from .resolver import UnionFind, components_from_condensed, resolve_from_condensed
 
 
 @dataclass(frozen=True)
@@ -96,17 +96,18 @@ class SweepRow:
 
 @dataclass(frozen=True)
 class SweepResult:
+    """Rows, the selected row, and the condensed test-pair scores every row
+    was computed from, so a caller can resolve at any row's threshold
+    without scoring the pairs again."""
+
     rows: list[SweepRow]
     best: SweepRow | None
     select_metric: str
-    recall_floor: float | None = None
+    recall_floor: float | None
+    scores: np.ndarray = field(repr=False, compare=False)
 
 
 SELECT_METRICS = ("precision_lb", "recall_lb", "f1_lb")
-
-
-def _harmonic(p: float, r: float) -> float:
-    return 0.0 if p + r == 0.0 else 2.0 * p * r / (p + r)
 
 
 def _component_counts(uf: UnionFind, n: int,
@@ -191,7 +192,7 @@ def sweep_thresholds(model: MatchModel, test_records: Sequence[Record],
             precision = hits / r_pairs if r_pairs else 1.0
             recall = hits / truth_total if truth_total else 1.0
             row.update(true_precision=precision, true_recall=recall,
-                       true_f1=_harmonic(precision, recall))
+                       true_f1=f1_lower_bound(precision, recall))
         rows.append(SweepRow(**row))
 
     for prev, cur in zip(rows, rows[1:]):
@@ -201,16 +202,7 @@ def sweep_thresholds(model: MatchModel, test_records: Sequence[Record],
                 "the resolver violated edge-removal monotonicity"
             )
     return SweepResult(rows, select_best_row(rows, select_metric, recall_floor),
-                       select_metric, recall_floor)
-
-
-def resolve_at(model: MatchModel, records: Sequence[Record],
-               threshold: float | None = None) -> Clustering:
-    """Connected-components resolution of base records at a threshold
-    (default: the model's own)."""
-    t = model.threshold if threshold is None else float(threshold)
-    scores = condensed_pairwise_scores(model, records)
-    return resolve_from_condensed(records, scores, t)
+                       select_metric, recall_floor, scores)
 
 
 @dataclass(frozen=True)
@@ -262,23 +254,25 @@ def degradation_experiment(seed: int = 7, *, dims: int = 10, noise_sigma: float 
         if f1 > best_f1:
             t_orig, best_f1 = t, f1
 
-    def true_precision(records, gold, threshold):
-        clustering = resolve_at(model, records, threshold)
+    def true_precision(records, scores, gold, threshold):
+        clustering = resolve_from_condensed(records, scores, threshold)
         return clustering_pair_metrics(clustering, gold.truth_pairs()).precision
 
     small, small_gold = generate_synthetic(small_entities, records_per_entity,
                                            dims, noise_sigma, seed + 1)
     large, large_gold = generate_synthetic(large_entities, records_per_entity,
                                            dims, noise_sigma, seed + 2)
-    p_small = true_precision(small, small_gold, t_orig)
-    p_large = true_precision(large, large_gold, t_orig)
+    small_scores = condensed_pairwise_scores(model, small)
+    p_small = true_precision(small, small_scores, small_gold, t_orig)
 
+    # the sweep scores the large set once; both large-set resolutions reuse it
     sweep = sweep_thresholds(model, large, val_scores, val_labels, grid,
                              select_metric="f1_lb")
     if sweep.best is None:
         raise DegenerateDataError("no threshold produced a defined F1 lower bound")
+    p_large = true_precision(large, sweep.scores, large_gold, t_orig)
     t_opt = sweep.best.threshold
-    p_opt = true_precision(large, large_gold, t_opt)
+    p_opt = true_precision(large, sweep.scores, large_gold, t_opt)
     return DegradationResult(t_orig, p_small, p_large, t_opt, p_opt, sweep.rows)
 
 

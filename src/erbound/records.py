@@ -1,9 +1,9 @@
-"""Record model: multi-valued features, provenance, and set-union merge.
+"""Record model: multi-valued features with provenance.
 
 A record is a bundle of per-feature value *sets* plus the set of base-record
-ids it was merged from. Base records carry exactly one id; merging two
-records unions both the ids and every feature's values, so merge is
-commutative, associative, and idempotent by construction.
+ids it stands for. Every record read or generated is a base record carrying
+exactly one id; the set-union merge that builds composite records is part
+of the R-Swoosh oracle in `erbound.reference`.
 """
 
 import math
@@ -130,47 +130,3 @@ def base_record(schema: FeatureSchema, record_id: str,
         except SchemaError as exc:
             raise SchemaError(f"feature {feat.name!r}: {exc}") from exc
     return Record(frozenset({record_id}), tuple(slots))
-
-
-def merge_records(o1: Record, o2: Record) -> Record:
-    """Set-union merge: union the provenance ids and every feature's values.
-
-    Commutative, associative, and idempotent; never discards a value.
-    """
-    if len(o1.values) != len(o2.values):
-        raise SchemaError(
-            f"cannot merge records with {len(o1.values)} and "
-            f"{len(o2.values)} features"
-        )
-    return Record(
-        o1.base_ids | o2.base_ids,
-        tuple(a | b for a, b in zip(o1.values, o2.values)),
-    )
-
-
-def validate_record(record: Record, schema: FeatureSchema) -> list[str]:
-    """Return every invariant violation; an empty list means the record is
-    well formed under the schema."""
-    violations = []
-    if not record.base_ids:
-        violations.append("base_ids is empty")
-    elif not all(isinstance(i, str) and i for i in record.base_ids):
-        violations.append("base_ids must be nonempty strings")
-    if len(record.values) != len(schema):
-        violations.append(
-            f"record has {len(record.values)} feature slots, schema has {len(schema)}"
-        )
-        return violations
-    for feat, slot in zip(schema.features, record.values):
-        for v in slot:
-            if feat.kind == NUMERIC:
-                if not isinstance(v, float) or not math.isfinite(v):
-                    violations.append(
-                        f"feature {feat.name!r}: {v!r} is not a finite number"
-                    )
-            else:
-                if not isinstance(v, str):
-                    violations.append(
-                        f"feature {feat.name!r}: {v!r} is not a string"
-                    )
-    return violations

@@ -1,0 +1,145 @@
+"""Reference engines: slow, direct implementations that the tests hold the
+production path to. No production module imports this one.
+
+- R-Swoosh, the iterative match/merge fixpoint (Benjelloun et al.,
+  "Swoosh: a generic approach to entity resolution", VLDB J. 2009), with
+  set-union merge of records.
+- Connected components of a match predicate evaluated on every pair.
+- The thresholded base-record match predicate, and a dict score table with
+  a predicate backed by it.
+- Pairwise precision, recall and F1 by set algebra on materialized pairs.
+
+With the max-over-constituents match rule and set-union merge, the fixpoint
+equals the connected components of the direct-match graph, which is what
+`resolver.resolve_from_condensed` computes from condensed scores.
+"""
+
+from collections import deque
+from itertools import combinations
+from typing import Callable, Iterable, Iterator, Mapping, Sequence
+
+from .bounds import f1_lower_bound
+from .errors import DataError, SchemaError
+from .matching import MatchModel, condensed_pairwise_scores, score_pair
+from .metrics import Pair, PairMetrics
+from .records import Record
+from .resolver import Clustering, UnionFind, _check_base_inputs, _clustering_from_groups
+
+
+def merge_records(o1: Record, o2: Record) -> Record:
+    """Set-union merge: union the provenance ids and every feature's values.
+
+    Commutative, associative, and idempotent; never discards a value.
+    """
+    if len(o1.values) != len(o2.values):
+        raise SchemaError(
+            f"cannot merge records with {len(o1.values)} and "
+            f"{len(o2.values)} features"
+        )
+    return Record(
+        o1.base_ids | o2.base_ids,
+        tuple(a | b for a, b in zip(o1.values, o2.values)),
+    )
+
+
+def base_match(model: MatchModel, a: Record, b: Record) -> bool:
+    """Thresholded match between two base records. Identical records match
+    at any threshold, which makes the predicate idempotent."""
+    if not a.is_base() or not b.is_base():
+        raise ValueError("base_match takes base records, not merged ones")
+    if a == b:
+        return True
+    return score_pair(model, a, b) >= model.threshold
+
+
+def pairwise_scores(model: MatchModel,
+                    records: Sequence[Record]) -> dict[tuple[str, str], float]:
+    """Score every unordered pair of base records, keyed by the sorted id
+    pair. All inputs must be base records with distinct ids."""
+    ids = [r.record_id for r in records]
+    if len(set(ids)) != len(ids):
+        raise DataError("duplicate record ids")
+    condensed = iter(condensed_pairwise_scores(model, records).tolist())
+    return {(a, b) if a < b else (b, a): next(condensed)
+            for a, b in combinations(ids, 2)}
+
+
+def matcher_from_scores(scores: Mapping[tuple[str, str], float], threshold: float,
+                        ) -> Callable[[Record, Record], bool]:
+    """Base-record match predicate backed by a precomputed score table.
+    Equivalent to base_match for the model/threshold the table came from."""
+    def match(a: Record, b: Record) -> bool:
+        if not a.is_base() or not b.is_base():
+            raise ValueError("scored matcher takes base records")
+        if a == b:
+            return True
+        ia, ib = a.record_id, b.record_id
+        key = (ia, ib) if ia < ib else (ib, ia)
+        return scores[key] >= threshold
+    return match
+
+
+def resolve_rswoosh(records: Sequence[Record],
+                    match: Callable[[Record, Record], bool],
+                    merge: Callable[[Record, Record], Record]) -> Clustering:
+    """Iterative match/merge fixpoint (R-Swoosh).
+
+    Maintains a resolved set; each pending record is compared against it,
+    and on the first match the partner is pulled out, merged in, and the
+    merge is reprocessed. When match and merge are idempotent, commutative,
+    associative, and representative, the output partition does not depend
+    on input order. Terminates because every merge strictly grows the
+    provenance set.
+    """
+    _check_base_inputs(records)
+    pending = deque(records)
+    resolved: list[Record] = []
+    while pending:
+        rec = pending.popleft()
+        partner = next((k for k, other in enumerate(resolved) if match(rec, other)), None)
+        if partner is None:
+            resolved.append(rec)
+        else:
+            other = resolved.pop(partner)
+            pending.append(merge(rec, other))
+    return Clustering.from_groups(rec.base_ids for rec in resolved)
+
+
+def candidate_pairs(records: Sequence[Record]) -> Iterator[tuple[int, int]]:
+    """All unordered index pairs."""
+    return combinations(range(len(records)), 2)
+
+
+def resolve_connected_components(records: Sequence[Record],
+                                 base_match: Callable[[Record, Record], bool]) -> Clustering:
+    """Cluster base records as connected components of the direct-match
+    graph, asking the predicate about every pair. Deterministic for any
+    edge order."""
+    _check_base_inputs(records)
+    uf = UnionFind(len(records))
+    for i, j in candidate_pairs(records):
+        if base_match(records[i], records[j]):
+            uf.union(i, j)
+    return _clustering_from_groups(records, uf.groups())
+
+
+def intra_cluster_pairs(clustering: Clustering) -> frozenset[Pair]:
+    """Every unordered pair of ids that share a cluster."""
+    pairs = set()
+    for members in clustering.clusters.values():
+        pairs.update(combinations(sorted(members), 2))
+    return frozenset(pairs)
+
+
+def pair_metrics(predicted: Iterable[Pair], truth: Iterable[Pair]) -> PairMetrics:
+    """Pairwise precision, recall, and F1 of two pair sets.
+
+    An empty predicted set has precision 1.0 and an empty truth set has
+    recall 1.0, so sweeps stay defined at extreme thresholds.
+    """
+    predicted = frozenset(predicted)
+    truth = frozenset(truth)
+    hit = len(predicted & truth)
+    precision = hit / len(predicted) if predicted else 1.0
+    recall = hit / len(truth) if truth else 1.0
+    return PairMetrics(precision, recall, f1_lower_bound(precision, recall))

@@ -1,21 +1,20 @@
-"""Clustering engines: iterative match/merge and connected components.
+"""Resolution by connected components over condensed pairwise scores.
 
-Both resolvers take base records and a match predicate and produce the same
-partition whenever the predicate is wrapped with the max-over-constituents
-rule and the merge is set union: the match/merge fixpoint then computes
-exactly the connected components of the direct-match graph.
+A resolution is a partition of the test records' ids: every pair whose
+score clears the threshold is an edge, and the clusters are the connected
+components of that graph. This is the partition the match/merge fixpoint
+reaches with the max-over-constituents match rule and set-union merge; the
+slow engines that show it live in `erbound.reference`.
 """
 
 import csv
-from collections import deque
 from dataclasses import dataclass
-from functools import reduce
-from typing import Callable, Iterator, Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
 from .errors import DataError
-from .records import Record, merge_records
+from .records import Record
 
 
 class UnionFind:
@@ -53,10 +52,9 @@ class UnionFind:
 @dataclass(frozen=True)
 class Clustering:
     """A partition of base-record ids, keyed by the smallest member id of
-    each cluster, with the merged record of every cluster alongside."""
+    each cluster."""
 
     clusters: dict[str, frozenset[str]]
-    representatives: dict[str, Record]
 
     def __post_init__(self):
         seen: set[str] = set()
@@ -68,9 +66,6 @@ class Clustering:
             if members & seen:
                 raise DataError("clusters overlap")
             seen |= members
-            rep = self.representatives.get(label)
-            if rep is None or rep.base_ids != members:
-                raise DataError(f"representative of {label!r} does not cover its members")
 
     @property
     def ids(self) -> frozenset[str]:
@@ -83,88 +78,30 @@ class Clustering:
         return {i: label for label, members in self.clusters.items() for i in members}
 
     @classmethod
-    def from_resolved_records(cls, resolved: Sequence[Record]) -> "Clustering":
+    def from_groups(cls, groups: Iterable[Iterable[str]]) -> "Clustering":
+        """Label each group of ids by its smallest member."""
         clusters = {}
-        reps = {}
-        for rec in resolved:
-            label = min(rec.base_ids)
-            clusters[label] = frozenset(rec.base_ids)
-            reps[label] = rec
-        return cls(clusters, reps)
+        for group in groups:
+            members = frozenset(group)
+            clusters[min(members, default="")] = members
+        return cls(clusters)
 
 
-def _check_base_inputs(records: Sequence[Record]) -> list[str]:
-    ids = []
+def _check_base_inputs(records: Sequence[Record]) -> None:
+    """Resolver inputs must be base records with distinct ids."""
+    ids = set()
     for r in records:
         if not r.is_base():
             raise DataError("resolver inputs must be base records")
-        ids.append(r.record_id)
-    if len(set(ids)) != len(ids):
+        ids.add(r.record_id)
+    if len(ids) != len(records):
         raise DataError("duplicate record ids in resolver input")
-    return ids
-
-
-def resolve_rswoosh(records: Sequence[Record],
-                    match: Callable[[Record, Record], bool],
-                    merge: Callable[[Record, Record], Record]) -> Clustering:
-    """Iterative match/merge fixpoint (R-Swoosh).
-
-    Maintains a resolved set; each pending record is compared against it,
-    and on the first match the partner is pulled out, merged in, and the
-    merge is reprocessed. When match and merge are idempotent, commutative,
-    associative, and representative, the output partition does not depend
-    on input order. Terminates because every merge strictly grows the
-    provenance set.
-    """
-    _check_base_inputs(records)
-    pending = deque(records)
-    resolved: list[Record] = []
-    while pending:
-        rec = pending.popleft()
-        partner = next((k for k, other in enumerate(resolved) if match(rec, other)), None)
-        if partner is None:
-            resolved.append(rec)
-        else:
-            other = resolved.pop(partner)
-            pending.append(merge(rec, other))
-    return Clustering.from_resolved_records(resolved)
-
-
-def candidate_pairs(records: Sequence[Record],
-                    block_feature_index: int | None = None) -> Iterator[tuple[int, int]]:
-    """All unordered index pairs, optionally prefiltered to pairs sharing at
-    least one value of a single feature (cheap blocking; off by default)."""
-    n = len(records)
-    for i in range(n - 1):
-        for j in range(i + 1, n):
-            if block_feature_index is not None:
-                if not (records[i].values[block_feature_index]
-                        & records[j].values[block_feature_index]):
-                    continue
-            yield i, j
 
 
 def _clustering_from_groups(records: Sequence[Record],
-                            groups: Sequence[Sequence[int]]) -> Clustering:
-    resolved = []
-    for group in groups:
-        members = sorted(group, key=lambda k: records[k].record_id)
-        resolved.append(reduce(merge_records, (records[k] for k in members)))
-    return Clustering.from_resolved_records(resolved)
-
-
-def resolve_connected_components(records: Sequence[Record],
-                                 base_match: Callable[[Record, Record], bool],
-                                 block_feature_index: int | None = None) -> Clustering:
-    """Cluster base records as connected components of the direct-match
-    graph; each cluster's representative is the set-union merge of its
-    members. Deterministic for any edge order."""
-    _check_base_inputs(records)
-    uf = UnionFind(len(records))
-    for i, j in candidate_pairs(records, block_feature_index):
-        if base_match(records[i], records[j]):
-            uf.union(i, j)
-    return _clustering_from_groups(records, uf.groups())
+                            groups: Iterable[Iterable[int]]) -> Clustering:
+    return Clustering.from_groups([records[k].record_id for k in group]
+                                  for group in groups)
 
 
 def components_from_condensed(n: int, scores: np.ndarray, threshold: float) -> UnionFind:
@@ -189,8 +126,8 @@ def components_from_condensed(n: int, scores: np.ndarray, threshold: float) -> U
 def resolve_from_condensed(records: Sequence[Record], scores: np.ndarray,
                            threshold: float) -> Clustering:
     """Connected-components resolution from precomputed condensed scores;
-    identical to resolve_connected_components with the thresholded matcher
-    the scores came from."""
+    identical to `reference.resolve_connected_components` with the
+    thresholded matcher the scores came from."""
     _check_base_inputs(records)
     uf = components_from_condensed(len(records), scores, threshold)
     return _clustering_from_groups(records, uf.groups())

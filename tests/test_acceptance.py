@@ -10,16 +10,21 @@ import pytest
 
 from erbound.bounds import rebalance_precision, wilson_interval
 from erbound.dataset import SplitSpec, generate_synthetic, split_dataset, synthetic_schema
-from erbound.matching import matcher_from_scores, pairwise_scores, train_match_model
-from erbound.metrics import pair_metrics
+from erbound.matching import train_match_model
 from erbound.pipeline import (
     degradation_experiment,
     score_labeled_pairs,
     sweep_thresholds,
     train_pipeline,
 )
-from erbound.records import merge_records
-from erbound.resolver import resolve_connected_components, resolve_rswoosh
+from erbound.reference import (
+    matcher_from_scores,
+    merge_records,
+    pair_metrics,
+    pairwise_scores,
+    resolve_connected_components,
+    resolve_rswoosh,
+)
 
 from conftest import random_model, random_records
 

@@ -4,6 +4,8 @@ import json
 
 import pytest
 
+import erbound
+from erbound import matching
 from erbound.cli import EXIT_DATA, EXIT_GATE, EXIT_OK, SWEEP_COLUMNS, main
 
 
@@ -161,6 +163,57 @@ class TestSweep:
         assert code == EXIT_DATA
 
 
+def count_scoring_calls(monkeypatch):
+    """Wrap condensed_pairwise_scores at every module that binds it (some
+    import it by name) and return the list that collects one entry per call."""
+    original = matching.condensed_pairwise_scores
+    calls = []
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return original(*args, **kwargs)
+
+    for name in dir(erbound):
+        module = getattr(erbound, name)
+        if getattr(module, "__name__", "").startswith("erbound."):
+            for attr, value in list(vars(module).items()):
+                if value is original:
+                    monkeypatch.setattr(module, attr, counting)
+    return calls
+
+
+class TestScoreOnce:
+    def test_resolve_scores_once(self, trained, tmp_path, monkeypatch):
+        _, run = trained
+        calls = count_scoring_calls(monkeypatch)
+        assert main([
+            "resolve", "--model", str(run / "model.json"),
+            "--records", str(run / "test_records.csv"),
+            "--validation-stats", str(run / "validation_stats.json"),
+            "--threshold", "0.8", "--out", str(tmp_path / "res"),
+        ]) == EXIT_OK
+        assert len(calls) == 1
+
+    def test_sweep_clusterings_do_not_rescore_per_grid_point(self, trained, tmp_path,
+                                                            monkeypatch):
+        _, run = trained
+        counts = []
+        for steps in ("2", "3"):
+            calls = count_scoring_calls(monkeypatch)
+            assert main([
+                "sweep", "--model", str(run / "model.json"),
+                "--records", str(run / "test_records.csv"),
+                "--validation-stats", str(run / "validation_stats.json"),
+                "--grid-start", "0.5", "--grid-stop", "0.9", "--grid-steps", steps,
+                "--write-clusterings", "--out", str(tmp_path / f"sweep{steps}"),
+            ]) == EXIT_OK
+            assert len(list((tmp_path / f"sweep{steps}").glob("clustering_*.csv"))) == \
+                int(steps)
+            counts.append(len(calls))
+            monkeypatch.undo()
+        assert counts[0] == counts[1] == 1
+
+
 class TestResolve:
     def test_gate_pass(self, trained, tmp_path):
         _, run = trained
@@ -205,6 +258,56 @@ class TestResolve:
         assert sha256(outs[0] / "clustering.csv") == sha256(outs[1] / "clustering.csv")
 
 
+    @pytest.mark.parametrize("threshold", ["1.5", "-0.5", "0", "1"])
+    def test_threshold_out_of_range(self, trained, tmp_path, capsys, threshold):
+        _, run = trained
+        out = tmp_path / "res_bad"
+        assert main([
+            "resolve", "--model", str(run / "model.json"),
+            "--records", str(run / "test_records.csv"),
+            "--validation-stats", str(run / "validation_stats.json"),
+            "--threshold", threshold, "--out", str(out),
+        ]) == EXIT_DATA
+        assert "--threshold" in capsys.readouterr().err
+        assert not (out / "clustering.csv").exists()
+
+
+class TestMalformedInputs:
+    def resolve(self, run, tmp_path, model=None, stats=None):
+        return main([
+            "resolve", "--model", str(model or run / "model.json"),
+            "--records", str(run / "test_records.csv"),
+            "--validation-stats", str(stats or run / "validation_stats.json"),
+            "--out", str(tmp_path / "out"),
+        ])
+
+    def test_model_without_bias(self, trained, tmp_path, capsys):
+        _, run = trained
+        doc = json.loads((run / "model.json").read_text())
+        del doc["bias"]
+        bad = tmp_path / "model.json"
+        bad.write_text(json.dumps(doc))
+        assert self.resolve(run, tmp_path, model=bad) == EXIT_DATA
+        err = capsys.readouterr().err
+        assert str(bad) in err and "'bias'" in err
+        bad.write_text("[]")
+        assert self.resolve(run, tmp_path, model=bad) == EXIT_DATA
+        assert str(bad) in capsys.readouterr().err
+
+    def test_stats_pair_without_score(self, trained, tmp_path, capsys):
+        _, run = trained
+        doc = json.loads((run / "validation_stats.json").read_text())
+        del doc["pairs"][3]["score"]
+        bad = tmp_path / "validation_stats.json"
+        bad.write_text(json.dumps(doc))
+        assert self.resolve(run, tmp_path, stats=bad) == EXIT_DATA
+        err = capsys.readouterr().err
+        assert str(bad) in err and "'score'" in err
+        bad.write_text("[]")
+        assert self.resolve(run, tmp_path, stats=bad) == EXIT_DATA
+        assert str(bad) in capsys.readouterr().err
+
+
 class TestConfigFile:
     def test_file_values_and_flag_overrides(self, tmp_path, capsys):
         cfg = tmp_path / "run.cfg"
@@ -235,6 +338,12 @@ class TestUsageErrors:
     def test_missing_required_flag_exits_2(self, capsys):
         with pytest.raises(SystemExit) as exc:
             main(["train", "--out", "somewhere"])
+        assert exc.value.code == 2
+
+    def test_gold_mode_option_removed(self, trained, tmp_path):
+        data, _ = trained
+        with pytest.raises(SystemExit) as exc:
+            run_train(data, tmp_path / "t", extra=("--gold-mode", "cluster-labels"))
         assert exc.value.code == 2
 
     def test_unknown_command_exits_2(self):

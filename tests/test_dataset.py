@@ -6,19 +6,14 @@ from erbound.dataset import (
     SplitSpec,
     generate_synthetic,
     load_gold,
-    load_labeled_pairs_csv,
     load_records_csv,
     load_schema_json,
-    proxy_gold_from_records,
     save_schema_json,
     split_dataset,
     synthetic_schema,
-    write_gold_csv,
-    write_labeled_pairs_csv,
     write_records_csv,
 )
 from erbound.errors import ConfigError, DataError
-from erbound.records import CATEGORICAL, TEXT, Feature, FeatureSchema, base_record
 
 from conftest import random_records
 
@@ -155,30 +150,6 @@ class TestGold:
         with pytest.raises(DataError, match="zz"):
             load_gold(path, valid_ids=["a", "b"])
 
-    def test_bad_mode(self, tmp_path):
-        path = tmp_path / "gold.csv"
-        path.write_text("id,label\na,1\n")
-        with pytest.raises(ConfigError):
-            load_gold(path, mode="majority-vote")
-
-    def test_proxy_key_matches_cluster_labels(self, tmp_path):
-        schema = FeatureSchema((Feature("name", TEXT), Feature("phone", CATEGORICAL)))
-        records = [
-            base_record(schema, "a", {"name": ["x"], "phone": ["555"]}),
-            base_record(schema, "b", {"name": ["y"], "phone": ["555"]}),
-            base_record(schema, "c", {"name": ["z"], "phone": ["777"]}),
-            base_record(schema, "d", {"name": ["w"]}),  # no phone: unlabeled
-        ]
-        derived = proxy_gold_from_records(records, schema, "phone")
-        gold_path = tmp_path / "gold.csv"
-        write_gold_csv(gold_path, derived)
-        via_proxy_mode = load_gold(gold_path, mode="proxy-key")
-        cluster_path = tmp_path / "cluster.csv"
-        cluster_path.write_text("id,label\na,555\nb,555\nc,777\n")
-        via_cluster_mode = load_gold(cluster_path, mode="cluster-labels")
-        assert via_proxy_mode.truth_pairs() == via_cluster_mode.truth_pairs()
-        assert derived.truth_pairs() == frozenset({("a", "b")})
-
     def test_restricted(self):
         gold = GoldTruth({"a": "1", "b": "1", "c": "2"})
         assert gold.restricted(["a", "c"]).labels == {"a": "1", "c": "2"}
@@ -189,28 +160,6 @@ class TestSchemaJson:
         path = tmp_path / "schema.json"
         save_schema_json(path, mixed_schema)
         assert load_schema_json(path) == mixed_schema
-
-
-class TestLabeledPairsCsv:
-    def test_round_trip(self, tmp_path):
-        records, gold = generate_synthetic(n_entities=6, records_per_entity=3, seed=10)
-        split = split_dataset(records, gold, SplitSpec(10, 0, seed=10))
-        path = tmp_path / "pairs.csv"
-        write_labeled_pairs_csv(path, split.train_pairs)
-        assert load_labeled_pairs_csv(path, records) == split.train_pairs
-
-    def test_errors(self, tmp_path, mixed_schema):
-        records = [base_record(mixed_schema, rid, {}) for rid in ("a", "b")]
-        path = tmp_path / "pairs.csv"
-        path.write_text("id_a,id_b,label\na,zz,1\n")
-        with pytest.raises(DataError, match="zz"):
-            load_labeled_pairs_csv(path, records)
-        path.write_text("id_a,id_b,label\na,b,maybe\n")
-        with pytest.raises(DataError, match="label"):
-            load_labeled_pairs_csv(path, records)
-        path.write_text("id_a,id_b,label\na,a,1\n")
-        with pytest.raises(DataError, match="self-pair"):
-            load_labeled_pairs_csv(path, records)
 
 
 class TestSplit:

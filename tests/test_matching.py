@@ -1,7 +1,6 @@
 import json
 from dataclasses import replace
 from functools import lru_cache
-from itertools import product
 
 import numpy as np
 import pytest
@@ -10,7 +9,6 @@ from erbound.errors import DataError, DegenerateDataError, SchemaError
 from erbound.matching import (
     MatchModel,
     TrainConfig,
-    base_match,
     condensed_pairwise_scores,
     featurize_pair,
     fit_logistic,
@@ -18,13 +16,10 @@ from erbound.matching import (
     load_model,
     logistic_gradient,
     logistic_loss,
-    matcher_from_scores,
     normalized_levenshtein,
-    pairwise_scores,
     save_model,
     score_pair,
     train_match_model,
-    wrapper_match,
 )
 from erbound.records import (
     CATEGORICAL,
@@ -33,7 +28,12 @@ from erbound.records import (
     Feature,
     FeatureSchema,
     base_record,
+)
+from erbound.reference import (
+    base_match,
+    matcher_from_scores,
     merge_records,
+    pairwise_scores,
 )
 
 from conftest import random_model, random_record, random_records
@@ -310,70 +310,6 @@ class TestBaseMatch:
         model = random_model(rng, mixed_schema)
         with pytest.raises(ValueError):
             base_match(model, merge_records(r1, r2), r3)
-
-
-class TestWrapperMatch:
-    def test_merged_pair_rejects_third_when_bases_do(self, mixed_schema, canonical_trio):
-        r1, r2, r3 = canonical_trio
-        rng = np.random.default_rng(7)
-        model = random_model(rng, mixed_schema, threshold=0.999999)
-        base = {"r1": r1, "r2": r2, "r3": r3}
-        merged = merge_records(r1, r2)
-        assert not base_match(model, r1, r3)
-        assert not base_match(model, r2, r3)
-        assert not wrapper_match(model, merged, r3, base)
-
-    def test_self_match(self, mixed_schema, canonical_trio):
-        r1, r2, _ = canonical_trio
-        rng = np.random.default_rng(8)
-        model = random_model(rng, mixed_schema, threshold=0.99)
-        merged = merge_records(r1, r2)
-        base = {"r1": r1, "r2": r2}
-        assert wrapper_match(model, merged, merged, base)
-
-    def test_equals_cross_product_oracle(self, mixed_schema):
-        rng = np.random.default_rng(9)
-        for _ in range(50):
-            model = random_model(rng, mixed_schema)
-            records = random_records(rng, mixed_schema, 6)
-            base = {r.record_id: r for r in records}
-            o1 = merge_records(merge_records(records[0], records[1]), records[2])
-            o2 = merge_records(records[3], merge_records(records[4], records[5]))
-            oracle = max(
-                base_match(model, base[i], base[j])
-                for i, j in product(sorted(o1.base_ids), sorted(o2.base_ids))
-            )
-            assert wrapper_match(model, o1, o2, base) == bool(oracle)
-
-    def test_reduces_to_base_match_on_base_records(self, mixed_schema):
-        rng = np.random.default_rng(10)
-        for _ in range(50):
-            model = random_model(rng, mixed_schema)
-            a = random_record(rng, mixed_schema, "a")
-            b = random_record(rng, mixed_schema, "b")
-            base = {"a": a, "b": b}
-            assert wrapper_match(model, a, b, base) == base_match(model, a, b)
-
-    def test_merging_preserves_matches(self, mixed_schema):
-        # if o1 matches o4, then merge(o1, o2) still matches o4
-        rng = np.random.default_rng(11)
-        hits = 0
-        for _ in range(300):
-            model = random_model(rng, mixed_schema)
-            records = random_records(rng, mixed_schema, 4)
-            base = {r.record_id: r for r in records}
-            o1, o2, o4 = records[0], records[1], records[3]
-            if wrapper_match(model, o1, o4, base):
-                hits += 1
-                assert wrapper_match(model, merge_records(o1, o2), o4, base)
-        assert hits > 10  # the property was actually exercised
-
-    def test_unresolvable_id(self, mixed_schema, canonical_trio):
-        r1, r2, _ = canonical_trio
-        rng = np.random.default_rng(12)
-        model = random_model(rng, mixed_schema)
-        with pytest.raises(KeyError):
-            wrapper_match(model, r1, r2, {"r1": r1})
 
 
 class TestBulkScores:

@@ -3,35 +3,24 @@ from itertools import combinations
 import numpy as np
 import pytest
 
-from erbound.matching import matcher_from_scores, pairwise_scores
+from erbound.matching import condensed_pairwise_scores
 from erbound.metrics import (
-    count_direct_match_pairs,
     clustering_pair_metrics,
     intra_cluster_pair_count,
-    intra_cluster_pairs,
-    ordered_pair,
-    pair_metrics,
     pairs_from_labels,
     truth_pairs_in_clustering,
-    write_metrics_csv,
 )
-from erbound.records import base_record, merge_records
-from erbound.resolver import Clustering, resolve_connected_components
+from erbound.reference import (
+    base_match,
+    intra_cluster_pairs,
+    matcher_from_scores,
+    pair_metrics,
+    pairwise_scores,
+    resolve_connected_components,
+)
+from erbound.resolver import Clustering
 
 from conftest import random_model, random_records
-
-
-def clustering_from_partition(schema, partition):
-    records = {}
-    resolved = []
-    for group in partition:
-        recs = [base_record(schema, rid, {}) for rid in group]
-        records.update({r.record_id: r for r in recs})
-        merged = recs[0]
-        for r in recs[1:]:
-            merged = merge_records(merged, r)
-        resolved.append(merged)
-    return Clustering.from_resolved_records(resolved)
 
 
 def naive_metrics(predicted, truth):
@@ -53,18 +42,13 @@ def random_pair_set(rng, ids, p):
 
 
 class TestPairSets:
-    def test_ordered_pair(self):
-        assert ordered_pair("b", "a") == ("a", "b")
-        with pytest.raises(ValueError):
-            ordered_pair("a", "a")
-
     def test_triangle_plus_singleton(self, mixed_schema):
-        c = clustering_from_partition(mixed_schema, [["a", "b", "c"], ["d"]])
+        c = Clustering.from_groups([["a", "b", "c"], ["d"]])
         assert intra_cluster_pairs(c) == frozenset({("a", "b"), ("a", "c"), ("b", "c")})
         assert intra_cluster_pair_count(c) == 3
 
     def test_all_singletons(self, mixed_schema):
-        c = clustering_from_partition(mixed_schema, [["a"], ["b"], ["c"]])
+        c = Clustering.from_groups([["a"], ["b"], ["c"]])
         assert intra_cluster_pairs(c) == frozenset()
 
     def test_random_partition_sizes(self, mixed_schema):
@@ -77,7 +61,7 @@ class TestPairSets:
                 size = int(rng.integers(1, len(ids) - k + 1))
                 partition.append(ids[k:k + size])
                 k += size
-            c = clustering_from_partition(mixed_schema, partition)
+            c = Clustering.from_groups(partition)
             expected = sum(len(g) * (len(g) - 1) // 2 for g in partition)
             pairs = intra_cluster_pairs(c)
             assert len(pairs) == expected
@@ -90,8 +74,8 @@ class TestPairSets:
     def test_pair_set_ignores_cluster_labeling(self, mixed_schema):
         # the same partition assembled in different member orders yields
         # identical pair sets and counts
-        one = clustering_from_partition(mixed_schema, [["a", "c", "b"], ["d", "e"]])
-        two = clustering_from_partition(mixed_schema, [["e", "d"], ["b", "a", "c"]])
+        one = Clustering.from_groups([["a", "c", "b"], ["d", "e"]])
+        two = Clustering.from_groups([["e", "d"], ["b", "a", "c"]])
         assert intra_cluster_pairs(one) == intra_cluster_pairs(two)
         assert intra_cluster_pair_count(one) == intra_cluster_pair_count(two)
 
@@ -149,7 +133,7 @@ class TestCountBasedMetrics:
                 size = int(rng.integers(1, len(order) - k + 1))
                 partition.append(order[k:k + size])
                 k += size
-            c = clustering_from_partition(mixed_schema, partition)
+            c = Clustering.from_groups(partition)
             truth = random_pair_set(rng, sorted(ids), 0.3)
             fast = clustering_pair_metrics(c, truth)
             slow = pair_metrics(intra_cluster_pairs(c), truth)
@@ -159,55 +143,26 @@ class TestCountBasedMetrics:
 
 
 class TestDirectMatchCount:
-    def test_chain_cluster_counts_edges(self, mixed_schema):
-        r1 = base_record(mixed_schema, "r1", {"age": [1.0]})
-        r2 = base_record(mixed_schema, "r2", {"age": [2.0]})
-        r3 = base_record(mixed_schema, "r3", {"age": [3.0]})
-        base = {"r1": r1, "r2": r2, "r3": r3}
-
-        def near(a, b):
-            ai = mixed_schema.index("age")
-            return abs(next(iter(a.values[ai])) - next(iter(b.values[ai]))) <= 1.0
-
-        clustering = resolve_connected_components([r1, r2, r3], near)
-        assert count_direct_match_pairs(clustering, near, base) == 2
-
-    def test_no_match_run_counts_zero(self, mixed_schema):
-        rng = np.random.default_rng(4)
-        records = random_records(rng, mixed_schema, 6)
-        base = {r.record_id: r for r in records}
-        never = lambda a, b: False
-        clustering = resolve_connected_components(records, never)
-        assert count_direct_match_pairs(clustering, never, base) == 0
-
     def test_equals_exhaustive_all_pairs_count(self, mixed_schema):
         rng = np.random.default_rng(5)
         for _ in range(50):
             model = random_model(rng, mixed_schema)
             records = random_records(rng, mixed_schema, 10)
-            base = {r.record_id: r for r in records}
             table = pairwise_scores(model, records)
             scored = matcher_from_scores(table, model.threshold)
             clustering = resolve_connected_components(records, scored)
-            counted = count_direct_match_pairs(clustering, scored, base)
+            # |T_M| as the CLI counts it: condensed scores at the threshold
+            counted = int((condensed_pairwise_scores(model, records)
+                           >= model.threshold).sum())
             exhaustive = sum(
-                scored(a, b)
+                base_match(model, a, b)
                 for i, a in enumerate(records) for b in records[i + 1:]
             )
             assert counted == exhaustive
             # every direct match is within a cluster
             assert frozenset(
-                ordered_pair(a.record_id, b.record_id)
+                tuple(sorted((a.record_id, b.record_id)))
                 for i, a in enumerate(records) for b in records[i + 1:]
                 if scored(a, b)
             ) <= intra_cluster_pairs(clustering)
 
-
-class TestMetricsCsv:
-    def test_rows(self, tmp_path):
-        m = pair_metrics({("a", "b")}, {("a", "b")})
-        path = tmp_path / "metrics.csv"
-        write_metrics_csv(path, [(0.5, 10, 8, m)])
-        lines = path.read_text().splitlines()
-        assert lines[0] == "threshold,r_pairs,tm_pairs,precision,recall,f1"
-        assert lines[1] == "0.5,10,8,1,1,1"

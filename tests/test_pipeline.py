@@ -8,13 +8,12 @@ from erbound.matching import condensed_pairwise_scores
 from erbound.metrics import clustering_pair_metrics, intra_cluster_pair_count
 from erbound.pipeline import (
     degradation_experiment,
-    resolve_at,
     select_best_row,
     sweep_thresholds,
     train_pipeline,
 )
-from erbound.resolver import resolve_connected_components
-from erbound.matching import base_match
+from erbound.reference import base_match, resolve_connected_components
+from erbound.resolver import resolve_from_condensed
 
 
 @pytest.fixture(scope="module")
@@ -55,9 +54,10 @@ class TestSweep:
         result = sweep_thresholds(outcome.model, test_records, scores, labels,
                                   grid, gold=test_gold)
         condensed = condensed_pairwise_scores(outcome.model, test_records)
+        assert np.array_equal(result.scores, condensed)
         truth = test_gold.truth_pairs()
         for row in result.rows:
-            clustering = resolve_at(outcome.model, test_records, row.threshold)
+            clustering = resolve_from_condensed(test_records, condensed, row.threshold)
             assert row.r_pairs == intra_cluster_pair_count(clustering)
             assert row.tm_pairs == int((condensed >= row.threshold).sum())
             expected = clustering_pair_metrics(clustering, truth)
@@ -144,17 +144,12 @@ class TestResolveAt:
     def test_matches_predicate_resolver(self, small_run):
         _, _, outcome = small_run
         test_records = outcome.split.test_records[:40]
-        fast = resolve_at(outcome.model, test_records, 0.7)
+        scores = condensed_pairwise_scores(outcome.model, test_records)
+        fast = resolve_from_condensed(test_records, scores, 0.7)
         slow = resolve_connected_components(
             test_records,
             lambda a, b: base_match(outcome.model.with_threshold(0.7), a, b))
         assert fast.partition() == slow.partition()
-
-    def test_defaults_to_model_threshold(self, small_run):
-        _, _, outcome = small_run
-        test_records = outcome.split.test_records[:30]
-        assert resolve_at(outcome.model, test_records).partition() == \
-            resolve_at(outcome.model, test_records, outcome.model.threshold).partition()
 
 
 class TestQualitativeCurves:

@@ -7,12 +7,10 @@ from erbound.records import (
     TEXT,
     Feature,
     FeatureSchema,
-    Record,
     base_record,
     canonical_value,
-    merge_records,
-    validate_record,
 )
+from erbound.reference import merge_records
 
 from conftest import random_record
 
@@ -91,27 +89,6 @@ class TestMerge:
         b = base_record(short, "b", {})
         with pytest.raises(SchemaError):
             merge_records(a, b)
-
-
-class TestValidate:
-    def test_well_formed(self, mixed_schema, canonical_trio):
-        for rec in canonical_trio:
-            assert validate_record(rec, mixed_schema) == []
-
-    def test_numeric_feature_holding_text(self, mixed_schema):
-        bad = Record(frozenset({"x"}), (frozenset(), frozenset(), frozenset(),
-                                        frozenset({"old"})))
-        violations = validate_record(bad, mixed_schema)
-        assert len(violations) == 1
-        assert "age" in violations[0]
-
-    def test_empty_base_ids(self, mixed_schema):
-        bad = Record(frozenset(), (frozenset(),) * 4)
-        assert any("base_ids" in v for v in validate_record(bad, mixed_schema))
-
-    def test_arity_mismatch(self, mixed_schema):
-        bad = Record(frozenset({"x"}), (frozenset(),))
-        assert validate_record(bad, mixed_schema)
 
 
 class TestBaseRecord:

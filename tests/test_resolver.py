@@ -1,24 +1,24 @@
-from functools import reduce
 from itertools import product
 
 import numpy as np
 import pytest
 
 from erbound.errors import DataError
-from erbound.matching import (
+from erbound.matching import condensed_pairwise_scores
+from erbound.records import base_record
+from erbound.reference import (
     base_match,
-    condensed_pairwise_scores,
+    candidate_pairs,
     matcher_from_scores,
+    merge_records,
     pairwise_scores,
+    resolve_connected_components,
+    resolve_rswoosh,
 )
-from erbound.records import base_record, merge_records
 from erbound.resolver import (
     Clustering,
     UnionFind,
-    candidate_pairs,
-    resolve_connected_components,
     resolve_from_condensed,
-    resolve_rswoosh,
     write_clustering_csv,
 )
 
@@ -70,8 +70,6 @@ class TestRSwoosh:
         assert clustering.partition() == frozenset({
             frozenset({"r1", "r2"}), frozenset({"r3"}),
         })
-        rep = clustering.representatives["r1"]
-        assert rep == merge_records(r1, r2)
 
     def test_no_matches_yields_singletons(self, mixed_schema):
         rng = np.random.default_rng(0)
@@ -88,18 +86,6 @@ class TestRSwoosh:
         r1, r2, _ = canonical_trio
         with pytest.raises(DataError):
             resolve_rswoosh([merge_records(r1, r2)], lambda x, y: False, merge_records)
-
-    def test_representatives_are_member_merges(self, mixed_schema):
-        rng = np.random.default_rng(1)
-        for _ in range(20):
-            model = random_model(rng, mixed_schema)
-            records = random_records(rng, mixed_schema, 10)
-            match, merge, _ = wrapper_and_merge(model, records)
-            clustering = resolve_rswoosh(records, match, merge)
-            by_id = {r.record_id: r for r in records}
-            for label, members in clustering.clusters.items():
-                expected = reduce(merge_records, (by_id[i] for i in sorted(members)))
-                assert clustering.representatives[label] == expected
 
 
 class TestConnectedComponents:
@@ -148,17 +134,6 @@ class TestConnectedComponents:
             clustering = resolve_connected_components(records, match)
             assert clustering.partition() == expected
 
-    def test_blocking_prefilter(self, mixed_schema):
-        pi = mixed_schema.index("phone")
-        a = base_record(mixed_schema, "a", {"phone": ["1"]})
-        b = base_record(mixed_schema, "b", {"phone": ["1"]})
-        c = base_record(mixed_schema, "c", {"phone": ["2"]})
-        always = lambda x, y: True
-        blocked = resolve_connected_components([a, b, c], always, block_feature_index=pi)
-        assert blocked.partition() == frozenset({frozenset({"a", "b"}), frozenset({"c"})})
-        unblocked = resolve_connected_components([a, b, c], always)
-        assert unblocked.partition() == frozenset({frozenset({"a", "b", "c"})})
-
     def test_candidate_pairs_exhaustive(self, mixed_schema):
         rng = np.random.default_rng(4)
         records = random_records(rng, mixed_schema, 5)
@@ -176,7 +151,6 @@ class TestEquivalenceAndDeterminism:
             a = resolve_rswoosh(records, match, merge)
             b = resolve_connected_components(records, scored)
             assert a.partition() == b.partition()
-            assert a.representatives == b.representatives
 
     def test_rswoosh_permutation_invariant(self, mixed_schema):
         rng = np.random.default_rng(6)
@@ -215,24 +189,23 @@ class TestEquivalenceAndDeterminism:
 
 
 class TestClusteringType:
-    def test_invariants_enforced(self, mixed_schema):
-        a = base_record(mixed_schema, "a", {})
-        b = base_record(mixed_schema, "b", {})
-        with pytest.raises(DataError):  # label not the smallest member
-            Clustering({"b": frozenset({"a", "b"})},
-                       {"b": merge_records(a, b)})
-        with pytest.raises(DataError):  # representative does not cover members
-            Clustering({"a": frozenset({"a", "b"})}, {"a": a})
+    def test_invariants_enforced(self):
+        with pytest.raises(DataError, match="smallest member"):
+            Clustering({"b": frozenset({"a", "b"})})
+        with pytest.raises(DataError, match="empty"):
+            Clustering({"a": frozenset()})
+        with pytest.raises(DataError, match="overlap"):
+            Clustering({"a": frozenset({"a", "b"}), "b": frozenset({"b", "c"})})
+        with pytest.raises(DataError, match="empty"):
+            Clustering.from_groups([["a"], []])
 
-    def test_labels_and_ids(self, mixed_schema, canonical_trio):
-        r1, r2, r3 = canonical_trio
-        clustering = Clustering.from_resolved_records([merge_records(r1, r2), r3])
+    def test_labels_and_ids(self):
+        clustering = Clustering.from_groups([["r2", "r1"], ["r3"]])
         assert clustering.labels() == {"r1": "r1", "r2": "r1", "r3": "r3"}
         assert clustering.ids == frozenset({"r1", "r2", "r3"})
 
-    def test_csv_output_canonical_and_stable(self, tmp_path, mixed_schema, canonical_trio):
-        r1, r2, r3 = canonical_trio
-        clustering = Clustering.from_resolved_records([merge_records(r1, r2), r3])
+    def test_csv_output_canonical_and_stable(self, tmp_path):
+        clustering = Clustering.from_groups([["r2", "r1"], ["r3"]])
         p1, p2 = tmp_path / "c1.csv", tmp_path / "c2.csv"
         write_clustering_csv(p1, clustering)
         write_clustering_csv(p2, clustering)
