@@ -21,6 +21,7 @@ from .dataset import (
     generate_synthetic,
     load_gold,
     load_records_csv,
+    pairs_from_labels,
     split_dataset,
     synthetic_schema,
 )
@@ -41,12 +42,6 @@ from .matching import (
     normalized_levenshtein,
     score_pair,
     train_match_model,
-)
-from .metrics import (
-    PairMetrics,
-    clustering_pair_metrics,
-    intra_cluster_pair_count,
-    pairs_from_labels,
 )
 from .records import (
     CATEGORICAL,

@@ -17,9 +17,9 @@ the validation precision, evaluating the bound at the interval endpoints
 gives exact interval bounds.
 """
 
-import json
 import math
 from dataclasses import dataclass
+from statistics import NormalDist
 from typing import Mapping, Sequence
 
 import numpy as np
@@ -28,39 +28,6 @@ from .errors import DataError, DegenerateDataError, UninformativeMatcherError
 
 # prevalence estimates are clipped away from the open-interval endpoints
 _PREVALENCE_EPS = 1e-9
-
-
-def normal_quantile(p: float) -> float:
-    """Inverse standard normal CDF via a rational approximation refined by
-    one Halley step; absolute error well below 1e-8 on (0, 1)."""
-    if not 0.0 < p < 1.0:
-        raise ValueError("p must lie strictly inside (0, 1)")
-    a = (-3.969683028665376e+01, 2.209460984245205e+02, -2.759285104469687e+02,
-         1.383577518672690e+02, -3.066479806614716e+01, 2.506628277459239e+00)
-    b = (-5.447609879822406e+01, 1.615858368580409e+02, -1.556989798598866e+02,
-         6.680131188771972e+01, -1.328068155288572e+01)
-    c = (-7.784894002430293e-03, -3.223964580411365e-01, -2.400758277161838e+00,
-         -2.549732539343734e+00, 4.374664141464968e+00, 2.938163982698783e+00)
-    d = (7.784695709041462e-03, 3.224671290700398e-01, 2.445134137142996e+00,
-         3.754408661907416e+00)
-    p_low = 0.02425
-    if p < p_low:
-        q = math.sqrt(-2.0 * math.log(p))
-        x = ((((((c[0] * q + c[1]) * q + c[2]) * q + c[3]) * q + c[4]) * q + c[5])
-             / ((((d[0] * q + d[1]) * q + d[2]) * q + d[3]) * q + 1.0))
-    elif p <= 1.0 - p_low:
-        q = p - 0.5
-        r = q * q
-        x = ((((((a[0] * r + a[1]) * r + a[2]) * r + a[3]) * r + a[4]) * r + a[5]) * q
-             / (((((b[0] * r + b[1]) * r + b[2]) * r + b[3]) * r + b[4]) * r + 1.0))
-    else:
-        q = math.sqrt(-2.0 * math.log1p(-p))
-        x = -((((((c[0] * q + c[1]) * q + c[2]) * q + c[3]) * q + c[4]) * q + c[5])
-              / ((((d[0] * q + d[1]) * q + d[2]) * q + d[3]) * q + 1.0))
-    # one Halley refinement against the exact CDF
-    err = 0.5 * math.erfc(-x / math.sqrt(2.0)) - p
-    u = err * math.sqrt(2.0 * math.pi) * math.exp(x * x / 2.0)
-    return x - u / (1.0 + x * u / 2.0)
 
 
 def wilson_interval(successes: int, trials: int, confidence: float) -> tuple[float, float]:
@@ -75,7 +42,7 @@ def wilson_interval(successes: int, trials: int, confidence: float) -> tuple[flo
         raise ValueError("successes must lie in [0, trials]")
     if not 0.0 < confidence < 1.0:
         raise ValueError("confidence must lie strictly inside (0, 1)")
-    z = normal_quantile(0.5 + confidence / 2.0)
+    z = NormalDist().inv_cdf(0.5 + confidence / 2.0)
     n = float(trials)
     phat = successes / n
     z2n = z * z / n
@@ -286,26 +253,6 @@ class BoundReport:
     recall_lb: float
     f1_lb: float
     intervals: BoundIntervals
-    confidence_level: float = 0.95
-
-    def to_dict(self) -> dict:
-        return {
-            "r_pairs": self.r_pairs,
-            "tm_pairs": self.tm_pairs,
-            "c_t_estimate": self.c_t_estimate,
-            "precision_lower_bound": self.precision_lb,
-            "recall_lower_bound": self.recall_lb,
-            "f1_lower_bound": self.f1_lb,
-            "confidence_level": self.confidence_level,
-            "intervals": {
-                "precision": list(self.intervals.precision),
-                "recall": list(self.intervals.recall),
-                "f1": list(self.intervals.f1),
-            },
-        }
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_dict(), indent=2, sort_keys=True)
 
 
 def compute_bound_report(stats: ValidationStats, tm_pairs: int, r_pairs: int,
@@ -333,5 +280,4 @@ def compute_bound_report(stats: ValidationStats, tm_pairs: int, r_pairs: int,
         recall_lb=r_lb,
         f1_lb=f1_lower_bound(p_lb, r_lb),
         intervals=propagate_bound_interval(stats, tm_pairs, r_pairs, c_t_est, confidence),
-        confidence_level=confidence,
     )

@@ -17,7 +17,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import bounds, dataset, matching, metrics, pipeline, resolver
+from . import bounds, dataset, matching, pipeline, resolver
 from .errors import DataError, ErboundError
 
 EXIT_OK = 0
@@ -121,6 +121,21 @@ def _out_dir(args) -> Path:
     return out
 
 
+def _check_ranges(args) -> None:
+    """Range-check the command's probability and grid flags before any work
+    is done. Only --recall-floor may take the endpoints 0 and 1."""
+    for dest in ("threshold", "confidence", "ct", "recall_floor"):
+        value = getattr(args, dest, None)
+        closed = dest == "recall_floor"
+        if value is None or (0.0 <= value <= 1.0 if closed else 0.0 < value < 1.0):
+            continue
+        where = "in [0, 1]" if closed else "strictly inside (0, 1)"
+        raise ErboundError(f"--{dest.replace('_', '-')} must lie {where}, got {value}")
+    if args.command == "sweep" and not (
+            0.0 < args.grid_start <= args.grid_stop < 1.0 and args.grid_steps >= 1):
+        raise ErboundError("threshold grid must lie inside (0, 1) with steps >= 1")
+
+
 def cmd_generate(args) -> int:
     records, gold = dataset.generate_synthetic(
         n_entities=args.n_entities,
@@ -178,7 +193,7 @@ def load_validation_stats(path) -> tuple[np.ndarray, np.ndarray, dict]:
         labels = np.array([p["label"] for p in doc["pairs"]], dtype=int)
     except KeyError as exc:
         raise DataError(f"{path}: validation stats have no field {exc}") from exc
-    except (TypeError, IndexError) as exc:
+    except (TypeError, ValueError, IndexError) as exc:
         raise DataError(f"{path}: malformed validation stats: {exc}") from exc
     return scores, labels, doc
 
@@ -227,8 +242,6 @@ def _sweep_row_cells(row: pipeline.SweepRow) -> list[str]:
 
 
 def cmd_sweep(args) -> int:
-    if not (0.0 < args.grid_start <= args.grid_stop < 1.0) or args.grid_steps < 1:
-        raise ErboundError("threshold grid must lie inside (0, 1) with steps >= 1")
     model = matching.load_model(args.model)
     records = dataset.load_records_csv(args.records, model.schema)
     val_scores, val_labels, _ = load_validation_stats(args.validation_stats)
@@ -278,45 +291,66 @@ def cmd_sweep(args) -> int:
     return EXIT_OK
 
 
+def _shown(value: float | None) -> str:
+    return "undefined" if value is None else "%.4f" % value
+
+
+def _bound_report_doc(row: pipeline.SweepRow, confidence: float) -> dict:
+    """The bound report of one sweep row; precision and F1 fields are null
+    where the row leaves the bound undefined."""
+    def interval(low, high):
+        return None if low is None else [low, high]
+
+    return {
+        "r_pairs": row.r_pairs,
+        "tm_pairs": row.tm_pairs,
+        "c_t_estimate": row.c_t,
+        "precision_lower_bound": row.precision_lb,
+        "recall_lower_bound": row.recall_lb,
+        "f1_lower_bound": row.f1_lb,
+        "confidence_level": confidence,
+        "intervals": {
+            "precision": interval(row.precision_lb_lo, row.precision_lb_hi),
+            "recall": interval(row.recall_lb_lo, row.recall_lb_hi),
+            "f1": interval(row.f1_lb_lo, row.f1_lb_hi),
+        },
+    }
+
+
 def cmd_resolve(args) -> int:
-    if args.threshold is not None and not 0.0 < args.threshold < 1.0:
-        raise ErboundError(f"--threshold must lie strictly inside (0, 1), got {args.threshold}")
     model = matching.load_model(args.model)
     records = dataset.load_records_csv(args.records, model.schema)
     val_scores, val_labels, _ = load_validation_stats(args.validation_stats)
     threshold = model.threshold if args.threshold is None else args.threshold
-    scores = matching.condensed_pairwise_scores(model, records)
-    clustering = resolver.resolve_from_condensed(records, scores, threshold)
+    result = pipeline.sweep_thresholds(model, records, val_scores, val_labels, [threshold],
+                                       c_t_override=args.ct, confidence=args.confidence)
+    row = result.rows[0]
+    clustering = resolver.resolve_from_condensed(records, result.scores, threshold)
     out = _out_dir(args)
     resolver.write_clustering_csv(out / "clustering.csv", clustering)
-
-    stats = bounds.ValidationStats.from_scores(val_scores, val_labels, threshold)
-    n = len(records)
-    total_pairs = len(scores)
-    tm_pairs = int((scores >= threshold).sum())
-    r_pairs = metrics.intra_cluster_pair_count(clustering)
-    report = bounds.compute_bound_report(stats, tm_pairs, r_pairs, total_pairs,
-                                         c_t=args.ct, confidence=args.confidence)
-    (out / "bound_report.json").write_text(report.to_json() + "\n")
+    (out / "bound_report.json").write_text(
+        json.dumps(_bound_report_doc(row, args.confidence), indent=2, sort_keys=True) + "\n")
     _write_effective_config(out, "resolve", args)
-    print(f"resolved {n} records into {len(clustering.clusters)} clusters "
+    print(f"resolved {len(records)} records into {len(clustering.clusters)} clusters "
           f"at threshold {_fmt(threshold)}")
-    print(f"precision_lb={report.precision_lb:.4f} "
-          f"recall_lb={report.recall_lb:.4f} f1_lb={report.f1_lb:.4f}")
-
     gates = [
-        ("precision_lb", args.min_precision_lb, report.precision_lb),
-        ("recall_lb", args.min_recall_lb, report.recall_lb),
-        ("f1_lb", args.min_f1_lb, report.f1_lb),
+        ("precision_lb", args.min_precision_lb, row.precision_lb),
+        ("recall_lb", args.min_recall_lb, row.recall_lb),
+        ("f1_lb", args.min_f1_lb, row.f1_lb),
     ]
+    print(" ".join(f"{name}={_shown(value)}" for name, _, value in gates))
+    if row.precision_lb is None:
+        why = ("the validation pairs predict no match" if not (val_scores >= threshold).any()
+               else "validation TPR does not exceed FPR, so C_T cannot be estimated")
+        print(f"warning: precision and F1 bounds undefined at threshold {_fmt(threshold)}: "
+              f"{why}", file=sys.stderr)
+
     failed = [(name, floor, value) for name, floor, value in gates
-              if floor is not None and value < floor]
-    if failed:
-        for name, floor, value in failed:
-            print(f"quality gate failed: {name}={value:.4f} < required {floor}",
-                  file=sys.stderr)
-        return EXIT_GATE
-    return EXIT_OK
+              if floor is not None and (value is None or value < floor)]
+    for name, floor, value in failed:
+        print(f"quality gate failed: {name}={_shown(value)}, required >= {floor}",
+              file=sys.stderr)
+    return EXIT_GATE if failed else EXIT_OK
 
 
 def build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.ArgumentParser]]:
@@ -408,6 +442,7 @@ def main(argv: list[str] | None = None) -> int:
         for dest in _REQUIRED[args.command]:
             if getattr(args, dest) is None:
                 sub.error(f"the following argument is required: --{dest.replace('_', '-')}")
+        _check_ranges(args)
         return args.func(args)
     except ErboundError as exc:
         print(f"error: {exc}", file=sys.stderr)

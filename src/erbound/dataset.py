@@ -6,6 +6,10 @@ records CSV       : header `id,<feature...>`; multi-valued cells joined with
                     `|`; an empty cell is a missing feature. UTF-8.
 gold CSV          : header `id,label`; an empty label leaves the id unlabeled.
 schema JSON       : {"features": [{"name": ..., "kind": ...}, ...]}
+
+Gold truth enters every pairwise metric as its truth pairs
+(`pairs_from_labels`): each unordered pair of ids sharing a label, smaller
+id first.
 """
 
 import csv
@@ -13,13 +17,25 @@ import json
 from dataclasses import dataclass
 from itertools import combinations
 from pathlib import Path
-from typing import Iterable, Sequence
+from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
 from .errors import ConfigError, DataError, SchemaError
-from .metrics import Pair, pairs_from_labels
 from .records import NUMERIC, Feature, FeatureSchema, Record, base_record
+
+Pair = tuple[str, str]
+
+
+def pairs_from_labels(labels: Mapping[str, str]) -> frozenset[Pair]:
+    """All unordered id pairs sharing a label."""
+    by_label: dict[str, list[str]] = {}
+    for rid, label in labels.items():
+        by_label.setdefault(label, []).append(rid)
+    pairs = set()
+    for group in by_label.values():
+        pairs.update(combinations(sorted(group), 2))
+    return frozenset(pairs)
 
 
 @dataclass(frozen=True)

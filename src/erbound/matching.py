@@ -162,7 +162,7 @@ class MatchModel:
             )
         except KeyError as exc:
             raise DataError(f"model document has no field {exc}") from exc
-        except (TypeError, IndexError) as exc:
+        except (TypeError, ValueError, IndexError) as exc:
             raise DataError(f"malformed model document: {exc}") from exc
 
 

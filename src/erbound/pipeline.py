@@ -6,6 +6,10 @@ union-find over the edges that clear it, recomputes the validation
 confusion at that threshold, and assembles the bound report. Rows where
 the validation set has no predicted matches, or where the matcher is
 uninformative for class-balance estimation, carry no precision/F1 bound.
+
+`sweep_thresholds` is the only code that turns scores and a threshold into
+counts, bounds and true metrics: `resolve` is a one-point sweep, and the
+snowball experiment reads every number it reports from sweep rows.
 """
 
 from dataclasses import dataclass, field
@@ -14,12 +18,12 @@ from typing import Sequence
 import numpy as np
 
 from .bounds import ValidationStats, compute_bound_report, f1_lower_bound, wilson_interval
-from .dataset import GoldTruth, Split, SplitSpec, split_dataset
+from .dataset import (GoldTruth, Pair, Split, SplitSpec, generate_synthetic, split_dataset,
+                      synthetic_schema)
 from .errors import ConfigError, DegenerateDataError, UninformativeMatcherError
 from .matching import MatchModel, TrainConfig, condensed_pairwise_scores, train_match_model
-from .metrics import Pair
 from .records import FeatureSchema, Record
-from .resolver import UnionFind, components_from_condensed, resolve_from_condensed
+from .resolver import UnionFind, components_from_condensed
 
 
 @dataclass(frozen=True)
@@ -154,7 +158,7 @@ def sweep_thresholds(model: MatchModel, test_records: Sequence[Record],
         truth_pairs = gold.truth_pairs()
     n = len(test_records)
     if n < 2:
-        raise ConfigError("sweep needs at least 2 test records")
+        raise ConfigError("needs at least 2 test records")
     scores = condensed_pairwise_scores(model, test_records)
     total_pairs = len(scores)
     index_of = {r.record_id: k for k, r in enumerate(test_records)}
@@ -225,59 +229,39 @@ def degradation_experiment(seed: int = 7, *, dims: int = 10, noise_sigma: float 
                            grid: Sequence[float] | None = None) -> DegradationResult:
     """Tune a threshold for true F1 on a small labeled dataset, measure true
     precision of that threshold on a fresh small and a fresh 10x dataset,
-    then re-tune on the large dataset's estimated F1 lower bound."""
-    from .dataset import generate_synthetic
-    from .metrics import clustering_pair_metrics
+    then re-tune on the large dataset's estimated F1 lower bound.
 
+    Every number comes from `sweep_thresholds` rows: a gold sweep over the
+    labeled pool picks the original threshold (best true F1, ties to the
+    lower threshold), a one-point gold sweep measures the small set, and
+    one gold sweep of the large set gives both the bound-selected threshold
+    and the true precision at either threshold. The returned rows are the
+    large set's."""
     if grid is None:
         grid = np.linspace(0.02, 0.98, 49)
-    grid = sorted(float(t) for t in grid)
 
     labeled, labeled_gold = generate_synthetic(small_entities, records_per_entity,
                                                dims, noise_sigma, seed)
-    schema = synthetic_like_schema(labeled)
-    spec = SplitSpec(n_train_pairs=100, n_validation_pairs=100, seed=seed)
-    split = split_dataset(labeled, labeled_gold, spec)
-    model = train_match_model(split.train_pairs, schema)
-    val = score_labeled_pairs(model, split.validation_pairs)
-    val_scores = np.array([p.score for p in val])
-    val_labels = np.array([p.label for p in val])
+    outcome = train_pipeline(labeled, labeled_gold, synthetic_schema(dims),
+                             SplitSpec(n_train_pairs=100, n_validation_pairs=100, seed=seed))
+    val_scores, val_labels = outcome.validation_arrays()
 
-    # threshold tuned for best true F1 on the full labeled pool (truth known
-    # there); ties go to the lower threshold
-    labeled_scores = condensed_pairwise_scores(model, labeled)
-    labeled_truth = labeled_gold.truth_pairs()
-    t_orig, best_f1 = grid[0], -1.0
-    for t in grid:
-        clustering = resolve_from_condensed(labeled, labeled_scores, t)
-        f1 = clustering_pair_metrics(clustering, labeled_truth).f1
-        if f1 > best_f1:
-            t_orig, best_f1 = t, f1
+    def gold_sweep(records, gold, thresholds):
+        return sweep_thresholds(outcome.model, records, val_scores, val_labels,
+                                thresholds, gold=gold)
 
-    def true_precision(records, scores, gold, threshold):
-        clustering = resolve_from_condensed(records, scores, threshold)
-        return clustering_pair_metrics(clustering, gold.truth_pairs()).precision
+    # rows come in threshold order and max keeps the first of tied rows
+    t_orig = max(gold_sweep(labeled, labeled_gold, grid).rows,
+                 key=lambda row: row.true_f1).threshold
 
     small, small_gold = generate_synthetic(small_entities, records_per_entity,
                                            dims, noise_sigma, seed + 1)
     large, large_gold = generate_synthetic(large_entities, records_per_entity,
                                            dims, noise_sigma, seed + 2)
-    small_scores = condensed_pairwise_scores(model, small)
-    p_small = true_precision(small, small_scores, small_gold, t_orig)
-
-    # the sweep scores the large set once; both large-set resolutions reuse it
-    sweep = sweep_thresholds(model, large, val_scores, val_labels, grid,
-                             select_metric="f1_lb")
+    p_small = gold_sweep(small, small_gold, [t_orig]).rows[0].true_precision
+    sweep = gold_sweep(large, large_gold, grid)
     if sweep.best is None:
         raise DegenerateDataError("no threshold produced a defined F1 lower bound")
-    p_large = true_precision(large, sweep.scores, large_gold, t_orig)
-    t_opt = sweep.best.threshold
-    p_opt = true_precision(large, sweep.scores, large_gold, t_opt)
-    return DegradationResult(t_orig, p_small, p_large, t_opt, p_opt, sweep.rows)
-
-
-def synthetic_like_schema(records: Sequence[Record]) -> FeatureSchema:
-    """Schema of the synthetic generator sized to the records' arity."""
-    from .dataset import synthetic_schema
-
-    return synthetic_schema(len(records[0].values))
+    p_large = next(row.true_precision for row in sweep.rows if row.threshold == t_orig)
+    return DegradationResult(t_orig, p_small, p_large, sweep.best.threshold,
+                             sweep.best.true_precision, sweep.rows)

@@ -15,13 +15,14 @@ equals the connected components of the direct-match graph, which is what
 """
 
 from collections import deque
+from dataclasses import dataclass
 from itertools import combinations
 from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
 from .bounds import f1_lower_bound
+from .dataset import Pair
 from .errors import DataError, SchemaError
 from .matching import MatchModel, condensed_pairwise_scores, score_pair
-from .metrics import Pair, PairMetrics
 from .records import Record
 from .resolver import Clustering, UnionFind, _check_base_inputs, _clustering_from_groups
 
@@ -129,6 +130,13 @@ def intra_cluster_pairs(clustering: Clustering) -> frozenset[Pair]:
     for members in clustering.clusters.values():
         pairs.update(combinations(sorted(members), 2))
     return frozenset(pairs)
+
+
+@dataclass(frozen=True)
+class PairMetrics:
+    precision: float
+    recall: float
+    f1: float
 
 
 def pair_metrics(predicted: Iterable[Pair], truth: Iterable[Pair]) -> PairMetrics:

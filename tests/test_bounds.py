@@ -1,5 +1,5 @@
-import json
 import math
+from statistics import NormalDist
 
 import numpy as np
 import pytest
@@ -9,7 +9,6 @@ from erbound.bounds import (
     compute_bound_report,
     estimate_test_class_balance,
     f1_lower_bound,
-    normal_quantile,
     precision_lower_bound,
     propagate_bound_interval,
     rebalance_precision,
@@ -17,29 +16,6 @@ from erbound.bounds import (
     wilson_interval,
 )
 from erbound.errors import DegenerateDataError, UninformativeMatcherError
-
-
-class TestNormalQuantile:
-    # reference values from the standard normal table
-    @pytest.mark.parametrize("p,z", [
-        (0.975, 1.959963984540054),
-        (0.995, 2.5758293035489004),
-        (0.95, 1.6448536269514722),
-        (0.9, 1.2815515655446004),
-        (0.5, 0.0),
-        (0.01, -2.3263478740408408),
-    ])
-    def test_reference_values(self, p, z):
-        assert normal_quantile(p) == pytest.approx(z, abs=1e-8)
-
-    def test_symmetry(self):
-        for p in (0.6, 0.75, 0.9, 0.99, 0.999):
-            assert normal_quantile(p) == pytest.approx(-normal_quantile(1 - p), abs=1e-10)
-
-    def test_domain(self):
-        for p in (0.0, 1.0, -0.5, 2.0):
-            with pytest.raises(ValueError):
-                normal_quantile(p)
 
 
 def oracle_wilson(successes, trials, z):
@@ -76,7 +52,7 @@ class TestWilson:
 
     def test_matches_oracle_on_random_inputs(self):
         rng = np.random.default_rng(1)
-        z95 = normal_quantile(0.975)
+        z95 = NormalDist().inv_cdf(0.975)
         for _ in range(100):
             n = int(rng.integers(2, 400))
             s = int(rng.integers(1, n))  # interior cases; boundaries are pinned
@@ -354,14 +330,6 @@ class TestBoundReport:
         stats = make_stats(200, 100, 95, 90)
         report = compute_bound_report(stats, 400, 500, 10_000, c_t=0.03)
         assert report.c_t_estimate == 0.03
-
-    def test_json_round_trip(self):
-        stats = make_stats(200, 100, 95, 90)
-        report = compute_bound_report(stats, 400, 500, 10_000)
-        doc = json.loads(report.to_json())
-        assert doc["r_pairs"] == 500
-        assert doc["precision_lower_bound"] == report.precision_lb
-        assert doc["intervals"]["recall"] == list(report.intervals.recall)
 
     def test_undefined_precision_raises(self):
         stats = make_stats(100, 50, 0, 0)

@@ -6,7 +6,7 @@ import pytest
 
 import erbound
 from erbound import matching
-from erbound.cli import EXIT_DATA, EXIT_GATE, EXIT_OK, SWEEP_COLUMNS, main
+from erbound.cli import EXIT_DATA, EXIT_GATE, EXIT_OK, SWEEP_COLUMNS, _fmt, main
 
 
 def sha256(path):
@@ -272,6 +272,100 @@ class TestResolve:
         assert not (out / "clustering.csv").exists()
 
 
+    def test_undefined_bound_writes_nulls(self, trained, tmp_path, capsys):
+        _, run = trained
+        argv = ["resolve", "--model", str(run / "model.json"),
+                "--records", str(run / "test_records.csv"),
+                "--validation-stats", str(run / "validation_stats.json"),
+                "--threshold", "0.99999"]
+        out = tmp_path / "res_undef"
+        assert main([*argv, "--out", str(out)]) == EXIT_OK
+        assert "undefined" in capsys.readouterr().err
+        assert (out / "clustering.csv").exists()
+        report = json.loads((out / "bound_report.json").read_text())
+        for key in ("c_t_estimate", "precision_lower_bound", "f1_lower_bound"):
+            assert report[key] is None
+        assert report["intervals"]["precision"] is None
+        assert report["intervals"]["f1"] is None
+        assert report["recall_lower_bound"] is not None
+        assert len(report["intervals"]["recall"]) == 2
+
+        gated = tmp_path / "res_undef_gate"
+        assert main([*argv, "--min-f1-lb", "0.5", "--out", str(gated)]) == EXIT_GATE
+        assert "f1_lb=undefined" in capsys.readouterr().err
+        assert (gated / "bound_report.json").exists()
+
+    def test_report_equals_sweep_row(self, trained, tmp_path):
+        _, run = trained
+        inputs = ["--model", str(run / "model.json"),
+                  "--records", str(run / "test_records.csv"),
+                  "--validation-stats", str(run / "validation_stats.json")]
+        assert main(["sweep", *inputs, "--grid-start", "0.5", "--grid-stop", "0.9",
+                     "--grid-steps", "5", "--out", str(tmp_path / "sweep")]) == EXIT_OK
+        rows, _ = read_sweep_csv(tmp_path / "sweep" / "sweep.csv")
+        for row in rows:
+            out = tmp_path / f"res{row['threshold']}"
+            assert main(["resolve", *inputs, "--threshold", row["threshold"],
+                         "--out", str(out)]) == EXIT_OK
+            report = json.loads((out / "bound_report.json").read_text())
+            assert set(report) == {
+                "r_pairs", "tm_pairs", "c_t_estimate", "precision_lower_bound",
+                "recall_lower_bound", "f1_lower_bound", "confidence_level", "intervals"}
+            assert set(report["intervals"]) == {"precision", "recall", "f1"}
+            assert report["confidence_level"] == 0.95
+            intervals = report["intervals"]
+            cells = {
+                "r_pairs": report["r_pairs"], "tm_pairs": report["tm_pairs"],
+                "c_t_est": report["c_t_estimate"],
+                "prec_lb": report["precision_lower_bound"],
+                "rec_lb": report["recall_lower_bound"],
+                "f1_lb": report["f1_lower_bound"],
+                "prec_lb_lo": intervals["precision"][0],
+                "prec_lb_hi": intervals["precision"][1],
+                "rec_lb_lo": intervals["recall"][0], "rec_lb_hi": intervals["recall"][1],
+                "f1_lb_lo": intervals["f1"][0], "f1_lb_hi": intervals["f1"][1],
+            }
+            for column, value in cells.items():
+                assert _fmt(value) == row[column], column
+
+
+class TestRangeChecks:
+    @pytest.mark.parametrize("command,flag,value,output", [
+        ("train", "--confidence", "1.5", "model.json"),
+        ("train", "--threshold", "0", "model.json"),
+        ("sweep", "--recall-floor", "7", "sweep.csv"),
+        ("sweep", "--recall-floor", "-0.1", "sweep.csv"),
+        ("sweep", "--confidence", "0", "sweep.csv"),
+        ("sweep", "--ct", "1", "sweep.csv"),
+        ("resolve", "--confidence", "1.5", "clustering.csv"),
+        ("resolve", "--ct", "1.5", "clustering.csv"),
+        ("resolve", "--ct", "0", "clustering.csv"),
+    ])
+    def test_probability_flag_out_of_range(self, trained, tmp_path, capsys,
+                                           command, flag, value, output):
+        data, run = trained
+        out = tmp_path / "out"
+        if command == "train":
+            code = run_train(data, out, extra=(flag, value))
+        else:
+            code = main([command, "--model", str(run / "model.json"),
+                         "--records", str(run / "test_records.csv"),
+                         "--validation-stats", str(run / "validation_stats.json"),
+                         flag, value, "--out", str(out)])
+        assert code == EXIT_DATA
+        assert flag in capsys.readouterr().err
+        assert not (out / output).exists()
+
+    def test_recall_floor_endpoints_accepted(self, trained, tmp_path):
+        _, run = trained
+        for floor in ("0", "1"):
+            assert main(["sweep", "--model", str(run / "model.json"),
+                         "--records", str(run / "test_records.csv"),
+                         "--validation-stats", str(run / "validation_stats.json"),
+                         "--grid-steps", "2", "--recall-floor", floor,
+                         "--out", str(tmp_path / floor)]) == EXIT_OK
+
+
 class TestMalformedInputs:
     def resolve(self, run, tmp_path, model=None, stats=None):
         return main([
@@ -306,6 +400,37 @@ class TestMalformedInputs:
         bad.write_text("[]")
         assert self.resolve(run, tmp_path, stats=bad) == EXIT_DATA
         assert str(bad) in capsys.readouterr().err
+
+
+    @pytest.mark.parametrize("field,value,shown", [
+        ("weights", "heavy", "'heavy'"),
+        ("threshold", 1.5, "threshold must lie"),
+    ])
+    def test_model_value_wrong_type_or_range(self, trained, tmp_path, capsys,
+                                             field, value, shown):
+        _, run = trained
+        doc = json.loads((run / "model.json").read_text())
+        if field == "weights":
+            doc["weights"][0] = value
+        else:
+            doc[field] = value
+        bad = tmp_path / "model.json"
+        bad.write_text(json.dumps(doc))
+        assert self.resolve(run, tmp_path, model=bad) == EXIT_DATA
+        err = capsys.readouterr().err
+        assert str(bad) in err and shown in err
+        assert not (tmp_path / "out" / "clustering.csv").exists()
+
+    def test_stats_score_wrong_type(self, trained, tmp_path, capsys):
+        _, run = trained
+        doc = json.loads((run / "validation_stats.json").read_text())
+        doc["pairs"][3]["score"] = "high"
+        bad = tmp_path / "validation_stats.json"
+        bad.write_text(json.dumps(doc))
+        assert self.resolve(run, tmp_path, stats=bad) == EXIT_DATA
+        err = capsys.readouterr().err
+        assert str(bad) in err and "'high'" in err
+        assert not (tmp_path / "out" / "clustering.csv").exists()
 
 
 class TestConfigFile:

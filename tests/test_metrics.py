@@ -3,13 +3,9 @@ from itertools import combinations
 import numpy as np
 import pytest
 
+from erbound.dataset import pairs_from_labels
 from erbound.matching import condensed_pairwise_scores
-from erbound.metrics import (
-    clustering_pair_metrics,
-    intra_cluster_pair_count,
-    pairs_from_labels,
-    truth_pairs_in_clustering,
-)
+from erbound.pipeline import sweep_thresholds
 from erbound.reference import (
     base_match,
     intra_cluster_pairs,
@@ -18,7 +14,7 @@ from erbound.reference import (
     pairwise_scores,
     resolve_connected_components,
 )
-from erbound.resolver import Clustering
+from erbound.resolver import Clustering, resolve_from_condensed
 
 from conftest import random_model, random_records
 
@@ -45,7 +41,6 @@ class TestPairSets:
     def test_triangle_plus_singleton(self, mixed_schema):
         c = Clustering.from_groups([["a", "b", "c"], ["d"]])
         assert intra_cluster_pairs(c) == frozenset({("a", "b"), ("a", "c"), ("b", "c")})
-        assert intra_cluster_pair_count(c) == 3
 
     def test_all_singletons(self, mixed_schema):
         c = Clustering.from_groups([["a"], ["b"], ["c"]])
@@ -65,7 +60,6 @@ class TestPairSets:
             expected = sum(len(g) * (len(g) - 1) // 2 for g in partition)
             pairs = intra_cluster_pairs(c)
             assert len(pairs) == expected
-            assert intra_cluster_pair_count(c) == expected
 
     def test_pairs_from_labels(self):
         assert pairs_from_labels({"a": "1", "b": "1", "c": "2"}) == frozenset({("a", "b")})
@@ -77,7 +71,6 @@ class TestPairSets:
         one = Clustering.from_groups([["a", "c", "b"], ["d", "e"]])
         two = Clustering.from_groups([["e", "d"], ["b", "a", "c"]])
         assert intra_cluster_pairs(one) == intra_cluster_pairs(two)
-        assert intra_cluster_pair_count(one) == intra_cluster_pair_count(two)
 
 
 class TestPairMetrics:
@@ -123,23 +116,23 @@ class TestPairMetrics:
 
 class TestCountBasedMetrics:
     def test_matches_set_based_on_random_instances(self, mixed_schema):
+        """The sweep counts |R| and true hits from its union-find roots; on
+        random models, thresholds and truth pair sets (not necessarily
+        transitive) that equals set algebra on the materialized pairs."""
         rng = np.random.default_rng(3)
-        ids = [f"x{i}" for i in range(10)]
+        val_scores, val_labels = np.array([0.1, 0.9]), np.array([0, 1])
         for _ in range(50):
-            partition, k = [], 0
-            order = list(ids)
-            rng.shuffle(order)
-            while k < len(order):
-                size = int(rng.integers(1, len(order) - k + 1))
-                partition.append(order[k:k + size])
-                k += size
-            c = Clustering.from_groups(partition)
-            truth = random_pair_set(rng, sorted(ids), 0.3)
-            fast = clustering_pair_metrics(c, truth)
-            slow = pair_metrics(intra_cluster_pairs(c), truth)
-            assert fast == slow
-            assert truth_pairs_in_clustering(c, truth) == \
-                len(intra_cluster_pairs(c) & truth)
+            records = random_records(rng, mixed_schema, 10)
+            model = random_model(rng, mixed_schema)
+            truth = random_pair_set(rng, sorted(r.record_id for r in records), 0.3)
+            result = sweep_thresholds(model, records, val_scores, val_labels,
+                                      rng.uniform(0.05, 0.95, size=3), truth_pairs=truth)
+            for row in result.rows:
+                c = resolve_from_condensed(records, result.scores, row.threshold)
+                slow = pair_metrics(intra_cluster_pairs(c), truth)
+                assert row.r_pairs == len(intra_cluster_pairs(c))
+                assert (row.true_precision, row.true_recall, row.true_f1) == \
+                    (slow.precision, slow.recall, slow.f1)
 
 
 class TestDirectMatchCount:

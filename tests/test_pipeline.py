@@ -5,14 +5,18 @@ from erbound.bounds import ValidationStats, compute_bound_report
 from erbound.dataset import SplitSpec, generate_synthetic, synthetic_schema
 from erbound.errors import ConfigError
 from erbound.matching import condensed_pairwise_scores
-from erbound.metrics import clustering_pair_metrics, intra_cluster_pair_count
 from erbound.pipeline import (
     degradation_experiment,
     select_best_row,
     sweep_thresholds,
     train_pipeline,
 )
-from erbound.reference import base_match, resolve_connected_components
+from erbound.reference import (
+    base_match,
+    intra_cluster_pairs,
+    pair_metrics,
+    resolve_connected_components,
+)
 from erbound.resolver import resolve_from_condensed
 
 
@@ -58,9 +62,9 @@ class TestSweep:
         truth = test_gold.truth_pairs()
         for row in result.rows:
             clustering = resolve_from_condensed(test_records, condensed, row.threshold)
-            assert row.r_pairs == intra_cluster_pair_count(clustering)
+            assert row.r_pairs == len(intra_cluster_pairs(clustering))
             assert row.tm_pairs == int((condensed >= row.threshold).sum())
-            expected = clustering_pair_metrics(clustering, truth)
+            expected = pair_metrics(intra_cluster_pairs(clustering), truth)
             assert row.true_precision == expected.precision
             assert row.true_recall == expected.recall
             stats = ValidationStats.from_scores(scores, labels, row.threshold)
@@ -106,7 +110,7 @@ class TestSweep:
     def test_needs_two_records(self, small_run):
         _, _, outcome = small_run
         scores, labels = outcome.validation_arrays()
-        with pytest.raises(ConfigError):
+        with pytest.raises(ConfigError, match="needs at least 2 test records"):
             sweep_thresholds(outcome.model, outcome.split.test_records[:1],
                              scores, labels, [0.5])
 
@@ -192,3 +196,12 @@ class TestDegradation:
         assert result.precision_small - result.precision_large_original >= 0.3
         assert result.precision_large_optimized - result.precision_large_original >= 0.3
         assert result.threshold_optimized > result.threshold_original
+        # the numbers the README quotes
+        assert (result.threshold_original, result.threshold_optimized) == (0.28, 0.9)
+        assert result.precision_small == result.precision_large_optimized == 1.0
+        assert result.precision_large_original == pytest.approx(0.0127, abs=5e-5)
+        # the returned rows are the large set's gold sweep
+        best = max((r for r in result.sweep_rows if r.f1_lb is not None),
+                   key=lambda r: r.f1_lb)
+        assert best.threshold == result.threshold_optimized
+        assert all(r.true_precision is not None for r in result.sweep_rows)
