@@ -182,20 +182,26 @@ def _stats_payload(outcome: pipeline.TrainOutcome, threshold: float,
     }
 
 
-def load_validation_stats(path) -> tuple[np.ndarray, np.ndarray, dict]:
-    doc = json.loads(Path(path).read_text())
-    if not isinstance(doc, dict):
-        raise DataError(f"{path}: validation stats are not a JSON object")
-    if doc.get("format_version") != STATS_FORMAT_VERSION:
-        raise ErboundError(f"unsupported stats format_version {doc.get('format_version')!r}")
+def load_validation_stats(path) -> tuple[np.ndarray, np.ndarray]:
+    """Validation pair scores and 0/1 labels from a `train` stats file."""
     try:
+        doc = json.loads(Path(path).read_text())
+        if not isinstance(doc, dict):
+            raise DataError(f"{path}: validation stats are not a JSON object")
+        if doc.get("format_version") != STATS_FORMAT_VERSION:
+            raise DataError(f"{path}: unsupported stats format_version "
+                            f"{doc.get('format_version')!r}")
         scores = np.array([p["score"] for p in doc["pairs"]], dtype=float)
-        labels = np.array([p["label"] for p in doc["pairs"]], dtype=int)
+        labels = [p["label"] for p in doc["pairs"]]
     except KeyError as exc:
         raise DataError(f"{path}: validation stats have no field {exc}") from exc
     except (TypeError, ValueError, IndexError) as exc:
         raise DataError(f"{path}: malformed validation stats: {exc}") from exc
-    return scores, labels, doc
+    bad = [label for label in labels if label not in (0, 1)]
+    if bad:
+        raise DataError(f"{path}: validation stats field 'label' must be 0 or 1, "
+                        f"got {bad[0]!r}")
+    return scores, np.array(labels, dtype=int)
 
 
 def cmd_train(args) -> int:
@@ -244,7 +250,7 @@ def _sweep_row_cells(row: pipeline.SweepRow) -> list[str]:
 def cmd_sweep(args) -> int:
     model = matching.load_model(args.model)
     records = dataset.load_records_csv(args.records, model.schema)
-    val_scores, val_labels, _ = load_validation_stats(args.validation_stats)
+    val_scores, val_labels = load_validation_stats(args.validation_stats)
     gold = None
     if args.gold:
         gold = dataset.load_gold(args.gold, valid_ids=[r.record_id for r in records])
@@ -320,7 +326,7 @@ def _bound_report_doc(row: pipeline.SweepRow, confidence: float) -> dict:
 def cmd_resolve(args) -> int:
     model = matching.load_model(args.model)
     records = dataset.load_records_csv(args.records, model.schema)
-    val_scores, val_labels, _ = load_validation_stats(args.validation_stats)
+    val_scores, val_labels = load_validation_stats(args.validation_stats)
     threshold = model.threshold if args.threshold is None else args.threshold
     result = pipeline.sweep_thresholds(model, records, val_scores, val_labels, [threshold],
                                        c_t_override=args.ct, confidence=args.confidence)
@@ -450,7 +456,7 @@ def main(argv: list[str] | None = None) -> int:
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_DATA
-    except FileNotFoundError as exc:
+    except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_DATA
 

@@ -206,7 +206,10 @@ def save_schema_json(path, schema: FeatureSchema) -> None:
 
 
 def load_schema_json(path) -> FeatureSchema:
-    return FeatureSchema.from_dict(json.loads(Path(path).read_text()))
+    try:
+        return FeatureSchema.from_dict(json.loads(Path(path).read_text()))
+    except (SchemaError, ValueError) as exc:
+        raise SchemaError(f"{path}: {exc}") from exc
 
 
 @dataclass(frozen=True)

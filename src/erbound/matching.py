@@ -171,10 +171,9 @@ def save_model(path, model: MatchModel) -> None:
 
 
 def load_model(path) -> MatchModel:
-    doc = json.loads(Path(path).read_text())
     try:
-        return MatchModel.from_dict(doc)
-    except (DataError, SchemaError) as exc:
+        return MatchModel.from_dict(json.loads(Path(path).read_text()))
+    except (DataError, SchemaError, ValueError) as exc:
         raise DataError(f"{path}: {exc}") from exc
 
 

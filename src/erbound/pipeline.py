@@ -1,11 +1,13 @@
 """End-to-end wiring: train on a split, sweep thresholds, resolve and bound.
 
 A sweep scores every test pair once (scores do not depend on the
-threshold), then for each grid threshold re-resolves from scratch with
-union-find over the edges that clear it, recomputes the validation
-confusion at that threshold, and assembles the bound report. Rows where
-the validation set has no predicted matches, or where the matcher is
-uninformative for class-balance estimation, carry no precision/F1 bound.
+threshold), then for each grid threshold labels every test record with
+its connected component over the edges that clear it, counts |R| (and,
+with gold, the true hits) as pairs that share a label, recomputes the
+validation confusion at that threshold, and assembles the bound report.
+Rows where the validation set has no predicted matches, or where the
+matcher is uninformative for class-balance estimation, carry no
+precision/F1 bound.
 
 `sweep_thresholds` is the only code that turns scores and a threshold into
 counts, bounds and true metrics: `resolve` is a one-point sweep, and the
@@ -18,12 +20,12 @@ from typing import Sequence
 import numpy as np
 
 from .bounds import ValidationStats, compute_bound_report, f1_lower_bound, wilson_interval
-from .dataset import (GoldTruth, Pair, Split, SplitSpec, generate_synthetic, split_dataset,
+from .dataset import (GoldTruth, Split, SplitSpec, generate_synthetic, split_dataset,
                       synthetic_schema)
 from .errors import ConfigError, DegenerateDataError, UninformativeMatcherError
 from .matching import MatchModel, TrainConfig, condensed_pairwise_scores, train_match_model
 from .records import FeatureSchema, Record
-from .resolver import UnionFind, components_from_condensed
+from .resolver import components_from_condensed
 
 
 @dataclass(frozen=True)
@@ -114,15 +116,10 @@ class SweepResult:
 SELECT_METRICS = ("precision_lb", "recall_lb", "f1_lb")
 
 
-def _component_counts(uf: UnionFind, n: int,
-                      truth_idx: list[tuple[int, int]]) -> tuple[int, int]:
-    sizes: dict[int, int] = {}
-    for x in range(n):
-        root = uf.find(x)
-        sizes[root] = sizes.get(root, 0) + 1
-    r_pairs = sum(s * (s - 1) // 2 for s in sizes.values())
-    hits = sum(1 for i, j in truth_idx if uf.find(i) == uf.find(j))
-    return r_pairs, hits
+def _pairs_within(keys: np.ndarray) -> int:
+    """Pairs of items that share a key: the sum of c(c-1)/2 over key counts."""
+    counts = np.unique(keys, return_counts=True)[1]
+    return int((counts * (counts - 1) // 2).sum())
 
 
 def select_best_row(rows: Sequence[SweepRow], select_metric: str = "f1_lb",
@@ -146,31 +143,28 @@ def select_best_row(rows: Sequence[SweepRow], select_metric: str = "f1_lb",
 def sweep_thresholds(model: MatchModel, test_records: Sequence[Record],
                      val_scores: np.ndarray, val_labels: np.ndarray,
                      thresholds: Sequence[float], *,
-                     truth_pairs: frozenset[Pair] | None = None,
                      gold: GoldTruth | None = None,
                      c_t_override: float | None = None,
                      confidence: float = 0.95,
                      select_metric: str = "f1_lb",
                      recall_floor: float | None = None) -> SweepResult:
-    """Evaluate bounds (and true metrics when truth is available) across a
-    threshold grid on the test records."""
-    if truth_pairs is None and gold is not None:
-        truth_pairs = gold.truth_pairs()
+    """Evaluate bounds (and true metrics with `gold`) across a threshold
+    grid on the test records."""
     n = len(test_records)
     if n < 2:
         raise ConfigError("needs at least 2 test records")
     scores = condensed_pairwise_scores(model, test_records)
     total_pairs = len(scores)
-    index_of = {r.record_id: k for k, r in enumerate(test_records)}
-    truth_idx: list[tuple[int, int]] = []
-    if truth_pairs is not None:
-        truth_idx = [(index_of[a], index_of[b]) for a, b in truth_pairs
-                     if a in index_of and b in index_of]
+    if gold is not None:
+        labeled = [k for k, r in enumerate(test_records) if r.record_id in gold.labels]
+        entity = np.unique([gold.labels[test_records[k].record_id] for k in labeled],
+                           return_inverse=True)[1]
+        truth_total = _pairs_within(entity)
 
     rows = []
     for t in sorted(float(t) for t in thresholds):
-        uf = components_from_condensed(n, scores, t)
-        r_pairs, hits = _component_counts(uf, n, truth_idx)
+        labels = components_from_condensed(n, scores, t)
+        r_pairs = _pairs_within(labels)
         tm_pairs = int((scores >= t).sum())
         row = {"threshold": t, "r_pairs": r_pairs, "tm_pairs": tm_pairs}
         stats = ValidationStats.from_scores(val_scores, val_labels, t)
@@ -191,8 +185,8 @@ def sweep_thresholds(model: MatchModel, test_records: Sequence[Record],
                 f1_lb_lo=report.intervals.f1[0],
                 f1_lb_hi=report.intervals.f1[1],
             )
-        if truth_pairs is not None:
-            truth_total = len(truth_idx)
+        if gold is not None:
+            hits = _pairs_within(entity * n + labels[labeled])
             precision = hits / r_pairs if r_pairs else 1.0
             recall = hits / truth_total if truth_total else 1.0
             row.update(true_precision=precision, true_recall=recall,

@@ -4,7 +4,8 @@ production path to. No production module imports this one.
 - R-Swoosh, the iterative match/merge fixpoint (Benjelloun et al.,
   "Swoosh: a generic approach to entity resolution", VLDB J. 2009), with
   set-union merge of records.
-- Connected components of a match predicate evaluated on every pair.
+- Connected components of a match predicate evaluated on every pair,
+  collected by graph search.
 - The thresholded base-record match predicate, and a dict score table with
   a predicate backed by it.
 - Pairwise precision, recall and F1 by set algebra on materialized pairs.
@@ -24,7 +25,7 @@ from .dataset import Pair
 from .errors import DataError, SchemaError
 from .matching import MatchModel, condensed_pairwise_scores, score_pair
 from .records import Record
-from .resolver import Clustering, UnionFind, _check_base_inputs, _clustering_from_groups
+from .resolver import Clustering, _check_base_inputs
 
 
 def merge_records(o1: Record, o2: Record) -> Record:
@@ -114,14 +115,23 @@ def candidate_pairs(records: Sequence[Record]) -> Iterator[tuple[int, int]]:
 def resolve_connected_components(records: Sequence[Record],
                                  base_match: Callable[[Record, Record], bool]) -> Clustering:
     """Cluster base records as connected components of the direct-match
-    graph, asking the predicate about every pair. Deterministic for any
-    edge order."""
+    graph, asking the predicate about every pair and collecting each
+    component by graph search. Deterministic for any edge order."""
     _check_base_inputs(records)
-    uf = UnionFind(len(records))
+    neighbours: dict[int, set[int]] = {k: set() for k in range(len(records))}
     for i, j in candidate_pairs(records):
         if base_match(records[i], records[j]):
-            uf.union(i, j)
-    return _clustering_from_groups(records, uf.groups())
+            neighbours[i].add(j)
+            neighbours[j].add(i)
+    unseen, groups = set(neighbours), []
+    while unseen:
+        component, frontier = set(), {min(unseen)}
+        while frontier:
+            component |= frontier
+            frontier = set().union(*(neighbours[k] for k in frontier)) - component
+        unseen -= component
+        groups.append([records[k].record_id for k in component])
+    return Clustering.from_groups(groups)
 
 
 def intra_cluster_pairs(clustering: Clustering) -> frozenset[Pair]:

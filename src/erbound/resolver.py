@@ -2,9 +2,10 @@
 
 A resolution is a partition of the test records' ids: every pair whose
 score clears the threshold is an edge, and the clusters are the connected
-components of that graph. This is the partition the match/merge fixpoint
-reaches with the max-over-constituents match rule and set-union merge; the
-slow engines that show it live in `erbound.reference`.
+components of that graph, found in numpy as one label per record. This
+is the partition the match/merge fixpoint reaches with the
+max-over-constituents match rule and set-union merge; the slow engines
+that show it live in `erbound.reference`.
 """
 
 import csv
@@ -15,38 +16,6 @@ import numpy as np
 
 from .errors import DataError
 from .records import Record
-
-
-class UnionFind:
-    """Disjoint sets over range(n) with path halving and union by size."""
-
-    def __init__(self, n: int):
-        self.parent = list(range(n))
-        self.size = [1] * n
-
-    def find(self, x: int) -> int:
-        parent = self.parent
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    def union(self, a: int, b: int) -> bool:
-        """Merge the sets containing a and b; False if already joined."""
-        ra, rb = self.find(a), self.find(b)
-        if ra == rb:
-            return False
-        if self.size[ra] < self.size[rb]:
-            ra, rb = rb, ra
-        self.parent[rb] = ra
-        self.size[ra] += self.size[rb]
-        return True
-
-    def groups(self) -> list[list[int]]:
-        by_root: dict[int, list[int]] = {}
-        for x in range(len(self.parent)):
-            by_root.setdefault(self.find(x), []).append(x)
-        return list(by_root.values())
 
 
 @dataclass(frozen=True)
@@ -98,29 +67,33 @@ def _check_base_inputs(records: Sequence[Record]) -> None:
         raise DataError("duplicate record ids in resolver input")
 
 
-def _clustering_from_groups(records: Sequence[Record],
-                            groups: Iterable[Iterable[int]]) -> Clustering:
-    return Clustering.from_groups([records[k].record_id for k in group]
-                                  for group in groups)
+def components_from_condensed(n: int, scores: np.ndarray, threshold: float) -> np.ndarray:
+    """Component label of each of n items whose condensed pairwise scores
+    clear the threshold: the smallest index in its component.
 
-
-def components_from_condensed(n: int, scores: np.ndarray, threshold: float) -> UnionFind:
-    """Union-find over n items whose condensed pairwise scores clear the
-    threshold. Pure index arithmetic; no record objects involved."""
-    uf = UnionFind(n)
+    Min-label hooking plus pointer jumping (Shiloach & Vishkin, "An
+    O(log n) parallel connectivity algorithm", J. Algorithms 1982). Each
+    round keeps the edges whose endpoints still carry different labels and
+    hooks the larger root of each under the smaller one, then jumps every
+    label to its root. Labels only decrease, so the fixed point is the
+    smallest member; each round hooks at least one root, so the loop ends.
+    """
+    labels = np.arange(n)
     if n < 2:
-        return uf
-    row_starts = np.empty(n - 1, dtype=np.int64)
-    start = 0
-    for i in range(n - 1):
-        row_starts[i] = start
-        start += n - 1 - i
-    hits = np.nonzero(scores >= threshold)[0]
+        return labels
+    row_starts = np.concatenate(([0], np.cumsum(np.arange(n - 1, 1, -1))))
+    hits = np.flatnonzero(scores >= threshold)
     rows = np.searchsorted(row_starts, hits, side="right") - 1
     cols = hits - row_starts[rows] + rows + 1
-    for i, j in zip(rows.tolist(), cols.tolist()):
-        uf.union(i, j)
-    return uf
+    while True:
+        a, b = labels[rows], labels[cols]
+        live = a != b
+        if not live.any():
+            return labels
+        rows, cols, a, b = rows[live], cols[live], a[live], b[live]
+        np.minimum.at(labels, np.maximum(a, b), np.minimum(a, b))
+        while not np.array_equal(jumped := labels[labels], labels):
+            labels = jumped
 
 
 def resolve_from_condensed(records: Sequence[Record], scores: np.ndarray,
@@ -129,8 +102,11 @@ def resolve_from_condensed(records: Sequence[Record], scores: np.ndarray,
     identical to `reference.resolve_connected_components` with the
     thresholded matcher the scores came from."""
     _check_base_inputs(records)
-    uf = components_from_condensed(len(records), scores, threshold)
-    return _clustering_from_groups(records, uf.groups())
+    groups: dict[int, list[str]] = {}
+    labels = components_from_condensed(len(records), scores, threshold)
+    for record, label in zip(records, labels.tolist()):
+        groups.setdefault(label, []).append(record.record_id)
+    return Clustering.from_groups(groups.values())
 
 
 def write_clustering_csv(path, clustering: Clustering) -> None:

@@ -432,6 +432,40 @@ class TestMalformedInputs:
         assert str(bad) in err and "'high'" in err
         assert not (tmp_path / "out" / "clustering.csv").exists()
 
+    @pytest.mark.parametrize("label", [2, -1, 0.7])
+    def test_stats_label_not_zero_or_one(self, trained, tmp_path, capsys, label):
+        _, run = trained
+        doc = json.loads((run / "validation_stats.json").read_text())
+        doc["pairs"][3]["label"] = label
+        bad = tmp_path / "validation_stats.json"
+        bad.write_text(json.dumps(doc))
+        assert self.resolve(run, tmp_path, stats=bad) == EXIT_DATA
+        err = capsys.readouterr().err
+        assert str(bad) in err and "'label'" in err and repr(label) in err
+        assert not (tmp_path / "out" / "clustering.csv").exists()
+
+    @pytest.mark.parametrize("which", ["model", "stats"])
+    def test_unparseable_json_names_file(self, trained, tmp_path, capsys, which):
+        _, run = trained
+        bad = tmp_path / "broken.json"
+        bad.write_text("{not json")
+        assert self.resolve(run, tmp_path, **{which: bad}) == EXIT_DATA
+        assert str(bad) in capsys.readouterr().err
+
+    @pytest.mark.parametrize("text,shown", [
+        ("{not json", "line 1"),
+        ('{"features": [{"name": "x", "kind": "blob"}]}', "'blob'"),
+    ])
+    def test_bad_schema_names_file(self, trained, tmp_path, capsys, text, shown):
+        data, _ = trained
+        bad = tmp_path / "schema.json"
+        bad.write_text(text)
+        assert main(["train", "--records", str(data / "records.csv"),
+                     "--gold", str(data / "gold.csv"), "--schema", str(bad),
+                     "--out", str(tmp_path / "t")]) == EXIT_DATA
+        err = capsys.readouterr().err
+        assert str(bad) in err and shown in err
+
 
 class TestConfigFile:
     def test_file_values_and_flag_overrides(self, tmp_path, capsys):
@@ -483,3 +517,12 @@ class TestUsageErrors:
             "--validation-stats", str(tmp_path / "nope2.json"),
             "--out", str(tmp_path / "o"),
         ]) == EXIT_DATA
+
+    def test_directory_path_is_data_error(self, trained, tmp_path, capsys):
+        _, run = trained
+        assert main([
+            "resolve", "--model", str(run / "model.json"), "--records", str(tmp_path),
+            "--validation-stats", str(run / "validation_stats.json"),
+            "--out", str(tmp_path / "o"),
+        ]) == EXIT_DATA
+        assert str(tmp_path) in capsys.readouterr().err

@@ -1,6 +1,7 @@
 """Module layering rules, checked on the source text with `ast`."""
 
 import ast
+import sys
 from pathlib import Path
 
 import erbound
@@ -32,6 +33,16 @@ def test_only_reference_imports_reference():
         and "erbound.reference" in imported_modules(ast.parse(path.read_text()))
     ]
     assert offenders == [], f"production modules import erbound.reference: {offenders}"
+
+
+def test_imports_only_stdlib_numpy_and_erbound():
+    allowed = set(sys.stdlib_module_names) | {"numpy", "erbound"}
+    offenders = sorted(
+        (path.name, name) for path in PACKAGE.glob("*.py")
+        for name in imported_modules(ast.parse(path.read_text()))
+        if name.partition(".")[0] not in allowed
+    )
+    assert offenders == [], f"imports outside the stdlib, numpy and erbound: {offenders}"
 
 
 def test_import_forms_are_recognized():

@@ -3,7 +3,7 @@ from itertools import combinations
 import numpy as np
 import pytest
 
-from erbound.dataset import pairs_from_labels
+from erbound.dataset import GoldTruth, pairs_from_labels
 from erbound.matching import condensed_pairwise_scores
 from erbound.pipeline import sweep_thresholds
 from erbound.reference import (
@@ -116,17 +116,20 @@ class TestPairMetrics:
 
 class TestCountBasedMetrics:
     def test_matches_set_based_on_random_instances(self, mixed_schema):
-        """The sweep counts |R| and true hits from its union-find roots; on
-        random models, thresholds and truth pair sets (not necessarily
-        transitive) that equals set algebra on the materialized pairs."""
+        """The sweep counts |R| and true hits as pairs that share component
+        and gold labels; on random models, thresholds and gold labelings
+        (some test ids unlabeled, some labeled ids not in the test set) that
+        equals set algebra on the materialized pairs."""
         rng = np.random.default_rng(3)
         val_scores, val_labels = np.array([0.1, 0.9]), np.array([0, 1])
         for _ in range(50):
             records = random_records(rng, mixed_schema, 10)
             model = random_model(rng, mixed_schema)
-            truth = random_pair_set(rng, sorted(r.record_id for r in records), 0.3)
+            ids = [r.record_id for r in records] + ["x1", "x2"]
+            gold = GoldTruth({i: f"e{rng.integers(0, 4)}" for i in ids if rng.random() < 0.8})
+            truth = frozenset(p for p in gold.truth_pairs() if "x1" not in p and "x2" not in p)
             result = sweep_thresholds(model, records, val_scores, val_labels,
-                                      rng.uniform(0.05, 0.95, size=3), truth_pairs=truth)
+                                      rng.uniform(0.05, 0.95, size=3), gold=gold)
             for row in result.rows:
                 c = resolve_from_condensed(records, result.scores, row.threshold)
                 slow = pair_metrics(intra_cluster_pairs(c), truth)

@@ -17,7 +17,7 @@ from erbound.reference import (
 )
 from erbound.resolver import (
     Clustering,
-    UnionFind,
+    components_from_condensed,
     resolve_from_condensed,
     write_clustering_csv,
 )
@@ -40,17 +40,87 @@ def wrapper_and_merge(model, records):
     return match, merge_records, scored
 
 
-class TestUnionFind:
-    def test_basic(self):
-        uf = UnionFind(5)
-        assert uf.union(0, 1)
-        assert not uf.union(1, 0)
-        uf.union(3, 4)
-        assert uf.find(0) == uf.find(1)
-        assert uf.find(3) == uf.find(4)
-        assert uf.find(0) != uf.find(3)
-        groups = {frozenset(g) for g in uf.groups()}
-        assert groups == {frozenset({0, 1}), frozenset({2}), frozenset({3, 4})}
+def pair_index(n, i, j):
+    """Position of the unordered index pair {i, j} in a condensed array."""
+    i, j = min(i, j), max(i, j)
+    return i * n - i * (i + 1) // 2 + j - i - 1
+
+
+def condensed_from_edges(n, edges):
+    """Condensed scores that are 1.0 on the given index pairs, else 0.0."""
+    scores = np.zeros(n * (n - 1) // 2)
+    for i, j in edges:
+        scores[pair_index(n, i, j)] = 1.0
+    return scores
+
+
+def smallest_member_labels(records, scores, threshold):
+    """Each record's smallest member index in its cluster, from the
+    predicate-driven reference resolver over the same condensed scores."""
+    index = {r.record_id: k for k, r in enumerate(records)}
+    n = len(records)
+
+    def match(a, b):
+        return scores[pair_index(n, index[a.record_id], index[b.record_id])] >= threshold
+
+    labels = np.full(n, -1)
+    for members in resolve_connected_components(records, match).clusters.values():
+        ks = [index[i] for i in members]
+        labels[ks] = min(ks)
+    return labels
+
+
+class TestComponentLabels:
+    """`components_from_condensed` gives each item the smallest index in its
+    connected component, as the reference resolver partitions them."""
+
+    @staticmethod
+    def records(mixed_schema, n):
+        return [base_record(mixed_schema, f"r{k:04d}", {}) for k in range(n)]
+
+    def check(self, records, scores, threshold):
+        labels = components_from_condensed(len(records), scores, threshold)
+        assert labels.tolist() == smallest_member_labels(records, scores, threshold).tolist()
+
+    def test_random_records(self, mixed_schema):
+        rng = np.random.default_rng(9)
+        for _ in range(30):
+            model = random_model(rng, mixed_schema)
+            records = random_records(rng, mixed_schema, int(rng.integers(2, 25)))
+            self.check(records, condensed_pairwise_scores(model, records), model.threshold)
+
+    def test_random_order_path(self, mixed_schema):
+        n = 2000
+        order = np.random.default_rng(10).permutation(n).tolist()
+        scores = condensed_from_edges(n, zip(order, order[1:]))
+        self.check(self.records(mixed_schema, n), scores, 0.5)
+        assert (components_from_condensed(n, scores, 0.5) == 0).all()
+
+    def test_star_centred_on_largest_index(self, mixed_schema):
+        n = 300
+        self.check(self.records(mixed_schema, n),
+                   condensed_from_edges(n, [(k, n - 1) for k in range(n - 1)]), 0.5)
+
+    def test_disjoint_pieces(self, mixed_schema):
+        rng = np.random.default_rng(11)
+        n = 400
+        piece = rng.integers(0, 7, size=n)
+        edges = []
+        for p in range(7):
+            members = rng.permutation(np.flatnonzero(piece == p)).tolist()
+            edges += zip(members, members[1:])
+        self.check(self.records(mixed_schema, n), condensed_from_edges(n, edges), 0.5)
+
+    @pytest.mark.parametrize("n,edges", [(0, []), (1, []), (2, []), (2, [(0, 1)])])
+    def test_tiny(self, mixed_schema, n, edges):
+        self.check(self.records(mixed_schema, n), condensed_from_edges(n, edges), 0.5)
+
+    def test_threshold_above_every_score(self, mixed_schema):
+        rng = np.random.default_rng(12)
+        scores = rng.random(50 * 49 // 2)
+        threshold = np.nextafter(scores.max(), 2.0)
+        self.check(self.records(mixed_schema, 50), scores, threshold)
+        assert components_from_condensed(50, scores, threshold).tolist() == list(range(50))
 
 
 class TestRSwoosh:
