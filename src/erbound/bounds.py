@@ -20,7 +20,7 @@ gives exact interval bounds.
 import math
 from dataclasses import dataclass
 from statistics import NormalDist
-from typing import Mapping, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -136,6 +136,9 @@ class ValidationStats:
         labels = np.asarray(labels)
         if scores.shape != labels.shape:
             raise ValueError("scores and labels must have equal length")
+        bad = labels[(labels != 0) & (labels != 1)]
+        if bad.size:
+            raise ValueError(f"validation labels must be 0 or 1, got {bad[0]}")
         predicted = scores >= threshold
         positive = labels == 1
         return cls(
@@ -174,11 +177,6 @@ class ValidationStats:
             "n_predicted_match": self.n_predicted_match,
             "n_true_match": self.n_true_match,
         }
-
-    @classmethod
-    def from_dict(cls, d: Mapping) -> "ValidationStats":
-        return cls(int(d["n_pairs"]), int(d["n_positive"]),
-                   int(d["n_predicted_match"]), int(d["n_true_match"]))
 
 
 def recall_lower_bound(stats: ValidationStats) -> float:

@@ -17,7 +17,7 @@ import json
 from dataclasses import dataclass
 from itertools import combinations
 from pathlib import Path
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
 
@@ -95,47 +95,56 @@ def generate_synthetic(n_entities: int = 100, records_per_entity: int = 10,
     return records, GoldTruth(labels)
 
 
+def _csv_rows(path) -> Iterator[list[str]]:
+    """Yield the rows of a UTF-8 CSV file, header first. An empty file or
+    bytes that are not UTF-8 raise DataError naming the file."""
+    try:
+        with open(path, newline="", encoding="utf-8") as fh:
+            reader = csv.reader(fh)
+            yield next(reader)
+            yield from reader
+    except StopIteration:
+        raise DataError(f"{path}: empty file, expected a header row") from None
+    except UnicodeDecodeError as exc:
+        raise DataError(f"{path}: not UTF-8 text: {exc}") from exc
+
+
 def load_records_csv(path, schema: FeatureSchema) -> list[Record]:
     """Read base records; the header must contain `id` plus exactly the
     schema's feature names (any column order)."""
-    path = Path(path)
-    with path.open(newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
+    rows = _csv_rows(path)
+    header = next(rows)
+    if "id" not in header:
+        raise DataError(f"{path}: header is missing the mandatory `id` column")
+    expected = {"id", *schema.names}
+    if set(header) != expected:
+        raise DataError(
+            f"{path}: header {sorted(header)} does not match schema "
+            f"columns {sorted(expected)}"
+        )
+    idx = {name: header.index(name) for name in header}
+    records = []
+    seen = set()
+    for row_no, row in enumerate(rows, start=2):
+        if len(row) != len(header):
+            raise DataError(f"{path}:{row_no}: expected {len(header)} cells, got {len(row)}")
+        rid = row[idx["id"]].strip()
+        if not rid:
+            raise DataError(f"{path}:{row_no}: empty id")
+        if rid in seen:
+            raise DataError(f"{path}:{row_no}: duplicate id {rid!r}")
+        seen.add(rid)
+        values = {}
+        for feat in schema.features:
+            cell = row[idx[feat.name]].strip()
+            if not cell:
+                continue
+            parts = [p for p in (s.strip() for s in cell.split("|")) if p]
+            values[feat.name] = parts
         try:
-            header = next(reader)
-        except StopIteration:
-            raise DataError(f"{path}: empty file, expected a header row") from None
-        if "id" not in header:
-            raise DataError(f"{path}: header is missing the mandatory `id` column")
-        expected = {"id", *schema.names}
-        if set(header) != expected:
-            raise DataError(
-                f"{path}: header {sorted(header)} does not match schema "
-                f"columns {sorted(expected)}"
-            )
-        idx = {name: header.index(name) for name in header}
-        records = []
-        seen = set()
-        for row_no, row in enumerate(reader, start=2):
-            if len(row) != len(header):
-                raise DataError(f"{path}:{row_no}: expected {len(header)} cells, got {len(row)}")
-            rid = row[idx["id"]].strip()
-            if not rid:
-                raise DataError(f"{path}:{row_no}: empty id")
-            if rid in seen:
-                raise DataError(f"{path}:{row_no}: duplicate id {rid!r}")
-            seen.add(rid)
-            values = {}
-            for feat in schema.features:
-                cell = row[idx[feat.name]].strip()
-                if not cell:
-                    continue
-                parts = [p for p in (s.strip() for s in cell.split("|")) if p]
-                values[feat.name] = parts
-            try:
-                records.append(base_record(schema, rid, values))
-            except SchemaError as exc:
-                raise DataError(f"{path}:{row_no}: {exc}") from exc
+            records.append(base_record(schema, rid, values))
+        except SchemaError as exc:
+            raise DataError(f"{path}:{row_no}: {exc}") from exc
     return records
 
 
@@ -168,28 +177,23 @@ def load_gold(path, valid_ids: Iterable[str] | None = None) -> GoldTruth:
     unlabeled.
     """
     known = set(valid_ids) if valid_ids is not None else None
-    path = Path(path)
     labels = {}
-    with path.open(newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise DataError(f"{path}: empty file, expected a header row") from None
-        if [h.strip() for h in header] != ["id", "label"]:
-            raise DataError(f"{path}: expected header `id,label`, got {header}")
-        for row_no, row in enumerate(reader, start=2):
-            if len(row) != 2:
-                raise DataError(f"{path}:{row_no}: expected 2 cells, got {len(row)}")
-            rid, label = row[0].strip(), row[1].strip()
-            if not rid:
-                raise DataError(f"{path}:{row_no}: empty id")
-            if rid in labels:
-                raise DataError(f"{path}:{row_no}: duplicate id {rid!r}")
-            if known is not None and rid not in known:
-                raise DataError(f"{path}:{row_no}: unknown id {rid!r}")
-            if label:
-                labels[rid] = label
+    rows = _csv_rows(path)
+    header = next(rows)
+    if [h.strip() for h in header] != ["id", "label"]:
+        raise DataError(f"{path}: expected header `id,label`, got {header}")
+    for row_no, row in enumerate(rows, start=2):
+        if len(row) != 2:
+            raise DataError(f"{path}:{row_no}: expected 2 cells, got {len(row)}")
+        rid, label = row[0].strip(), row[1].strip()
+        if not rid:
+            raise DataError(f"{path}:{row_no}: empty id")
+        if rid in labels:
+            raise DataError(f"{path}:{row_no}: duplicate id {rid!r}")
+        if known is not None and rid not in known:
+            raise DataError(f"{path}:{row_no}: unknown id {rid!r}")
+        if label:
+            labels[rid] = label
     return GoldTruth(labels)
 
 

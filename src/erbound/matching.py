@@ -7,18 +7,21 @@ distance. A logistic model over those features gives a match probability,
 and a single cut-off threshold turns it into a boolean match decision.
 Scoring every pair of a record set once yields a condensed score array,
 from which the resolver and the bounds read every threshold's edges.
+Every schema is scored by one vectorized pass, with each column's distinct
+values coded once; `featurize_pair` and `score_pair` stay the per-pair
+definition that training and validation use.
 """
 
 import json
 from dataclasses import dataclass, asdict, field, replace
-from itertools import product
+from itertools import combinations, product
 from pathlib import Path
 from typing import Mapping, Sequence
 
 import numpy as np
 
 from .errors import DataError, DegenerateDataError, SchemaError
-from .records import CATEGORICAL, NUMERIC, FeatureSchema, Record
+from .records import CATEGORICAL, NUMERIC, TEXT, FeatureSchema, Record
 
 MODEL_FORMAT_VERSION = 1
 
@@ -126,9 +129,6 @@ class MatchModel:
 
     def with_threshold(self, threshold: float) -> "MatchModel":
         return replace(self, threshold=threshold)
-
-    def standardize(self, x: np.ndarray) -> np.ndarray:
-        return (x - self.feature_means) / self.feature_scales
 
     def to_dict(self) -> dict:
         return {
@@ -271,26 +271,59 @@ def train_match_model(pairs: Sequence[tuple[Record, Record, int]],
 
 def score_pair(model: MatchModel, a: Record, b: Record) -> float:
     """Match probability in [0, 1]; symmetric in (a, b)."""
-    x = featurize_pair(a, b, model.schema)
-    return float(sigmoid(model.weights @ model.standardize(x) + model.bias))
+    z = (featurize_pair(a, b, model.schema) - model.feature_means) / model.feature_scales
+    return float(sigmoid(model.weights @ z + model.bias))
 
 
-def _single_valued_numeric_matrix(records: Sequence[Record],
-                                  schema: FeatureSchema) -> np.ndarray | None:
-    """Matrix of feature values when every feature is numeric and every
-    record carries exactly one value per feature; None otherwise."""
-    if any(f.kind != NUMERIC for f in schema.features):
-        return None
+def _slot_order(schema: FeatureSchema) -> list[int]:
+    """Schema indices in `_pair_slots` column order: numeric features first."""
+    return sorted(range(len(schema)), key=lambda f: schema.features[f].kind != NUMERIC)
+
+
+def _pair_slots(records: Sequence[Record], schema: FeatureSchema):
+    """Yield, for each i < n - 1, the `featurize_pair` value slots of the
+    pairs (i, j), j > i: an (n - 1 - i, F) array in `_slot_order` columns,
+    NaN exactly where a side is missing.
+
+    Each column is encoded once: numeric features as one NaN-padded
+    (n, F_num, k) array; each categorical or text feature as codes into its
+    sorted distinct values, padded with code U, plus a (U+1)x(U+1) distance
+    table whose padding row and column are NaN. A slot is the NaN-ignoring
+    minimum over the cross product of the two value sets.
+    """
     n, m = len(records), len(schema)
-    X = np.empty((n, m))
+    if any(len(r.values) != m for r in records):
+        raise SchemaError("record does not conform to the schema (feature count)")
+    numeric = [f for f, feat in enumerate(schema.features) if feat.kind == NUMERIC]
+    width = max([1] + [len(r.values[f]) for r in records for f in numeric])
+    values = np.full((n, len(numeric), width), np.nan)
     for i, r in enumerate(records):
-        if len(r.values) != m:
-            raise SchemaError("record does not conform to the schema (feature count)")
-        for j, slot in enumerate(r.values):
-            if len(slot) != 1:
-                return None
-            X[i, j] = next(iter(slot))
-    return X
+        for c, f in enumerate(numeric):
+            values[i, c, :len(r.values[f])] = list(r.values[f])
+    coded = []
+    for f in _slot_order(schema)[len(numeric):]:
+        distinct = sorted(set().union(*(r.values[f] for r in records)))
+        code = {v: u for u, v in enumerate(distinct)}
+        u_pad = len(distinct)
+        codes = np.full((n, max([1] + [len(r.values[f]) for r in records])), u_pad)
+        for i, r in enumerate(records):
+            codes[i, :len(r.values[f])] = [code[v] for v in r.values[f]]
+        table = np.ones((u_pad + 1, u_pad + 1))
+        np.fill_diagonal(table, 0.0)
+        table[u_pad] = table[:, u_pad] = np.nan
+        if schema.features[f].kind == TEXT:  # one edit distance per distinct pair
+            for a, b in combinations(range(u_pad), 2):
+                table[a, b] = table[b, a] = normalized_levenshtein(distinct[a], distinct[b])
+        coded.append((schema.features[f].kind == CATEGORICAL, codes, table))
+    for i in range(n - 1):
+        slots = np.empty((n - 1 - i, m))
+        diffs = np.abs(values[i + 1:, :, :, None] - values[i, :, None, :])
+        slots[:, :len(numeric)] = np.fmin.reduce(diffs, axis=(2, 3))
+        for c, (categorical, codes, table) in enumerate(coded, start=len(numeric)):
+            nearest = np.fmin.reduce(table[codes[i]], axis=0)
+            closest = np.fmin.reduce(nearest[codes[i + 1:]], axis=1)
+            slots[:, c] = 1.0 - closest if categorical else closest
+        yield slots
 
 
 def condensed_pairwise_scores(model: MatchModel,
@@ -298,31 +331,18 @@ def condensed_pairwise_scores(model: MatchModel,
     """Scores for all unordered record pairs, in condensed order: pair
     (i, j) with i < j sits at index i*n - i*(i+1)/2 + (j - i - 1).
 
-    Uses a vectorized path when the schema is all-numeric and every record
-    is single-valued; otherwise falls back to scoring pair by pair.
+    One vectorized pass for every schema: each row's slots come from
+    `_pair_slots`, and the standardization is folded into the weights, so
+    score = sigmoid(x . w/scale + bias - w . mean/scale).
     """
-    n = len(records)
-    out = np.empty(n * (n - 1) // 2)
-    if n < 2:
-        return out
-    m = len(model.schema)
-    X = _single_valued_numeric_matrix(records, model.schema)
-    if X is not None:
-        w_val = model.weights[:m]
-        mean_val, scale_val = model.feature_means[:m], model.feature_scales[:m]
-        # missing indicators are identically zero on this path
-        ind_z = (0.0 - model.feature_means[m:]) / model.feature_scales[m:]
-        offset = float(model.weights[m:] @ ind_z) + model.bias
-        pos = 0
-        for i in range(n - 1):
-            diffs = np.abs(X[i + 1:] - X[i])
-            z = (diffs - mean_val) / scale_val
-            out[pos:pos + n - 1 - i] = sigmoid(z @ w_val + offset)
-            pos += n - 1 - i
-        return out
+    out = np.empty(len(records) * (len(records) - 1) // 2)
+    w = model.weights / model.feature_scales
+    offset = model.bias - float(w @ model.feature_means)
+    w_slot, w_missing = w.reshape(2, -1)[:, _slot_order(model.schema)]
     pos = 0
-    for i in range(n - 1):
-        for j in range(i + 1, n):
-            out[pos] = score_pair(model, records[i], records[j])
-            pos += 1
+    for slots in _pair_slots(records, model.schema):
+        missing = np.isnan(slots)
+        slots[missing] = 0.0
+        out[pos:pos + len(slots)] = sigmoid(slots @ w_slot + missing @ w_missing + offset)
+        pos += len(slots)
     return out

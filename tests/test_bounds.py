@@ -203,9 +203,15 @@ class TestValidationStats:
         with pytest.raises(ValueError):
             make_stats(10, 4, 11, 4)  # predictions exceed the pair count
 
-    def test_dict_round_trip(self):
-        stats = make_stats(100, 40, 40, 36)
-        assert ValidationStats.from_dict(stats.to_dict()) == stats
+    def test_to_dict(self):
+        assert make_stats(100, 40, 40, 36).to_dict() == {
+            "n_pairs": 100, "n_positive": 40, "n_predicted_match": 40, "n_true_match": 36,
+        }
+
+    @pytest.mark.parametrize("label", [2, -1, 0.7])
+    def test_labels_must_be_zero_or_one(self, label):
+        with pytest.raises(ValueError, match=f"got {label}"):
+            ValidationStats.from_scores([0.9, 0.8, 0.1], [label, 1, 0], 0.5)
 
 
 class TestRecallLowerBound:

@@ -9,6 +9,9 @@ from erbound import matching
 from erbound.cli import EXIT_DATA, EXIT_GATE, EXIT_OK, SWEEP_COLUMNS, _fmt, main
 
 
+NOT_UTF8 = b"id,label\n" + b"\xc1\xff\xfe" * 1000
+
+
 def sha256(path):
     return hashlib.sha256(path.read_bytes()).hexdigest()
 
@@ -463,6 +466,34 @@ class TestMalformedInputs:
         assert main(["train", "--records", str(data / "records.csv"),
                      "--gold", str(data / "gold.csv"), "--schema", str(bad),
                      "--out", str(tmp_path / "t")]) == EXIT_DATA
+        err = capsys.readouterr().err
+        assert str(bad) in err and shown in err
+
+    @pytest.mark.parametrize("which,content,shown", [
+        ("records", NOT_UTF8, "UTF-8"), ("gold", NOT_UTF8, "UTF-8"),
+        ("config", NOT_UTF8, "UTF-8"), ("records", b"", "empty file"),
+        ("gold", b"", "empty file"),
+    ], ids=["records-not-utf8", "gold-not-utf8", "config-not-utf8", "records-empty",
+            "gold-empty"])
+    def test_unreadable_input_names_file(self, trained, tmp_path, capsys,
+                                         which, content, shown):
+        data, run = trained
+        bad = tmp_path / "bad.bin"
+        bad.write_bytes(content)
+        out = str(tmp_path / "out")
+        if which == "records":
+            code = main([
+                "resolve", "--model", str(run / "model.json"), "--records", str(bad),
+                "--validation-stats", str(run / "validation_stats.json"), "--out", out])
+        elif which == "gold":
+            code = main([
+                "sweep", "--model", str(run / "model.json"),
+                "--records", str(run / "test_records.csv"),
+                "--validation-stats", str(run / "validation_stats.json"),
+                "--gold", str(bad), "--out", out])
+        else:
+            code = main(["generate", "--config", str(bad), "--out", out])
+        assert code == EXIT_DATA
         err = capsys.readouterr().err
         assert str(bad) in err and shown in err
 

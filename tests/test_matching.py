@@ -9,6 +9,8 @@ from erbound.errors import DataError, DegenerateDataError, SchemaError
 from erbound.matching import (
     MatchModel,
     TrainConfig,
+    _pair_slots,
+    _slot_order,
     condensed_pairwise_scores,
     featurize_pair,
     fit_logistic,
@@ -312,30 +314,84 @@ class TestBaseMatch:
             base_match(model, merge_records(r1, r2), r3)
 
 
+def synthetic_case(rng, mixed_schema):
+    from erbound.dataset import generate_synthetic, synthetic_schema
+
+    records, _ = generate_synthetic(n_entities=4, records_per_entity=3, seed=3)
+    return synthetic_schema(10), records
+
+
+def mixed_case(n):
+    def case(rng, mixed_schema):
+        return mixed_schema, random_records(rng, mixed_schema, n, max_values=3,
+                                            missing_rate=0.5)
+    return case
+
+
+def one_kind_case(kind):
+    def case(rng, mixed_schema):
+        schema = FeatureSchema((Feature("a", kind), Feature("b", kind)))
+        return schema, random_records(rng, schema, 12, max_values=3, missing_rate=0.3)
+    return case
+
+
+def absent_feature_case(rng, mixed_schema):
+    """`age` and `phone` are missing from every record."""
+    schema, records = mixed_case(10)(rng, mixed_schema)
+    return schema, [base_record(schema, r.record_id, {"name1": r.values[0],
+                                                       "name2": r.values[1]})
+                    for r in records]
+
+
 class TestBulkScores:
-    def test_fast_numeric_path_matches_score_pair(self):
-        from erbound.dataset import generate_synthetic, synthetic_schema
-
-        records, _ = generate_synthetic(n_entities=4, records_per_entity=3, seed=3)
+    @pytest.mark.parametrize("case", [
+        synthetic_case, mixed_case(14), one_kind_case(TEXT),
+        one_kind_case(CATEGORICAL), absent_feature_case,
+        mixed_case(0), mixed_case(1), mixed_case(2),
+    ], ids=["synthetic", "mixed", "text", "categorical", "absent-feature",
+            "n0", "n1", "n2"])
+    def test_matches_pairwise_definition(self, case, mixed_schema):
         rng = np.random.default_rng(13)
-        model = random_model(rng, synthetic_schema(10))
-        fast = condensed_pairwise_scores(model, records)
-        slow = np.array([
-            score_pair(model, records[i], records[j])
-            for i in range(len(records)) for j in range(i + 1, len(records))
-        ])
-        assert np.allclose(fast, slow, atol=1e-12)
+        schema, records = case(rng, mixed_schema)
+        model = random_model(rng, schema)
+        pairs = [(a, b) for i, a in enumerate(records) for b in records[i + 1:]]
+        scores = condensed_pairwise_scores(model, records)
+        assert scores.shape == (len(pairs),)
+        assert np.allclose(scores, [score_pair(model, a, b) for a, b in pairs],
+                           rtol=0.0, atol=1e-12)
+        m, order = len(schema), _slot_order(schema)
+        features = np.reshape([featurize_pair(a, b, schema) for a, b in pairs], (-1, 2 * m))
+        slots = np.vstack([np.empty((0, m)), *_pair_slots(records, schema)])
+        assert np.array_equal(np.nan_to_num(slots), features[:, order])
+        assert np.array_equal(np.isnan(slots), features[:, m:][:, order] == 1.0)
 
-    def test_fallback_path_matches_score_pair(self, mixed_schema):
+    def test_one_vectorized_pass(self, monkeypatch, mixed_schema):
+        """No per-pair scoring, and one edit distance per distinct text pair."""
+        from erbound import matching
+
         rng = np.random.default_rng(14)
+        records = random_records(rng, mixed_schema, 40, max_values=2)
         model = random_model(rng, mixed_schema)
-        records = random_records(rng, mixed_schema, 8)
-        fast = condensed_pairwise_scores(model, records)
-        slow = np.array([
-            score_pair(model, records[i], records[j])
-            for i in range(len(records)) for j in range(i + 1, len(records))
-        ])
-        assert np.array_equal(fast, slow)
+        expected = [score_pair(model, a, b) for i, a in enumerate(records)
+                    for b in records[i + 1:]]
+
+        def forbidden(*args):
+            raise AssertionError("per-pair path used")
+
+        calls = []
+
+        def counted(s, t):
+            calls.append((s, t))
+            return normalized_levenshtein(s, t)
+
+        monkeypatch.setattr(matching, "score_pair", forbidden)
+        monkeypatch.setattr(matching, "featurize_pair", forbidden)
+        monkeypatch.setattr(matching, "normalized_levenshtein", counted)
+        scores = condensed_pairwise_scores(model, records)
+        assert np.allclose(scores, expected, rtol=0.0, atol=1e-12)
+        distinct = [len(set().union(*(r.values[f] for r in records))) for f in (0, 1)]
+        assert max(distinct) < len(records)  # names repeat
+        assert 0 < len(calls) <= sum(u * (u - 1) // 2 for u in distinct)
 
     def test_scored_matcher_equals_base_match(self, mixed_schema):
         rng = np.random.default_rng(15)
