@@ -287,8 +287,9 @@ def _pair_slots(records: Sequence[Record], schema: FeatureSchema):
 
     Each column is encoded once: numeric features as one NaN-padded
     (n, F_num, k) array; each categorical or text feature as codes into its
-    sorted distinct values, padded with code U, plus a (U+1)x(U+1) distance
-    table whose padding row and column are NaN. A slot is the NaN-ignoring
+    sorted distinct values, padded with code U. A text feature also gets a
+    (U+1)x(U+1) edit-distance table whose padding row and column are NaN;
+    categorical codes are compared for equality. A slot is the NaN-ignoring
     minimum over the cross product of the two value sets.
     """
     n, m = len(records), len(schema)
@@ -308,21 +309,26 @@ def _pair_slots(records: Sequence[Record], schema: FeatureSchema):
         codes = np.full((n, max([1] + [len(r.values[f]) for r in records])), u_pad)
         for i, r in enumerate(records):
             codes[i, :len(r.values[f])] = [code[v] for v in r.values[f]]
-        table = np.ones((u_pad + 1, u_pad + 1))
-        np.fill_diagonal(table, 0.0)
-        table[u_pad] = table[:, u_pad] = np.nan
+        table = None
         if schema.features[f].kind == TEXT:  # one edit distance per distinct pair
+            table = np.zeros((u_pad + 1, u_pad + 1))
+            table[u_pad] = table[:, u_pad] = np.nan
             for a, b in combinations(range(u_pad), 2):
                 table[a, b] = table[b, a] = normalized_levenshtein(distinct[a], distinct[b])
-        coded.append((schema.features[f].kind == CATEGORICAL, codes, table))
+        coded.append((codes, u_pad, table))
     for i in range(n - 1):
         slots = np.empty((n - 1 - i, m))
         diffs = np.abs(values[i + 1:, :, :, None] - values[i, :, None, :])
         slots[:, :len(numeric)] = np.fmin.reduce(diffs, axis=(2, 3))
-        for c, (categorical, codes, table) in enumerate(coded, start=len(numeric)):
-            nearest = np.fmin.reduce(table[codes[i]], axis=0)
+        for c, (codes, u_pad, table) in enumerate(coded, start=len(numeric)):
+            if table is None:  # categorical: 0 at record i's values, else 1
+                nearest = np.full(u_pad + 1, np.nan if codes[i, 0] == u_pad else 1.0)
+                nearest[codes[i]] = 0.0
+                nearest[u_pad] = np.nan
+            else:
+                nearest = np.fmin.reduce(table[codes[i]], axis=0)
             closest = np.fmin.reduce(nearest[codes[i + 1:]], axis=1)
-            slots[:, c] = 1.0 - closest if categorical else closest
+            slots[:, c] = closest if table is not None else 1.0 - closest
         yield slots
 
 

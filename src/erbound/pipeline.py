@@ -1,10 +1,11 @@
 """End-to-end wiring: train on a split, sweep thresholds, resolve and bound.
 
 A sweep scores every test pair once (scores do not depend on the
-threshold), then for each grid threshold labels every test record with
-its connected component over the edges that clear it, counts |R| (and,
-with gold, the true hits) as pairs that share a label, recomputes the
-validation confusion at that threshold, and assembles the bound report.
+threshold), then passes down the grid once: it labels every test record
+with its connected component at the top threshold and merges each lower
+score band into the labels of the band above. Each threshold counts |R|
+(and, with gold, true hits) as pairs sharing a label, recomputes the
+validation confusion, and assembles the bound report.
 Rows where the validation set has no predicted matches, or where the
 matcher is uninformative for class-balance estimation, carry no
 precision/F1 bound.
@@ -25,7 +26,7 @@ from .dataset import (GoldTruth, Split, SplitSpec, generate_synthetic, split_dat
 from .errors import ConfigError, DegenerateDataError, UninformativeMatcherError
 from .matching import MatchModel, TrainConfig, condensed_pairwise_scores, train_match_model
 from .records import FeatureSchema, Record
-from .resolver import components_from_condensed
+from .resolver import components_by_threshold
 
 
 @dataclass(frozen=True)
@@ -149,7 +150,11 @@ def sweep_thresholds(model: MatchModel, test_records: Sequence[Record],
                      select_metric: str = "f1_lb",
                      recall_floor: float | None = None) -> SweepResult:
     """Evaluate bounds (and true metrics with `gold`) across a threshold
-    grid on the test records."""
+    grid on the test records. Each threshold must lie strictly inside
+    (0, 1); a repeated threshold gives one row per repeat."""
+    bad = [float(t) for t in thresholds if not 0.0 < t < 1.0]
+    if bad or not len(thresholds):
+        raise ConfigError(f"thresholds must lie strictly inside (0, 1), got {bad or 'none'}")
     n = len(test_records)
     if n < 2:
         raise ConfigError("needs at least 2 test records")
@@ -162,10 +167,8 @@ def sweep_thresholds(model: MatchModel, test_records: Sequence[Record],
         truth_total = _pairs_within(entity)
 
     rows = []
-    for t in sorted(float(t) for t in thresholds):
-        labels = components_from_condensed(n, scores, t)
+    for t, labels, tm_pairs in components_by_threshold(n, scores, thresholds):
         r_pairs = _pairs_within(labels)
-        tm_pairs = int((scores >= t).sum())
         row = {"threshold": t, "r_pairs": r_pairs, "tm_pairs": tm_pairs}
         stats = ValidationStats.from_scores(val_scores, val_labels, t)
         rec_lo, rec_hi = wilson_interval(stats.n_true_match, stats.n_positive, confidence)
@@ -192,6 +195,7 @@ def sweep_thresholds(model: MatchModel, test_records: Sequence[Record],
             row.update(true_precision=precision, true_recall=recall,
                        true_f1=f1_lower_bound(precision, recall))
         rows.append(SweepRow(**row))
+    rows.reverse()
 
     for prev, cur in zip(rows, rows[1:]):
         if cur.r_pairs > prev.r_pairs or cur.tm_pairs > prev.tm_pairs:

@@ -5,7 +5,8 @@ score clears the threshold is an edge, and the clusters are the connected
 components of that graph, found in numpy as one label per record. This
 is the partition the match/merge fixpoint reaches with the
 max-over-constituents match rule and set-union merge; the slow engines
-that show it live in `erbound.reference`.
+that show it live in `erbound.reference`. A sweep merges each score band
+into the labels of the band above.
 """
 
 import csv
@@ -67,9 +68,16 @@ def _check_base_inputs(records: Sequence[Record]) -> None:
         raise DataError("duplicate record ids in resolver input")
 
 
-def components_from_condensed(n: int, scores: np.ndarray, threshold: float) -> np.ndarray:
-    """Component label of each of n items whose condensed pairwise scores
-    clear the threshold: the smallest index in its component.
+def _pair_indices(n: int, hits: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The index pairs (i, j), i < j, at the given condensed positions."""
+    row_starts = np.concatenate(([0], np.cumsum(np.arange(n - 1, 1, -1))))
+    rows = np.searchsorted(row_starts, hits, side="right") - 1
+    return rows, hits - row_starts[rows] + rows + 1
+
+
+def _merge(labels: np.ndarray, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
+    """Smallest-member labels after adding the edges (rows[k], cols[k]) to
+    the components that `labels` gives as smallest members; overwrites it.
 
     Min-label hooking plus pointer jumping (Shiloach & Vishkin, "An
     O(log n) parallel connectivity algorithm", J. Algorithms 1982). Each
@@ -78,13 +86,6 @@ def components_from_condensed(n: int, scores: np.ndarray, threshold: float) -> n
     label to its root. Labels only decrease, so the fixed point is the
     smallest member; each round hooks at least one root, so the loop ends.
     """
-    labels = np.arange(n)
-    if n < 2:
-        return labels
-    row_starts = np.concatenate(([0], np.cumsum(np.arange(n - 1, 1, -1))))
-    hits = np.flatnonzero(scores >= threshold)
-    rows = np.searchsorted(row_starts, hits, side="right") - 1
-    cols = hits - row_starts[rows] + rows + 1
     while True:
         a, b = labels[rows], labels[cols]
         live = a != b
@@ -94,6 +95,34 @@ def components_from_condensed(n: int, scores: np.ndarray, threshold: float) -> n
         np.minimum.at(labels, np.maximum(a, b), np.minimum(a, b))
         while not np.array_equal(jumped := labels[labels], labels):
             labels = jumped
+
+
+def components_from_condensed(n: int, scores: np.ndarray, threshold: float) -> np.ndarray:
+    """Component label of each of n items whose condensed pairwise scores
+    clear the threshold: the smallest index in its component."""
+    return _merge(np.arange(n), *_pair_indices(n, np.flatnonzero(scores >= threshold)))
+
+
+def components_by_threshold(n: int, scores: np.ndarray, thresholds: Sequence[float]):
+    """Yield (threshold, labels, tm_pairs) for each entry of the non-empty
+    `thresholds`, highest first: the `components_from_condensed` labels and
+    the number of scores >= threshold. The highest threshold is labelled
+    outright; each lower score band [t_k, t_k+1) is then merged into the
+    labels of the band above. Yielded arrays are never changed afterwards.
+    """
+    ts, repeats = np.unique(np.asarray(thresholds, dtype=float), return_counts=True)
+    labels = components_from_condensed(n, scores, ts[-1])
+    hits = np.flatnonzero(scores >= ts[0])
+    band = np.searchsorted(ts, scores[hits], side="right") - 1
+    # above[k]: scores >= ts[k]; edges sorted by band, highest first
+    above = np.append(np.cumsum(np.bincount(band, minlength=len(ts))[::-1])[::-1], 0)
+    order = np.argsort(-band)
+    rows, cols = (index[order] for index in _pair_indices(n, hits))
+    for k in range(len(ts) - 1, -1, -1):
+        lo, hi = above[k + 1], above[k]
+        if k + 1 < len(ts) and lo < hi:
+            labels = _merge(labels.copy(), rows[lo:hi], cols[lo:hi])
+        yield from [(float(ts[k]), labels, int(hi))] * repeats[k]
 
 
 def resolve_from_condensed(records: Sequence[Record], scores: np.ndarray,

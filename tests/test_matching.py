@@ -335,6 +335,13 @@ def one_kind_case(kind):
     return case
 
 
+def distinct_categorical_case(rng, mixed_schema):
+    """500 records, each with its own categorical value, so no two share one."""
+    schema = FeatureSchema((Feature("phone", CATEGORICAL),))
+    return schema, [base_record(schema, f"r{k:03d}", {"phone": [f"p{k:03d}"]})
+                    for k in range(500)]
+
+
 def absent_feature_case(rng, mixed_schema):
     """`age` and `phone` are missing from every record."""
     schema, records = mixed_case(10)(rng, mixed_schema)
@@ -346,10 +353,10 @@ def absent_feature_case(rng, mixed_schema):
 class TestBulkScores:
     @pytest.mark.parametrize("case", [
         synthetic_case, mixed_case(14), one_kind_case(TEXT),
-        one_kind_case(CATEGORICAL), absent_feature_case,
+        one_kind_case(CATEGORICAL), distinct_categorical_case, absent_feature_case,
         mixed_case(0), mixed_case(1), mixed_case(2),
-    ], ids=["synthetic", "mixed", "text", "categorical", "absent-feature",
-            "n0", "n1", "n2"])
+    ], ids=["synthetic", "mixed", "text", "categorical", "distinct-categorical",
+            "absent-feature", "n0", "n1", "n2"])
     def test_matches_pairwise_definition(self, case, mixed_schema):
         rng = np.random.default_rng(13)
         schema, records = case(rng, mixed_schema)

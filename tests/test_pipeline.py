@@ -107,6 +107,25 @@ class TestSweep:
                                   scores, labels, [0.5], c_t_override=0.02)
         assert result.rows[0].c_t == 0.02
 
+    def test_repeated_threshold_gives_a_row_each(self, small_run):
+        _, _, outcome = small_run
+        scores, labels = outcome.validation_arrays()
+        result = sweep_thresholds(outcome.model, outcome.split.test_records,
+                                  scores, labels, [0.6, 0.3, 0.6])
+        assert [row.threshold for row in result.rows] == [0.3, 0.6, 0.6]
+        assert result.rows[1] == result.rows[2]
+
+    @pytest.mark.parametrize("thresholds,message", [
+        ([], "got none"), ([float("nan")], r"got \[nan\]"),
+        ([0.0], r"got \[0.0\]"), ([1.0], r"got \[1.0\]"), ([0.5, 1.5], r"got \[1.5\]"),
+    ], ids=["empty", "nan", "zero", "one", "above-one"])
+    def test_rejects_unusable_thresholds(self, small_run, thresholds, message):
+        _, _, outcome = small_run
+        scores, labels = outcome.validation_arrays()
+        with pytest.raises(ConfigError, match=message):
+            sweep_thresholds(outcome.model, outcome.split.test_records,
+                             scores, labels, thresholds)
+
     def test_needs_two_records(self, small_run):
         _, _, outcome = small_run
         scores, labels = outcome.validation_arrays()

@@ -17,6 +17,7 @@ from erbound.reference import (
 )
 from erbound.resolver import (
     Clustering,
+    components_by_threshold,
     components_from_condensed,
     resolve_from_condensed,
     write_clustering_csv,
@@ -52,6 +53,27 @@ def condensed_from_edges(n, edges):
     for i, j in edges:
         scores[pair_index(n, i, j)] = 1.0
     return scores
+
+
+def path_edges(n, rng):
+    """A path visiting the n items in random order."""
+    order = rng.permutation(n).tolist()
+    return list(zip(order, order[1:]))
+
+
+def star_edges(n):
+    """A star centred on the largest index."""
+    return [(k, n - 1) for k in range(n - 1)]
+
+
+def piece_edges(n, rng, pieces=7):
+    """Paths over disjoint random groups of the n items."""
+    piece = rng.integers(0, pieces, size=n)
+    edges = []
+    for p in range(pieces):
+        members = rng.permutation(np.flatnonzero(piece == p)).tolist()
+        edges += zip(members, members[1:])
+    return edges
 
 
 def smallest_member_labels(records, scores, threshold):
@@ -91,24 +113,17 @@ class TestComponentLabels:
 
     def test_random_order_path(self, mixed_schema):
         n = 2000
-        order = np.random.default_rng(10).permutation(n).tolist()
-        scores = condensed_from_edges(n, zip(order, order[1:]))
+        scores = condensed_from_edges(n, path_edges(n, np.random.default_rng(10)))
         self.check(self.records(mixed_schema, n), scores, 0.5)
         assert (components_from_condensed(n, scores, 0.5) == 0).all()
 
     def test_star_centred_on_largest_index(self, mixed_schema):
         n = 300
-        self.check(self.records(mixed_schema, n),
-                   condensed_from_edges(n, [(k, n - 1) for k in range(n - 1)]), 0.5)
+        self.check(self.records(mixed_schema, n), condensed_from_edges(n, star_edges(n)), 0.5)
 
     def test_disjoint_pieces(self, mixed_schema):
-        rng = np.random.default_rng(11)
         n = 400
-        piece = rng.integers(0, 7, size=n)
-        edges = []
-        for p in range(7):
-            members = rng.permutation(np.flatnonzero(piece == p)).tolist()
-            edges += zip(members, members[1:])
+        edges = piece_edges(n, np.random.default_rng(11))
         self.check(self.records(mixed_schema, n), condensed_from_edges(n, edges), 0.5)
 
     @pytest.mark.parametrize("n,edges", [(0, []), (1, []), (2, []), (2, [(0, 1)])])
@@ -121,6 +136,71 @@ class TestComponentLabels:
         threshold = np.nextafter(scores.max(), 2.0)
         self.check(self.records(mixed_schema, 50), scores, threshold)
         assert components_from_condensed(50, scores, threshold).tolist() == list(range(50))
+
+
+class TestComponentsByThreshold:
+    """The one-pass sweep yields, at every threshold, exactly the labels of
+    `components_from_condensed` and the number of scores that clear it."""
+
+    @staticmethod
+    def check(n, scores, thresholds):
+        passed = list(components_by_threshold(n, scores, thresholds))
+        assert [t for t, _, _ in passed] == sorted(map(float, thresholds), reverse=True)
+        # checked after the pass has finished: earlier label arrays must not change
+        for t, labels, tm_pairs in passed:
+            assert labels.tolist() == components_from_condensed(n, scores, t).tolist()
+            assert tm_pairs == int((scores >= t).sum())
+
+    def test_random_condensed_arrays(self):
+        rng = np.random.default_rng(16)
+        for _ in range(200):
+            n = int(rng.integers(2, 61))
+            # scores on a 1/20 lattice, so many sit exactly on grid values
+            scores = rng.integers(0, 21, size=n * (n - 1) // 2) / 20
+            grid = rng.choice(np.arange(1, 20) / 20, size=int(rng.integers(1, 8)))
+            self.check(n, scores, grid.tolist() + grid[:2].tolist())
+
+    @pytest.mark.parametrize("thresholds", [
+        [0.5], [0.7, 0.2, 0.7, 0.45, 0.2], [1.5], [-0.5], [1.5, 0.3, -0.5],
+    ], ids=["single", "duplicates-unsorted", "above-every-score",
+            "below-every-score", "above-and-below"])
+    def test_threshold_lists(self, thresholds):
+        rng = np.random.default_rng(17)
+        self.check(40, rng.random(40 * 39 // 2), thresholds)
+
+    @pytest.mark.parametrize("n,edges", [
+        (2000, path_edges(2000, np.random.default_rng(10))),
+        (300, star_edges(300)),
+        (400, piece_edges(400, np.random.default_rng(11))),
+    ], ids=["path", "star", "disjoint-pieces"])
+    def test_fixture_graphs(self, n, edges):
+        """The component fixtures, with each edge given a random score so
+        the grid splits them into bands."""
+        scores = condensed_from_edges(n, edges)
+        scores *= np.random.default_rng(18).random(len(scores))
+        self.check(n, scores, np.linspace(0.05, 0.95, 19))
+
+    def test_sweep_labels_once(self, monkeypatch, mixed_schema):
+        """A 19-point sweep labels every record outright once, at its top
+        threshold; every lower threshold merges a band."""
+        from erbound import pipeline, resolver
+        from erbound.pipeline import sweep_thresholds
+
+        calls = []
+
+        def counted(n, scores, threshold):
+            calls.append(threshold)
+            return components_from_condensed(n, scores, threshold)
+
+        for module in (resolver, pipeline):
+            monkeypatch.setattr(module, "components_from_condensed", counted, raising=False)
+        rng = np.random.default_rng(19)
+        records = random_records(rng, mixed_schema, 30)
+        result = sweep_thresholds(random_model(rng, mixed_schema), records,
+                                  rng.random(20), np.arange(20) % 2,
+                                  np.linspace(0.05, 0.95, 19))
+        assert len(result.rows) == 19
+        assert calls == [0.95]
 
 
 class TestRSwoosh:
