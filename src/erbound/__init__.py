@@ -37,7 +37,6 @@ from .matching import (
     MatchModel,
     TrainConfig,
     condensed_pairwise_scores,
-    featurize_pair,
     levenshtein,
     normalized_levenshtein,
     score_pair,

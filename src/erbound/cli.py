@@ -201,6 +201,10 @@ def load_validation_stats(path) -> tuple[np.ndarray, np.ndarray]:
         raise DataError(f"{path}: validation stats have no field {exc}") from exc
     except (TypeError, ValueError, IndexError) as exc:
         raise DataError(f"{path}: malformed validation stats: {exc}") from exc
+    bad = scores[~((scores >= 0.0) & (scores <= 1.0))]
+    if len(bad):
+        raise DataError(f"{path}: validation stats field 'score' must be a number in [0, 1], "
+                        f"got {float(bad[0])!r}")
     bad = [label for label in labels if label not in (0, 1)]
     if bad:
         raise DataError(f"{path}: validation stats field 'label' must be 0 or 1, "
@@ -287,10 +291,9 @@ def cmd_sweep(args) -> int:
         }
     (out / "best.json").write_text(json.dumps(best_doc, indent=2, sort_keys=True) + "\n")
     if args.write_clusterings:
-        for row in result.rows:
-            clustering = resolver.resolve_from_condensed(records, result.scores, row.threshold)
-            resolver.write_clustering_csv(
-                out / f"clustering_{row.threshold:.6f}.csv", clustering)
+        for row, labels in zip(result.rows, result.labels):
+            resolver.write_clustering_csv(out / f"clustering_{row.threshold:.6f}.csv",
+                                          resolver.Clustering.from_labels(records, labels))
     _write_effective_config(out, "sweep", args)
     if result.best is None:
         print("sweep finished; no threshold produced a defined bound")

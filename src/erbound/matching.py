@@ -5,16 +5,19 @@ intersection, numeric features by the smallest absolute difference across
 the two value sets, text features by the smallest normalized Levenshtein
 distance. A logistic model over those features gives a match probability,
 and a single cut-off threshold turns it into a boolean match decision.
-Scoring every pair of a record set once yields a condensed score array,
-from which the resolver and the bounds read every threshold's edges.
-Every schema is scored by one vectorized pass, with each column's distinct
-values coded once; `featurize_pair` and `score_pair` stay the per-pair
-definition that training and validation use.
+
+Every pair is featurized by one gather: `PairColumns` codes each feature
+column of a record list once, and `PairColumns.slots` returns the value
+slots of any index pairs. Training pairs, validation pairs (`score_pairs`)
+and the condensed scores of all test pairs, from which the resolver and the
+bounds read every threshold's edges, all go through it, and every score
+comes from one formula. The per-pair definition the gather reproduces is
+`erbound.reference.featurize_pair`, kept there as its oracle.
 """
 
+import functools
 import json
 from dataclasses import dataclass, asdict, field, replace
-from itertools import combinations, product
 from pathlib import Path
 from typing import Mapping, Sequence
 
@@ -54,30 +57,61 @@ def normalized_levenshtein(s: str, t: str) -> float:
     return levenshtein(s, t) / longest
 
 
-def featurize_pair(a: Record, b: Record, schema: FeatureSchema) -> np.ndarray:
-    """Pairwise feature vector of length 2F: F similarity/distance slots in
-    schema order, then F missing indicators in schema order.
-
-    Multi-valued features use the closest match across the cross product of
-    the two value sets. A feature missing on either side gets slot 0 and
-    indicator 1. Symmetric in (a, b).
+class PairColumns:
+    """A record list coded once as one NaN-padded (F, k, n) array: numeric
+    values as they are, categorical and text values as integer codes into
+    their sorted distinct values. Records are the last axis, so a range of
+    them is a view. `slots` gathers the value slots of any index pairs; each
+    text edit distance is computed the first time a gathered pair needs it.
     """
-    n = len(schema)
-    if len(a.values) != n or len(b.values) != n:
-        raise SchemaError("record does not conform to the schema (feature count)")
-    slots = np.zeros(2 * n)
-    for i, feat in enumerate(schema.features):
-        va, vb = a.values[i], b.values[i]
-        if not va or not vb:
-            slots[n + i] = 1.0
-            continue
-        if feat.kind == CATEGORICAL:
-            slots[i] = 1.0 if (va & vb) else 0.0
-        elif feat.kind == NUMERIC:
-            slots[i] = min(abs(x - y) for x, y in product(va, vb))
-        else:  # TEXT
-            slots[i] = min(normalized_levenshtein(x, y) for x, y in product(va, vb))
-    return slots
+
+    def __init__(self, records: Sequence[Record], schema: FeatureSchema):
+        if any(len(r.values) != len(schema) for r in records):
+            raise SchemaError("record does not conform to the schema (feature count)")
+        kinds = [feat.kind for feat in schema.features]
+        self.categorical = [f for f, kind in enumerate(kinds) if kind == CATEGORICAL]
+        self.text = [f for f, kind in enumerate(kinds) if kind == TEXT]
+        coded = sorted({(f, v) for f in self.categorical + self.text
+                        for r in records for v in r.values[f]})
+        distinct, code = [v for _, v in coded], {fv: u for u, fv in enumerate(coded)}
+        self.edit_distance = functools.cache(
+            lambda x, y: normalized_levenshtein(distinct[x], distinct[y]))
+        sizes = [len(v) for r in records for v in r.values]
+        pad = [np.nan] * max([1] + sizes)
+        cells = np.empty((len(records), len(kinds), len(pad)))
+        for i, r in enumerate(records):
+            cells[i] = [(list(v) if kinds[f] == NUMERIC else [code[f, x] for x in v])
+                        + pad[len(v):] for f, v in enumerate(r.values)]
+        self.cells = np.ascontiguousarray(cells.transpose(1, 2, 0))
+        if np.isfinite(self.cells).sum() != sum(sizes):
+            raise DataError("numeric feature values must be finite")
+
+    def slots(self, rows, cols) -> np.ndarray:
+        """(P, F) value slots of the pairs (rows[p], cols[p]) in schema order,
+        NaN exactly where a side is missing; `rows` and `cols` are index arrays
+        or slices. A slot is the closest match over the two value sets: the
+        least absolute difference or edit distance, or for a categorical
+        feature 1 when the sets share a value and 0 when not."""
+        a, b = self.cells[:, :, rows][:, :, None], self.cells[:, :, cols][:, None]
+        diff = np.abs(b - a)  # (F, k, k, P), NaN at padding; 0 between equal codes
+        closest = np.fmin.reduce(diff, axis=(1, 2))
+        if self.categorical:  # codes of two different values lie at least 1 apart
+            closest[self.categorical] = 1.0 - np.minimum(closest[self.categorical], 1.0)
+        if self.text:
+            dist = diff[self.text]
+            apart = dist > 0
+            lo = np.minimum(a[self.text], b[self.text])[apart]  # lo + dist is the other code
+            dist[apart] = list(map(self.edit_distance, lo.astype(int).tolist(),
+                                   (lo + dist[apart]).astype(int).tolist()))
+            closest[self.text] = np.fmin.reduce(dist, axis=(1, 2))
+        return closest.T
+
+
+def _pair_list_slots(pairs: Sequence[tuple], schema: FeatureSchema) -> np.ndarray:
+    """Value slots of a list of (a, b, ...) record pairs, in one gather."""
+    p = len(pairs)
+    columns = PairColumns([pair[0] for pair in pairs] + [pair[1] for pair in pairs], schema)
+    return columns.slots(slice(0, p), slice(p, 2 * p))
 
 
 @dataclass(frozen=True)
@@ -115,13 +149,14 @@ class MatchModel:
     config: TrainConfig = field(default_factory=TrainConfig)
 
     def __post_init__(self):
-        object.__setattr__(self, "weights", np.asarray(self.weights, dtype=float))
-        object.__setattr__(self, "feature_means", np.asarray(self.feature_means, dtype=float))
-        object.__setattr__(self, "feature_scales", np.asarray(self.feature_scales, dtype=float))
         n = 2 * len(self.schema)
         for name in ("weights", "feature_means", "feature_scales"):
+            object.__setattr__(self, name, np.asarray(getattr(self, name), dtype=float))
             if getattr(self, name).shape != (n,):
                 raise SchemaError(f"{name} must have shape ({n},)")
+        for name in ("weights", "bias", "feature_means", "feature_scales"):
+            if not np.isfinite(getattr(self, name)).all():
+                raise ValueError(f"{name} must be finite")
         if not 0.0 < self.threshold < 1.0:
             raise ValueError("threshold must lie strictly inside (0, 1)")
         if not np.all(self.feature_scales > 0):
@@ -245,7 +280,9 @@ def train_match_model(pairs: Sequence[tuple[Record, Record, int]],
     config = config or TrainConfig()
     if not pairs:
         raise DegenerateDataError("no training pairs")
-    X = np.stack([featurize_pair(a, b, schema) for a, b, _ in pairs])
+    slots = np.ascontiguousarray(_pair_list_slots(pairs, schema))  # column sums in pair order
+    missing = np.isnan(slots)
+    X = np.hstack([np.where(missing, 0.0, slots), missing])
     y = np.array([label for _, _, label in pairs], dtype=float)
     if not np.all((y == 0.0) | (y == 1.0)):
         raise DataError("labels must be 0 or 1")
@@ -258,78 +295,33 @@ def train_match_model(pairs: Sequence[tuple[Record, Record, int]],
     scales = np.where(stds > 1e-12, stds, 1.0)
     Z = (X - means) / scales
     w, b, _ = fit_logistic(Z, y, config)
-    return MatchModel(
-        schema=schema,
-        weights=w,
-        bias=b,
-        threshold=threshold,
-        feature_means=means,
-        feature_scales=scales,
-        config=config,
-    )
+    return MatchModel(schema=schema, weights=w, bias=b, threshold=threshold,
+                      feature_means=means, feature_scales=scales, config=config)
+
+
+def _scorer(model: MatchModel):
+    """The match function of (P, F) value slots, NaN where missing, with the
+    standardization folded into the weights: sigmoid(x . w/scale + bias -
+    w . mean/scale), x the slots (0 where missing) and missing indicators."""
+    w = model.weights / model.feature_scales
+    offset = model.bias - float(w @ model.feature_means)
+    w_slot, w_missing = w.reshape(2, -1)
+
+    def score(slots: np.ndarray) -> np.ndarray:
+        x = slots.T  # feature-major, as the gather lays its slots out
+        missing = np.isnan(x)
+        return sigmoid(w_slot @ np.where(missing, 0.0, x) + w_missing @ missing + offset)
+    return score
+
+
+def score_pairs(model: MatchModel, pairs: Sequence[tuple]) -> np.ndarray:
+    """Match probabilities of the (a, b, ...) record pairs in a list."""
+    return _scorer(model)(_pair_list_slots(pairs, model.schema))
 
 
 def score_pair(model: MatchModel, a: Record, b: Record) -> float:
     """Match probability in [0, 1]; symmetric in (a, b)."""
-    z = (featurize_pair(a, b, model.schema) - model.feature_means) / model.feature_scales
-    return float(sigmoid(model.weights @ z + model.bias))
-
-
-def _slot_order(schema: FeatureSchema) -> list[int]:
-    """Schema indices in `_pair_slots` column order: numeric features first."""
-    return sorted(range(len(schema)), key=lambda f: schema.features[f].kind != NUMERIC)
-
-
-def _pair_slots(records: Sequence[Record], schema: FeatureSchema):
-    """Yield, for each i < n - 1, the `featurize_pair` value slots of the
-    pairs (i, j), j > i: an (n - 1 - i, F) array in `_slot_order` columns,
-    NaN exactly where a side is missing.
-
-    Each column is encoded once: numeric features as one NaN-padded
-    (n, F_num, k) array; each categorical or text feature as codes into its
-    sorted distinct values, padded with code U. A text feature also gets a
-    (U+1)x(U+1) edit-distance table whose padding row and column are NaN;
-    categorical codes are compared for equality. A slot is the NaN-ignoring
-    minimum over the cross product of the two value sets.
-    """
-    n, m = len(records), len(schema)
-    if any(len(r.values) != m for r in records):
-        raise SchemaError("record does not conform to the schema (feature count)")
-    numeric = [f for f, feat in enumerate(schema.features) if feat.kind == NUMERIC]
-    width = max([1] + [len(r.values[f]) for r in records for f in numeric])
-    values = np.full((n, len(numeric), width), np.nan)
-    for i, r in enumerate(records):
-        for c, f in enumerate(numeric):
-            values[i, c, :len(r.values[f])] = list(r.values[f])
-    coded = []
-    for f in _slot_order(schema)[len(numeric):]:
-        distinct = sorted(set().union(*(r.values[f] for r in records)))
-        code = {v: u for u, v in enumerate(distinct)}
-        u_pad = len(distinct)
-        codes = np.full((n, max([1] + [len(r.values[f]) for r in records])), u_pad)
-        for i, r in enumerate(records):
-            codes[i, :len(r.values[f])] = [code[v] for v in r.values[f]]
-        table = None
-        if schema.features[f].kind == TEXT:  # one edit distance per distinct pair
-            table = np.zeros((u_pad + 1, u_pad + 1))
-            table[u_pad] = table[:, u_pad] = np.nan
-            for a, b in combinations(range(u_pad), 2):
-                table[a, b] = table[b, a] = normalized_levenshtein(distinct[a], distinct[b])
-        coded.append((codes, u_pad, table))
-    for i in range(n - 1):
-        slots = np.empty((n - 1 - i, m))
-        diffs = np.abs(values[i + 1:, :, :, None] - values[i, :, None, :])
-        slots[:, :len(numeric)] = np.fmin.reduce(diffs, axis=(2, 3))
-        for c, (codes, u_pad, table) in enumerate(coded, start=len(numeric)):
-            if table is None:  # categorical: 0 at record i's values, else 1
-                nearest = np.full(u_pad + 1, np.nan if codes[i, 0] == u_pad else 1.0)
-                nearest[codes[i]] = 0.0
-                nearest[u_pad] = np.nan
-            else:
-                nearest = np.fmin.reduce(table[codes[i]], axis=0)
-            closest = np.fmin.reduce(nearest[codes[i + 1:]], axis=1)
-            slots[:, c] = closest if table is not None else 1.0 - closest
-        yield slots
+    return float(score_pairs(model, [(a, b)])[0])
 
 
 def condensed_pairwise_scores(model: MatchModel,
@@ -337,18 +329,14 @@ def condensed_pairwise_scores(model: MatchModel,
     """Scores for all unordered record pairs, in condensed order: pair
     (i, j) with i < j sits at index i*n - i*(i+1)/2 + (j - i - 1).
 
-    One vectorized pass for every schema: each row's slots come from
-    `_pair_slots`, and the standardization is folded into the weights, so
-    score = sigmoid(x . w/scale + bias - w . mean/scale).
+    The records are coded once, and each row i is one gather of the pairs
+    (i, j), j > i, from views of the coded array.
     """
-    out = np.empty(len(records) * (len(records) - 1) // 2)
-    w = model.weights / model.feature_scales
-    offset = model.bias - float(w @ model.feature_means)
-    w_slot, w_missing = w.reshape(2, -1)[:, _slot_order(model.schema)]
+    n = len(records)
+    out = np.empty(n * (n - 1) // 2)
+    columns, score = PairColumns(records, model.schema), _scorer(model)
     pos = 0
-    for slots in _pair_slots(records, model.schema):
-        missing = np.isnan(slots)
-        slots[missing] = 0.0
-        out[pos:pos + len(slots)] = sigmoid(slots @ w_slot + missing @ w_missing + offset)
-        pos += len(slots)
+    for i in range(n - 1):
+        out[pos:pos + n - 1 - i] = score(columns.slots(slice(i, i + 1), slice(i + 1, n)))
+        pos += n - 1 - i
     return out

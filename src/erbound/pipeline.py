@@ -24,7 +24,8 @@ from .bounds import ValidationStats, compute_bound_report, f1_lower_bound, wilso
 from .dataset import (GoldTruth, Split, SplitSpec, generate_synthetic, split_dataset,
                       synthetic_schema)
 from .errors import ConfigError, DegenerateDataError, UninformativeMatcherError
-from .matching import MatchModel, TrainConfig, condensed_pairwise_scores, train_match_model
+from .matching import (MatchModel, TrainConfig, condensed_pairwise_scores, score_pairs,
+                       train_match_model)
 from .records import FeatureSchema, Record
 from .resolver import components_by_threshold
 
@@ -55,15 +56,10 @@ class TrainOutcome:
 
 def score_labeled_pairs(model: MatchModel,
                         pairs: Sequence[tuple[Record, Record, int]]) -> list[ScoredPair]:
-    from .matching import score_pair
-
-    out = []
-    for a, b, label in pairs:
-        ia, ib = a.record_id, b.record_id
-        if ib < ia:
-            ia, ib = ib, ia
-        out.append(ScoredPair(ia, ib, label, score_pair(model, a, b)))
-    return out
+    """Score (record, record, label) triples in one batch; each result
+    carries the pair's ids in sorted order."""
+    return [ScoredPair(*sorted((a.record_id, b.record_id)), label, score)
+            for (a, b, label), score in zip(pairs, score_pairs(model, pairs).tolist())]
 
 
 def train_pipeline(records: Sequence[Record], gold: GoldTruth, schema: FeatureSchema,
@@ -103,15 +99,16 @@ class SweepRow:
 
 @dataclass(frozen=True)
 class SweepResult:
-    """Rows, the selected row, and the condensed test-pair scores every row
-    was computed from, so a caller can resolve at any row's threshold
-    without scoring the pairs again."""
+    """Rows, the selected row, the condensed test-pair scores every row was
+    computed from, so a caller can resolve at any threshold without scoring
+    the pairs again, and each row's component label per test record."""
 
     rows: list[SweepRow]
     best: SweepRow | None
     select_metric: str
     recall_floor: float | None
     scores: np.ndarray = field(repr=False, compare=False)
+    labels: list[np.ndarray] = field(repr=False, compare=False)
 
 
 SELECT_METRICS = ("precision_lb", "recall_lb", "f1_lb")
@@ -166,7 +163,7 @@ def sweep_thresholds(model: MatchModel, test_records: Sequence[Record],
                            return_inverse=True)[1]
         truth_total = _pairs_within(entity)
 
-    rows = []
+    rows, row_labels = [], []
     for t, labels, tm_pairs in components_by_threshold(n, scores, thresholds):
         r_pairs = _pairs_within(labels)
         row = {"threshold": t, "r_pairs": r_pairs, "tm_pairs": tm_pairs}
@@ -195,7 +192,9 @@ def sweep_thresholds(model: MatchModel, test_records: Sequence[Record],
             row.update(true_precision=precision, true_recall=recall,
                        true_f1=f1_lower_bound(precision, recall))
         rows.append(SweepRow(**row))
+        row_labels.append(labels)
     rows.reverse()
+    row_labels.reverse()
 
     for prev, cur in zip(rows, rows[1:]):
         if cur.r_pairs > prev.r_pairs or cur.tm_pairs > prev.tm_pairs:
@@ -204,7 +203,7 @@ def sweep_thresholds(model: MatchModel, test_records: Sequence[Record],
                 "the resolver violated edge-removal monotonicity"
             )
     return SweepResult(rows, select_best_row(rows, select_metric, recall_floor),
-                       select_metric, recall_floor, scores)
+                       select_metric, recall_floor, scores, row_labels)
 
 
 @dataclass(frozen=True)

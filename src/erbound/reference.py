@@ -1,6 +1,8 @@
 """Reference engines: slow, direct implementations that the tests hold the
 production path to. No production module imports this one.
 
+- The per-pair featurization and score, which the production gather
+  `matching.PairColumns` and its one scoring formula reproduce.
 - R-Swoosh, the iterative match/merge fixpoint (Benjelloun et al.,
   "Swoosh: a generic approach to entity resolution", VLDB J. 2009), with
   set-union merge of records.
@@ -17,15 +19,46 @@ equals the connected components of the direct-match graph, which is what
 
 from collections import deque
 from dataclasses import dataclass
-from itertools import combinations
+from itertools import combinations, product
 from typing import Callable, Iterable, Iterator, Mapping, Sequence
+
+import numpy as np
 
 from .bounds import f1_lower_bound
 from .dataset import Pair
 from .errors import DataError, SchemaError
-from .matching import MatchModel, condensed_pairwise_scores, score_pair
-from .records import Record
+from .matching import MatchModel, condensed_pairwise_scores, normalized_levenshtein, sigmoid
+from .records import CATEGORICAL, NUMERIC, FeatureSchema, Record
 from .resolver import Clustering, _check_base_inputs
+
+
+def featurize_pair(a: Record, b: Record, schema: FeatureSchema) -> np.ndarray:
+    """Pairwise feature vector of length 2F: F slots in schema order, each
+    the closest match across the cross product of the two value sets (0
+    where a side is missing), then F missing indicators. Symmetric in (a, b).
+    """
+    n = len(schema)
+    if len(a.values) != n or len(b.values) != n:
+        raise SchemaError("record does not conform to the schema (feature count)")
+    slots = np.zeros(2 * n)
+    for i, feat in enumerate(schema.features):
+        va, vb = a.values[i], b.values[i]
+        if not va or not vb:
+            slots[n + i] = 1.0
+        elif feat.kind == CATEGORICAL:
+            slots[i] = 1.0 if (va & vb) else 0.0
+        elif feat.kind == NUMERIC:
+            slots[i] = min(abs(x - y) for x, y in product(va, vb))
+        else:  # TEXT
+            slots[i] = min(normalized_levenshtein(x, y) for x, y in product(va, vb))
+    return slots
+
+
+def pair_score(model: MatchModel, a: Record, b: Record) -> float:
+    """Match probability of one pair from `featurize_pair`, standardized
+    before the weights: sigmoid(w . (x - mean)/scale + bias)."""
+    z = (featurize_pair(a, b, model.schema) - model.feature_means) / model.feature_scales
+    return float(sigmoid(model.weights @ z + model.bias))
 
 
 def merge_records(o1: Record, o2: Record) -> Record:
@@ -51,7 +84,7 @@ def base_match(model: MatchModel, a: Record, b: Record) -> bool:
         raise ValueError("base_match takes base records, not merged ones")
     if a == b:
         return True
-    return score_pair(model, a, b) >= model.threshold
+    return pair_score(model, a, b) >= model.threshold
 
 
 def pairwise_scores(model: MatchModel,

@@ -56,6 +56,14 @@ class Clustering:
             clusters[min(members, default="")] = members
         return cls(clusters)
 
+    @classmethod
+    def from_labels(cls, records: Sequence[Record], labels: np.ndarray) -> "Clustering":
+        """Group the records' ids by their component labels."""
+        groups: dict[int, list[str]] = {}
+        for record, label in zip(records, labels.tolist()):
+            groups.setdefault(label, []).append(record.record_id)
+        return cls.from_groups(groups.values())
+
 
 def _check_base_inputs(records: Sequence[Record]) -> None:
     """Resolver inputs must be base records with distinct ids."""
@@ -131,11 +139,8 @@ def resolve_from_condensed(records: Sequence[Record], scores: np.ndarray,
     identical to `reference.resolve_connected_components` with the
     thresholded matcher the scores came from."""
     _check_base_inputs(records)
-    groups: dict[int, list[str]] = {}
-    labels = components_from_condensed(len(records), scores, threshold)
-    for record, label in zip(records, labels.tolist()):
-        groups.setdefault(label, []).append(record.record_id)
-    return Clustering.from_groups(groups.values())
+    return Clustering.from_labels(
+        records, components_from_condensed(len(records), scores, threshold))
 
 
 def write_clustering_csv(path, clustering: Clustering) -> None:

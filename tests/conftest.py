@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+import erbound
 from erbound.matching import MatchModel, TrainConfig
 from erbound.records import (
     CATEGORICAL,
@@ -38,7 +39,7 @@ WORDS = ["john", "jon", "doe", "dina", "alex", "ale", "smith", "smyth", "wu"]
 CATS = ["a", "b", "c", "d", "e"]
 
 
-def random_record(rng, schema, rid, max_values=2, missing_rate=0.2):
+def random_record(rng, schema, rid, max_values=2, missing_rate=0.2, words=WORDS):
     values = {}
     for feat in schema.features:
         if rng.random() < missing_rate:
@@ -49,8 +50,13 @@ def random_record(rng, schema, rid, max_values=2, missing_rate=0.2):
         elif feat.kind == CATEGORICAL:
             values[feat.name] = [CATS[i] for i in rng.integers(0, len(CATS), size=k)]
         else:
-            values[feat.name] = [WORDS[i] for i in rng.integers(0, len(WORDS), size=k)]
+            values[feat.name] = [words[i] for i in rng.integers(0, len(words), size=k)]
     return base_record(schema, rid, values)
+
+
+def random_words(rng, n):
+    """n random lowercase strings of 1 to 6 letters, mostly distinct."""
+    return ["".join(rng.choice(list("abcdef"), size=rng.integers(1, 7))) for _ in range(n)]
 
 
 def random_records(rng, schema, n, **kwargs):
@@ -71,3 +77,20 @@ def random_model(rng, schema, threshold=None):
         feature_scales=np.ones(m),
         config=TrainConfig(),
     )
+
+
+def count_calls(monkeypatch, original):
+    """Wrap `original` at every erbound module that binds it (some import it
+    by name) and return the list that collects the arguments of each call."""
+    calls = []
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    for module in [erbound] + [getattr(erbound, name) for name in dir(erbound)]:
+        if getattr(module, "__name__", "").startswith("erbound"):
+            for attr, value in list(vars(module).items()):
+                if value is original:
+                    monkeypatch.setattr(module, attr, counting)
+    return calls

@@ -5,8 +5,10 @@ import json
 import pytest
 
 import erbound
-from erbound import matching
+from erbound import matching, resolver
 from erbound.cli import EXIT_DATA, EXIT_GATE, EXIT_OK, SWEEP_COLUMNS, _fmt, main
+
+from conftest import count_calls
 
 
 NOT_UTF8 = b"id,label\n" + b"\xc1\xff\xfe" * 1000
@@ -152,7 +154,16 @@ class TestSweep:
             "--grid-start", "0.5", "--grid-stop", "0.9", "--grid-steps", "2",
             "--write-clusterings", "--out", str(out),
         ]) == EXIT_OK
-        assert len(list(out.glob("clustering_*.csv"))) == 2
+        files = sorted(out.glob("clustering_*.csv"))
+        assert [f.name for f in files] == ["clustering_0.500000.csv", "clustering_0.900000.csv"]
+        model = matching.load_model(run / "model.json")
+        records = erbound.load_records_csv(run / "test_records.csv", model.schema)
+        scores = matching.condensed_pairwise_scores(model, records)
+        for path, threshold in zip(files, (0.5, 0.9)):
+            resolver.write_clustering_csv(
+                tmp_path / "expected.csv",
+                resolver.resolve_from_condensed(records, scores, threshold))
+            assert path.read_bytes() == (tmp_path / "expected.csv").read_bytes()
 
     def test_bad_grid(self, trained, tmp_path, capsys):
         data, run = trained
@@ -166,29 +177,10 @@ class TestSweep:
         assert code == EXIT_DATA
 
 
-def count_scoring_calls(monkeypatch):
-    """Wrap condensed_pairwise_scores at every module that binds it (some
-    import it by name) and return the list that collects one entry per call."""
-    original = matching.condensed_pairwise_scores
-    calls = []
-
-    def counting(*args, **kwargs):
-        calls.append(1)
-        return original(*args, **kwargs)
-
-    for name in dir(erbound):
-        module = getattr(erbound, name)
-        if getattr(module, "__name__", "").startswith("erbound."):
-            for attr, value in list(vars(module).items()):
-                if value is original:
-                    monkeypatch.setattr(module, attr, counting)
-    return calls
-
-
 class TestScoreOnce:
     def test_resolve_scores_once(self, trained, tmp_path, monkeypatch):
         _, run = trained
-        calls = count_scoring_calls(monkeypatch)
+        calls = count_calls(monkeypatch, matching.condensed_pairwise_scores)
         assert main([
             "resolve", "--model", str(run / "model.json"),
             "--records", str(run / "test_records.csv"),
@@ -202,7 +194,8 @@ class TestScoreOnce:
         _, run = trained
         counts = []
         for steps in ("2", "3"):
-            calls = count_scoring_calls(monkeypatch)
+            calls = count_calls(monkeypatch, matching.condensed_pairwise_scores)
+            labellings = count_calls(monkeypatch, resolver.components_from_condensed)
             assert main([
                 "sweep", "--model", str(run / "model.json"),
                 "--records", str(run / "test_records.csv"),
@@ -212,9 +205,9 @@ class TestScoreOnce:
             ]) == EXIT_OK
             assert len(list((tmp_path / f"sweep{steps}").glob("clustering_*.csv"))) == \
                 int(steps)
-            counts.append(len(calls))
+            counts.append((len(calls), len(labellings)))
             monkeypatch.undo()
-        assert counts[0] == counts[1] == 1
+        assert counts[0] == counts[1] == (1, 1)
 
 
 class TestResolve:
@@ -422,6 +415,38 @@ class TestMalformedInputs:
         assert self.resolve(run, tmp_path, model=bad) == EXIT_DATA
         err = capsys.readouterr().err
         assert str(bad) in err and shown in err
+        assert not (tmp_path / "out" / "clustering.csv").exists()
+
+    @pytest.mark.parametrize("field,value", [
+        ("weights", float("nan")), ("weights", float("inf")), ("bias", float("nan")),
+        ("bias", float("-inf")), ("feature_means", float("nan")),
+        ("feature_scales", float("inf")),
+    ])
+    def test_model_value_not_finite(self, trained, tmp_path, capsys, field, value):
+        _, run = trained
+        doc = json.loads((run / "model.json").read_text())
+        if field == "bias":
+            doc["bias"] = value
+        else:
+            key = {"weights": None, "feature_means": "mean", "feature_scales": "scale"}[field]
+            (doc["standardization"][key] if key else doc["weights"])[1] = value
+        bad = tmp_path / "model.json"
+        bad.write_text(json.dumps(doc))
+        assert self.resolve(run, tmp_path, model=bad) == EXIT_DATA
+        err = capsys.readouterr().err
+        assert str(bad) in err and f"{field} must be finite" in err
+        assert not (tmp_path / "out" / "clustering.csv").exists()
+
+    @pytest.mark.parametrize("score", [float("nan"), float("inf"), float("-inf"), 1.7, -0.2])
+    def test_stats_score_outside_unit_interval(self, trained, tmp_path, capsys, score):
+        _, run = trained
+        doc = json.loads((run / "validation_stats.json").read_text())
+        doc["pairs"][3]["score"] = score
+        bad = tmp_path / "validation_stats.json"
+        bad.write_text(json.dumps(doc))
+        assert self.resolve(run, tmp_path, stats=bad) == EXIT_DATA
+        err = capsys.readouterr().err
+        assert str(bad) in err and "'score'" in err and repr(score) in err
         assert not (tmp_path / "out" / "clustering.csv").exists()
 
     def test_stats_score_wrong_type(self, trained, tmp_path, capsys):

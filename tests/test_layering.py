@@ -1,10 +1,19 @@
-"""Module layering rules, checked on the source text with `ast`."""
+"""Module layering rules, checked on the source text with `ast`, and the
+one featurizer that training and validation share with test scoring."""
 
 import ast
 import sys
 from pathlib import Path
 
+import numpy as np
+
 import erbound
+from erbound import matching
+from erbound.dataset import GoldTruth, SplitSpec
+from erbound.pipeline import train_pipeline
+from erbound.records import TEXT
+
+from conftest import count_calls, random_records, random_words
 
 PACKAGE = Path(erbound.__file__).parent
 
@@ -51,3 +60,31 @@ def test_import_forms_are_recognized():
                    "from erbound.reference import resolve_rswoosh"):
         assert "erbound.reference" in imported_modules(ast.parse(source)), source
     assert "erbound.reference" not in imported_modules(ast.parse("from .resolver import x"))
+
+
+def test_featurize_pair_defined_only_in_reference():
+    defining = sorted(
+        path.name for path in PACKAGE.glob("*.py")
+        for node in ast.walk(ast.parse(path.read_text()))
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+        and node.name == "featurize_pair"
+    )
+    assert defining == ["reference.py"]
+
+
+def test_train_pipeline_scores_no_pair_alone(monkeypatch, mixed_schema):
+    """Training and validation pairs go through the gather: no `score_pair`
+    call, and at most one edit distance per distinct text value pair that
+    the training pairs, or the validation pairs, hold."""
+    rng = np.random.default_rng(21)
+    records = random_records(rng, mixed_schema, 200, words=random_words(rng, 100))
+    gold = GoldTruth({r.record_id: f"e{k % 50}" for k, r in enumerate(records)})
+    per_pair = count_calls(monkeypatch, matching.score_pair)
+    distances = count_calls(monkeypatch, matching.normalized_levenshtein)
+    outcome = train_pipeline(records, gold, mixed_schema, SplitSpec(60, 60, seed=21))
+    assert per_pair == []
+    text = [f for f, feat in enumerate(mixed_schema.features) if feat.kind == TEXT]
+    held = sum(len({(f, frozenset((x, y))) for a, b, _ in pairs for f in text
+                    for x in a.values[f] for y in b.values[f] if x != y})
+               for pairs in (outcome.split.train_pairs, outcome.split.validation_pairs))
+    assert 0 < len(distances) <= held

@@ -8,11 +8,9 @@ import pytest
 from erbound.errors import DataError, DegenerateDataError, SchemaError
 from erbound.matching import (
     MatchModel,
+    PairColumns,
     TrainConfig,
-    _pair_slots,
-    _slot_order,
     condensed_pairwise_scores,
-    featurize_pair,
     fit_logistic,
     levenshtein,
     load_model,
@@ -21,6 +19,7 @@ from erbound.matching import (
     normalized_levenshtein,
     save_model,
     score_pair,
+    score_pairs,
     train_match_model,
 )
 from erbound.records import (
@@ -33,12 +32,14 @@ from erbound.records import (
 )
 from erbound.reference import (
     base_match,
+    featurize_pair,
     matcher_from_scores,
     merge_records,
+    pair_score,
     pairwise_scores,
 )
 
-from conftest import random_model, random_record, random_records
+from conftest import random_model, random_record, random_records, random_words
 
 
 def oracle_levenshtein(s, t):
@@ -189,6 +190,18 @@ class TestTraining:
         pairs[0] = (a, b, 2)
         with pytest.raises(DataError):
             train_match_model(pairs, mixed_schema)
+
+    def test_features_are_the_per_pair_features(self, mixed_schema):
+        """The gather's training features are `reference.featurize_pair`'s
+        rows bit for bit, so the stored standardization is too."""
+        rng = np.random.default_rng(8)
+        records = random_records(rng, mixed_schema, 120, max_values=3, missing_rate=0.3)
+        pairs = [(records[2 * k], records[2 * k + 1], k % 2) for k in range(60)]
+        model = train_match_model(pairs, mixed_schema, TrainConfig(epochs=5))
+        X = np.stack([featurize_pair(a, b, mixed_schema) for a, b, _ in pairs])
+        stds = X.std(axis=0)
+        assert np.array_equal(model.feature_means, X.mean(axis=0))
+        assert np.array_equal(model.feature_scales, np.where(stds > 1e-12, stds, 1.0))
 
     def test_gradient_near_zero_at_convergence(self):
         schema, pairs = _overlapping_numeric_pairs(n=100)
@@ -350,6 +363,15 @@ def absent_feature_case(rng, mixed_schema):
                     for r in records]
 
 
+def assert_slots_match_reference(slots, pairs, schema):
+    """Gathered slots equal `reference.featurize_pair`'s, with NaN exactly
+    at its missing indicators."""
+    m = len(schema)
+    features = np.reshape([featurize_pair(a, b, schema) for a, b in pairs], (-1, 2 * m))
+    assert np.array_equal(np.nan_to_num(slots), features[:, :m])
+    assert np.array_equal(np.isnan(slots), features[:, m:] == 1.0)
+
+
 class TestBulkScores:
     @pytest.mark.parametrize("case", [
         synthetic_case, mixed_case(14), one_kind_case(TEXT),
@@ -361,16 +383,47 @@ class TestBulkScores:
         rng = np.random.default_rng(13)
         schema, records = case(rng, mixed_schema)
         model = random_model(rng, schema)
+        n = len(records)
         pairs = [(a, b) for i, a in enumerate(records) for b in records[i + 1:]]
         scores = condensed_pairwise_scores(model, records)
         assert scores.shape == (len(pairs),)
-        assert np.allclose(scores, [score_pair(model, a, b) for a, b in pairs],
+        assert np.allclose(scores, [pair_score(model, a, b) for a, b in pairs],
                            rtol=0.0, atol=1e-12)
-        m, order = len(schema), _slot_order(schema)
-        features = np.reshape([featurize_pair(a, b, schema) for a, b in pairs], (-1, 2 * m))
-        slots = np.vstack([np.empty((0, m)), *_pair_slots(records, schema)])
-        assert np.array_equal(np.nan_to_num(slots), features[:, order])
-        assert np.array_equal(np.isnan(slots), features[:, m:][:, order] == 1.0)
+        columns = PairColumns(records, schema)
+        row_blocks = [columns.slots(slice(i, i + 1), slice(i + 1, n)) for i in range(n - 1)]
+        assert_slots_match_reference(np.vstack([np.empty((0, len(schema))), *row_blocks]),
+                                     pairs, schema)
+        assert_slots_match_reference(columns.slots(*np.triu_indices(n, 1)), pairs, schema)
+
+    def test_sparse_pair_list(self, monkeypatch, mixed_schema):
+        """A few pairs of many records with missing and multi-valued cells,
+        a self-pair and a swapped pair: the per-pair slots and scores, and
+        edit distances only for the text value pairs the list holds."""
+        from erbound import matching
+
+        rng = np.random.default_rng(19)
+        records = random_records(rng, mixed_schema, 300, max_values=3, missing_rate=0.3,
+                                 words=random_words(rng, 150))
+        rows, cols = rng.integers(0, 300, size=(2, 40))
+        rows, cols = np.append(rows, [rows[0], cols[0]]), np.append(cols, [rows[0], rows[0]])
+        pairs = [(records[i], records[j]) for i, j in zip(rows, cols)]
+        calls = []
+
+        def counted(s, t):
+            calls.append((s, t))
+            return normalized_levenshtein(s, t)
+
+        monkeypatch.setattr(matching, "normalized_levenshtein", counted)
+        assert_slots_match_reference(PairColumns(records, mixed_schema).slots(rows, cols),
+                                     pairs, mixed_schema)
+        held = {(f, frozenset((x, y))) for a, b in pairs for f in (0, 1)
+                for x in a.values[f] for y in b.values[f] if x != y}
+        assert len(calls) == len(held) > 0
+        distinct = len(set().union(*(r.values[0] for r in records)))
+        assert 10 * len(held) < distinct * (distinct - 1) // 2  # the list is sparse
+        model = random_model(rng, mixed_schema)
+        assert np.allclose(score_pairs(model, pairs),
+                           [pair_score(model, a, b) for a, b in pairs], rtol=0.0, atol=1e-12)
 
     def test_one_vectorized_pass(self, monkeypatch, mixed_schema):
         """No per-pair scoring, and one edit distance per distinct text pair."""
@@ -379,7 +432,7 @@ class TestBulkScores:
         rng = np.random.default_rng(14)
         records = random_records(rng, mixed_schema, 40, max_values=2)
         model = random_model(rng, mixed_schema)
-        expected = [score_pair(model, a, b) for i, a in enumerate(records)
+        expected = [pair_score(model, a, b) for i, a in enumerate(records)
                     for b in records[i + 1:]]
 
         def forbidden(*args):
@@ -392,7 +445,6 @@ class TestBulkScores:
             return normalized_levenshtein(s, t)
 
         monkeypatch.setattr(matching, "score_pair", forbidden)
-        monkeypatch.setattr(matching, "featurize_pair", forbidden)
         monkeypatch.setattr(matching, "normalized_levenshtein", counted)
         scores = condensed_pairwise_scores(model, records)
         assert np.allclose(scores, expected, rtol=0.0, atol=1e-12)

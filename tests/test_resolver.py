@@ -111,10 +111,9 @@ class TestComponentLabels:
             records = random_records(rng, mixed_schema, int(rng.integers(2, 25)))
             self.check(records, condensed_pairwise_scores(model, records), model.threshold)
 
-    def test_random_order_path(self, mixed_schema):
+    def test_random_order_path(self):
         n = 2000
         scores = condensed_from_edges(n, path_edges(n, np.random.default_rng(10)))
-        self.check(self.records(mixed_schema, n), scores, 0.5)
         assert (components_from_condensed(n, scores, 0.5) == 0).all()
 
     def test_star_centred_on_largest_index(self, mixed_schema):
