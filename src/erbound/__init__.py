@@ -37,8 +37,6 @@ from .matching import (
     MatchModel,
     TrainConfig,
     condensed_pairwise_scores,
-    levenshtein,
-    normalized_levenshtein,
     score_pair,
     train_match_model,
 )

@@ -139,6 +139,9 @@ class ValidationStats:
         bad = labels[(labels != 0) & (labels != 1)]
         if bad.size:
             raise ValueError(f"validation labels must be 0 or 1, got {bad[0]}")
+        bad = scores[~((scores >= 0.0) & (scores <= 1.0))]  # NaN fails both
+        if bad.size:
+            raise ValueError(f"validation scores must lie in [0, 1], got {bad[0]}")
         predicted = scores >= threshold
         positive = labels == 1
         return cls(

@@ -11,11 +11,14 @@ column of a record list once, and `PairColumns.slots` returns the value
 slots of any index pairs. Training pairs, validation pairs (`score_pairs`)
 and the condensed scores of all test pairs, from which the resolver and the
 bounds read every threshold's edges, all go through it, and every score
-comes from one formula. The per-pair definition the gather reproduces is
-`erbound.reference.featurize_pair`, kept there as its oracle.
+comes from one formula. The test pairs are gathered in blocks of rows. The
+text edit distances a gather needs are computed in one vectorized
+Levenshtein DP over the value pairs not yet known, and cached as sorted
+keys. The per-pair definition the gather reproduces is
+`erbound.reference.featurize_pair`, kept there with the scalar edit
+distance as their oracles.
 """
 
-import functools
 import json
 from dataclasses import dataclass, asdict, field, replace
 from pathlib import Path
@@ -29,40 +32,55 @@ from .records import CATEGORICAL, NUMERIC, TEXT, FeatureSchema, Record
 MODEL_FORMAT_VERSION = 1
 
 
-def levenshtein(s: str, t: str) -> int:
-    """Edit distance with unit insert/delete/substitute costs."""
-    if s == t:
-        return 0
-    if not s:
-        return len(t)
-    if not t:
-        return len(s)
-    prev = list(range(len(t) + 1))
-    cur = [0] * (len(t) + 1)
-    for i, cs in enumerate(s):
-        cur[0] = i + 1
-        for j, ct in enumerate(t):
-            cost = 0 if cs == ct else 1
-            cur[j + 1] = min(cur[j] + 1, prev[j + 1] + 1, prev[j] + cost)
-        prev, cur = cur, prev
-    return prev[len(t)]
+# row blocks of the condensed scores keep their (F, k, k, pairs) temporary
+# at about this many elements: 128 KiB of float64. Blocks of 2^15 and more
+# took more page faults and ran slower in a fresh process.
+BLOCK_ELEMENTS = 1 << 14
 
 
-def normalized_levenshtein(s: str, t: str) -> float:
-    """Edit distance divided by the longer length, in [0, 1]. Two empty
-    strings are identical (0.0)."""
-    longest = max(len(s), len(t))
-    if longest == 0:
-        return 0.0
-    return levenshtein(s, t) / longest
+def _code_points(strings: Sequence[str]) -> tuple[np.ndarray, np.ndarray]:
+    """(U, L) code points of U strings, zero past each end, and their lengths."""
+    lengths = np.array([len(s) for s in strings], dtype=np.intp)
+    chars = np.zeros((len(strings), lengths.max(initial=0)), dtype=np.uint32)
+    chars[np.arange(chars.shape[1]) < lengths[:, None]] = np.frombuffer(
+        "".join(strings).encode("utf-32-le", "surrogatepass"), dtype=np.uint32)
+    return chars, lengths
+
+
+def _batch_levenshtein(chars: np.ndarray, lengths: np.ndarray,
+                       s: np.ndarray, t: np.ndarray) -> np.ndarray:
+    """Levenshtein distances (unit insert/delete/substitute costs) of the
+    strings s[p] and t[p], given as rows of `_code_points`, each divided by
+    the longer length (0 for two empty strings). One DP runs over all pairs:
+    each step turns every pair's row of distances from a prefix of s to each
+    prefix of t into the row for one more character of s."""
+    m, n = lengths[s], lengths[t]
+    a, b = chars[s, :m.max(initial=0)], chars[t, :n.max(initial=0)]
+    steps = np.arange(b.shape[1] + 1)
+    row = np.tile(steps, (len(s), 1))
+    dist = n.copy()  # s empty: insert all of t
+    for i in range(a.shape[1]):
+        cost = row[:, :-1] + (a[:, i, None] != b)  # substitute or keep
+        np.minimum(cost, row[:, 1:] + 1, out=cost)  # delete s[i]
+        row[:, 0], row[:, 1:] = i + 1, cost
+        row -= steps  # insertions: row[j] = min over k <= j of row[k] + j - k
+        np.minimum.accumulate(row, axis=1, out=row)
+        row += steps
+        ended = m == i + 1
+        dist[ended] = row[ended, n[ended]]
+    return dist / np.maximum(np.maximum(m, n), 1)
 
 
 class PairColumns:
     """A record list coded once as one NaN-padded (F, k, n) array: numeric
     values as they are, categorical and text values as integer codes into
     their sorted distinct values. Records are the last axis, so a range of
-    them is a view. `slots` gathers the value slots of any index pairs; each
-    text edit distance is computed the first time a gathered pair needs it.
+    them is a view. `slots` gathers the value slots of any index pairs.
+
+    Text values are also held as code points. The edit distances a gather
+    needs and no earlier gather computed are computed in one vectorized DP
+    and kept as sorted value-pair keys beside their distances, which every
+    gather reads by binary search.
     """
 
     def __init__(self, records: Sequence[Record], schema: FeatureSchema):
@@ -73,9 +91,12 @@ class PairColumns:
         self.text = [f for f, kind in enumerate(kinds) if kind == TEXT]
         coded = sorted({(f, v) for f in self.categorical + self.text
                         for r in records for v in r.values[f]})
-        distinct, code = [v for _, v in coded], {fv: u for u, fv in enumerate(coded)}
-        self.edit_distance = functools.cache(
-            lambda x, y: normalized_levenshtein(distinct[x], distinct[y]))
+        code = {fv: u for u, fv in enumerate(coded)}
+        self.chars, self.lengths = _code_points(
+            [v if kinds[f] == TEXT else "" for f, v in coded])
+        # key lo * U + hi of the codes lo < hi; the int64 maximum ends the
+        # array so that a binary search never runs past it
+        self.keys, self.distances = np.array([np.iinfo(np.int64).max]), np.array([np.nan])
         sizes = [len(v) for r in records for v in r.values]
         pad = [np.nan] * max([1] + sizes)
         cells = np.empty((len(records), len(kinds), len(pad)))
@@ -86,14 +107,35 @@ class PairColumns:
         if np.isfinite(self.cells).sum() != sum(sizes):
             raise DataError("numeric feature values must be finite")
 
+    def edit_distances(self, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
+        """Normalized edit distances between the text values coded lo and hi."""
+        keys = lo * len(self.lengths) + hi
+        at = np.searchsorted(self.keys, keys)
+        new = np.sort(keys[self.keys[at] != keys])
+        if new.size:
+            new = new[np.append(True, new[1:] != new[:-1])]  # np.unique imports numpy.ma
+            where = np.searchsorted(self.keys, new)
+            self.keys = np.insert(self.keys, where, new)
+            self.distances = np.insert(self.distances, where, _batch_levenshtein(
+                self.chars, self.lengths, *np.divmod(new, len(self.lengths))))
+            at = np.searchsorted(self.keys, keys)
+        return self.distances[at]
+
     def slots(self, rows, cols) -> np.ndarray:
-        """(P, F) value slots of the pairs (rows[p], cols[p]) in schema order,
-        NaN exactly where a side is missing; `rows` and `cols` are index arrays
-        or slices. A slot is the closest match over the two value sets: the
-        least absolute difference or edit distance, or for a categorical
-        feature 1 when the sets share a value and 0 when not."""
-        a, b = self.cells[:, :, rows][:, :, None], self.cells[:, :, cols][:, None]
-        diff = np.abs(b - a)  # (F, k, k, P), NaN at padding; 0 between equal codes
+        """(..., F) value slots of the pairs (rows[p], cols[p]) in schema
+        order, NaN exactly where a side is missing. `rows` and `cols` are
+        index arrays or slices whose gathers broadcast: equal lengths give
+        (P, F), and `rows` of shape (r, 1) against C columns gives the
+        (r, C, F) grid of every row against every column. A slot is the
+        closest match over the two value sets: the least absolute difference
+        or edit distance, or for a categorical feature 1 when the sets share
+        a value and 0 when not."""
+        a, b = self.cells[:, :, rows], self.cells[:, :, cols]
+        # rows of shape (r, 1) against a slice of columns: (F, k, r, 1) and (F, k, 1, C)
+        b = b.reshape(b.shape[:2] + (1,) * (a.ndim - b.ndim) + b.shape[2:])
+        a, b = a[:, :, None], b[:, None]
+        diff = b - a  # (F, k, k, ...), NaN at padding; 0 between equal codes
+        np.abs(diff, out=diff)
         closest = np.fmin.reduce(diff, axis=(1, 2))
         if self.categorical:  # codes of two different values lie at least 1 apart
             closest[self.categorical] = 1.0 - np.minimum(closest[self.categorical], 1.0)
@@ -101,10 +143,10 @@ class PairColumns:
             dist = diff[self.text]
             apart = dist > 0
             lo = np.minimum(a[self.text], b[self.text])[apart]  # lo + dist is the other code
-            dist[apart] = list(map(self.edit_distance, lo.astype(int).tolist(),
-                                   (lo + dist[apart]).astype(int).tolist()))
+            dist[apart] = self.edit_distances(lo.astype(np.int64),
+                                              (lo + dist[apart]).astype(np.int64))
             closest[self.text] = np.fmin.reduce(dist, axis=(1, 2))
-        return closest.T
+        return closest.transpose(*range(1, closest.ndim), 0)
 
 
 def _pair_list_slots(pairs: Sequence[tuple], schema: FeatureSchema) -> np.ndarray:
@@ -302,7 +344,8 @@ def train_match_model(pairs: Sequence[tuple[Record, Record, int]],
 def _scorer(model: MatchModel):
     """The match function of (P, F) value slots, NaN where missing, with the
     standardization folded into the weights: sigmoid(x . w/scale + bias -
-    w . mean/scale), x the slots (0 where missing) and missing indicators."""
+    w . mean/scale), x the slots (0 where missing) and missing indicators.
+    It zeroes the missing slots in place."""
     w = model.weights / model.feature_scales
     offset = model.bias - float(w @ model.feature_means)
     w_slot, w_missing = w.reshape(2, -1)
@@ -310,7 +353,8 @@ def _scorer(model: MatchModel):
     def score(slots: np.ndarray) -> np.ndarray:
         x = slots.T  # feature-major, as the gather lays its slots out
         missing = np.isnan(x)
-        return sigmoid(w_slot @ np.where(missing, 0.0, x) + w_missing @ missing + offset)
+        np.copyto(x, 0.0, where=missing)
+        return sigmoid(w_slot @ x + w_missing @ missing + offset)
     return score
 
 
@@ -329,14 +373,23 @@ def condensed_pairwise_scores(model: MatchModel,
     """Scores for all unordered record pairs, in condensed order: pair
     (i, j) with i < j sits at index i*n - i*(i+1)/2 + (j - i - 1).
 
-    The records are coded once, and each row i is one gather of the pairs
-    (i, j), j > i, from views of the coded array.
+    The records are coded once. Each gather is a block of rows i..i+r-1
+    against the columns i+1..n-1, a view of the coded array, with r chosen
+    so that the gather's temporary holds about `BLOCK_ELEMENTS` values; the
+    pairs j > i of the rectangle are kept.
     """
     n = len(records)
     out = np.empty(n * (n - 1) // 2)
     columns, score = PairColumns(records, model.schema), _scorer(model)
-    pos = 0
-    for i in range(n - 1):
-        out[pos:pos + n - 1 - i] = score(columns.slots(slice(i, i + 1), slice(i + 1, n)))
-        pos += n - 1 - i
+    per_pair = columns.cells.shape[0] * columns.cells.shape[1] ** 2
+    i = pos = 0
+    while i < n - 1:
+        width = n - 1 - i
+        r = min(width, max(1, BLOCK_ELEMENTS // (per_pair * width)))
+        slots = columns.slots(np.arange(i, i + r)[:, None], slice(i + 1, n))
+        block = score(slots.reshape(-1, slots.shape[-1])).reshape(r, width)
+        for k in range(r):  # row i + k pairs with the columns from i + k + 1
+            out[pos:pos + width - k] = block[k, k:]
+            pos += width - k
+        i += r
     return out

@@ -2,7 +2,8 @@
 production path to. No production module imports this one.
 
 - The per-pair featurization and score, which the production gather
-  `matching.PairColumns` and its one scoring formula reproduce.
+  `matching.PairColumns` and its one scoring formula reproduce, and the
+  scalar edit distance, which its batch Levenshtein DP reproduces.
 - R-Swoosh, the iterative match/merge fixpoint (Benjelloun et al.,
   "Swoosh: a generic approach to entity resolution", VLDB J. 2009), with
   set-union merge of records.
@@ -27,9 +28,37 @@ import numpy as np
 from .bounds import f1_lower_bound
 from .dataset import Pair
 from .errors import DataError, SchemaError
-from .matching import MatchModel, condensed_pairwise_scores, normalized_levenshtein, sigmoid
+from .matching import MatchModel, condensed_pairwise_scores, sigmoid
 from .records import CATEGORICAL, NUMERIC, FeatureSchema, Record
 from .resolver import Clustering, _check_base_inputs
+
+
+def levenshtein(s: str, t: str) -> int:
+    """Edit distance with unit insert/delete/substitute costs."""
+    if s == t:
+        return 0
+    if not s:
+        return len(t)
+    if not t:
+        return len(s)
+    prev = list(range(len(t) + 1))
+    cur = [0] * (len(t) + 1)
+    for i, cs in enumerate(s):
+        cur[0] = i + 1
+        for j, ct in enumerate(t):
+            cost = 0 if cs == ct else 1
+            cur[j + 1] = min(cur[j] + 1, prev[j + 1] + 1, prev[j] + cost)
+        prev, cur = cur, prev
+    return prev[len(t)]
+
+
+def normalized_levenshtein(s: str, t: str) -> float:
+    """Edit distance divided by the longer length, in [0, 1]. Two empty
+    strings are identical (0.0)."""
+    longest = max(len(s), len(t))
+    if longest == 0:
+        return 0.0
+    return levenshtein(s, t) / longest
 
 
 def featurize_pair(a: Record, b: Record, schema: FeatureSchema) -> np.ndarray:

@@ -213,6 +213,21 @@ class TestValidationStats:
         with pytest.raises(ValueError, match=f"got {label}"):
             ValidationStats.from_scores([0.9, 0.8, 0.1], [label, 1, 0], 0.5)
 
+    @pytest.mark.parametrize("scores,named", [
+        ([float("nan"), 1.7, 0.2, 0.9], "nan"),
+        ([0.3, 1.7, float("nan"), 0.9], "1.7"),
+        ([0.3, 0.4, -0.2, 0.9], "-0.2"),
+        ([float("inf"), 0.4, 0.2, 0.9], "inf"),
+        ([0.3, 0.4, 0.2, float("-inf")], "-inf"),
+    ])
+    def test_scores_must_lie_in_unit_interval(self, scores, named):
+        with pytest.raises(ValueError, match=f"got {named}$"):
+            ValidationStats.from_scores(scores, [1, 0, 0, 1], 0.5)
+
+    def test_scores_at_the_unit_interval_ends(self):
+        stats = ValidationStats.from_scores([1.0, 0.0, 0.0, 1.0], [1, 0, 0, 1], 0.5)
+        assert (stats.n_predicted_match, stats.n_true_match) == (2, 2)
+
 
 class TestRecallLowerBound:
     def test_pass_through(self):

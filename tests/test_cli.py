@@ -1,14 +1,20 @@
 import csv
 import hashlib
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
+import numpy as np
 import pytest
 
 import erbound
 from erbound import matching, resolver
 from erbound.cli import EXIT_DATA, EXIT_GATE, EXIT_OK, SWEEP_COLUMNS, _fmt, main
+from erbound.dataset import GoldTruth, save_schema_json, write_gold_csv, write_records_csv
 
-from conftest import count_calls
+from conftest import count_calls, random_records, random_words
 
 
 NOT_UTF8 = b"id,label\n" + b"\xc1\xff\xfe" * 1000
@@ -582,3 +588,36 @@ class TestUsageErrors:
             "--out", str(tmp_path / "o"),
         ]) == EXIT_DATA
         assert str(tmp_path) in capsys.readouterr().err
+
+
+class TestImports:
+    def test_commands_leave_numpy_ma_unimported(self, tmp_path, mixed_schema):
+        """`train`, `sweep` and `resolve` on mixed records never import
+        `numpy.ma`. A plain `np.unique` pulls it in, which would add its
+        import time and memory to every command."""
+        rng = np.random.default_rng(23)
+        records = random_records(rng, mixed_schema, 150, words=random_words(rng, 60))
+        write_records_csv(tmp_path / "records.csv", records, mixed_schema)
+        write_gold_csv(tmp_path / "gold.csv",
+                       GoldTruth({r.record_id: f"e{k % 50}" for k, r in enumerate(records)}))
+        save_schema_json(tmp_path / "schema.json", mixed_schema)
+        run = tmp_path / "run"
+        common = ["--model", str(run / "model.json"), "--records",
+                  str(run / "test_records.csv"), "--validation-stats",
+                  str(run / "validation_stats.json")]
+        argvs = [
+            ["train", "--out", str(run), "--records", str(tmp_path / "records.csv"),
+             "--gold", str(tmp_path / "gold.csv"), "--schema", str(tmp_path / "schema.json"),
+             "--n-train-pairs", "40", "--n-validation-pairs", "40"],
+            ["sweep", "--out", str(tmp_path / "sweep"), *common,
+             "--gold", str(run / "test_gold.csv")],
+            ["resolve", "--out", str(tmp_path / "resolve"), *common],
+        ]
+        script = ("import json, sys\nfrom erbound.cli import main\n"
+                  "print([main(argv) for argv in json.loads(sys.argv[1])], "
+                  "'numpy.ma' in sys.modules)")
+        env = dict(os.environ, PYTHONPATH=str(Path(erbound.__file__).parents[1]))
+        done = subprocess.run([sys.executable, "-c", script, json.dumps(argvs)], env=env,
+                              capture_output=True, text=True, timeout=120)
+        assert done.returncode == 0, done.stderr
+        assert done.stdout.splitlines()[-1] == f"{[EXIT_OK] * 3} False"

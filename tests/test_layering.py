@@ -62,29 +62,37 @@ def test_import_forms_are_recognized():
     assert "erbound.reference" not in imported_modules(ast.parse("from .resolver import x"))
 
 
-def test_featurize_pair_defined_only_in_reference():
-    defining = sorted(
+def defining_modules(name: str) -> list[str]:
+    """The package modules that define a function called `name`."""
+    return sorted(
         path.name for path in PACKAGE.glob("*.py")
         for node in ast.walk(ast.parse(path.read_text()))
-        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
-        and node.name == "featurize_pair"
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)) and node.name == name
     )
-    assert defining == ["reference.py"]
+
+
+def test_featurize_pair_defined_only_in_reference():
+    assert defining_modules("featurize_pair") == ["reference.py"]
+
+
+def test_scalar_levenshtein_defined_only_in_reference():
+    assert defining_modules("levenshtein") == ["reference.py"]
 
 
 def test_train_pipeline_scores_no_pair_alone(monkeypatch, mixed_schema):
     """Training and validation pairs go through the gather: no `score_pair`
-    call, and at most one edit distance per distinct text value pair that
-    the training pairs, or the validation pairs, hold."""
+    call, and the batch edit-distance DP is handed at most one pair per
+    distinct text value pair that the training pairs, or the validation
+    pairs, hold."""
     rng = np.random.default_rng(21)
     records = random_records(rng, mixed_schema, 200, words=random_words(rng, 100))
     gold = GoldTruth({r.record_id: f"e{k % 50}" for k, r in enumerate(records)})
     per_pair = count_calls(monkeypatch, matching.score_pair)
-    distances = count_calls(monkeypatch, matching.normalized_levenshtein)
+    distances = count_calls(monkeypatch, matching._batch_levenshtein)
     outcome = train_pipeline(records, gold, mixed_schema, SplitSpec(60, 60, seed=21))
     assert per_pair == []
     text = [f for f, feat in enumerate(mixed_schema.features) if feat.kind == TEXT]
     held = sum(len({(f, frozenset((x, y))) for a, b, _ in pairs for f in text
                     for x in a.values[f] for y in b.values[f] if x != y})
                for pairs in (outcome.split.train_pairs, outcome.split.validation_pairs))
-    assert 0 < len(distances) <= held
+    assert 0 < sum(len(args[2]) for args in distances) <= held

@@ -10,13 +10,13 @@ from erbound.matching import (
     MatchModel,
     PairColumns,
     TrainConfig,
+    _batch_levenshtein,
+    _code_points,
     condensed_pairwise_scores,
     fit_logistic,
-    levenshtein,
     load_model,
     logistic_gradient,
     logistic_loss,
-    normalized_levenshtein,
     save_model,
     score_pair,
     score_pairs,
@@ -33,13 +33,15 @@ from erbound.records import (
 from erbound.reference import (
     base_match,
     featurize_pair,
+    levenshtein,
     matcher_from_scores,
     merge_records,
+    normalized_levenshtein,
     pair_score,
     pairwise_scores,
 )
 
-from conftest import random_model, random_record, random_records, random_words
+from conftest import count_calls, random_model, random_record, random_records, random_words
 
 
 def oracle_levenshtein(s, t):
@@ -75,6 +77,22 @@ class TestLevenshtein:
 
     def test_one_empty(self):
         assert normalized_levenshtein("", "abc") == 1.0
+
+    def test_batch_equals_scalar(self):
+        """The batch DP gives exactly the scalar normalized distances: empty
+        and equal strings, lengths 0-25 with very unequal pairs, non-ASCII
+        characters and one outside the Basic Multilingual Plane."""
+        rng = np.random.default_rng(22)
+        alphabet = list("abcdeé") + ["ß", "\U0001d518"]
+        strings = ["", "", "a", "ß", "\U0001d518", "é" * 25, "abc", "abc"] + [
+            "".join(rng.choice(alphabet, size=size)) for size in rng.integers(0, 26, 400)]
+        s, t = rng.integers(0, len(strings), size=(2, 3000))
+        s, t = np.append(s, np.arange(8)), np.append(t, [1, 0, 5, 4, 3, 0, 7, 6])
+        chars, lengths = _code_points(strings)
+        batch = _batch_levenshtein(chars, lengths, s, t)
+        scalar = [normalized_levenshtein(strings[x], strings[y]) for x, y in zip(s, t)]
+        assert batch.tolist() == scalar
+        assert 0.0 in scalar and 1.0 in scalar
 
 
 class TestFeaturize:
@@ -407,18 +425,17 @@ class TestBulkScores:
         rows, cols = rng.integers(0, 300, size=(2, 40))
         rows, cols = np.append(rows, [rows[0], cols[0]]), np.append(cols, [rows[0], rows[0]])
         pairs = [(records[i], records[j]) for i, j in zip(rows, cols)]
-        calls = []
-
-        def counted(s, t):
-            calls.append((s, t))
-            return normalized_levenshtein(s, t)
-
-        monkeypatch.setattr(matching, "normalized_levenshtein", counted)
-        assert_slots_match_reference(PairColumns(records, mixed_schema).slots(rows, cols),
-                                     pairs, mixed_schema)
+        calls = count_calls(monkeypatch, matching._batch_levenshtein)
+        columns = PairColumns(records, mixed_schema)
+        assert_slots_match_reference(columns.slots(rows, cols), pairs, mixed_schema)
         held = {(f, frozenset((x, y))) for a, b in pairs for f in (0, 1)
                 for x in a.values[f] for y in b.values[f] if x != y}
-        assert len(calls) == len(held) > 0
+        assert len(calls) == 1
+        assert sum(len(args[2]) for args in calls) == len(held) > 0
+        # the swapped pairs need no distance the first gather did not keep
+        assert_slots_match_reference(columns.slots(cols, rows),
+                                     [(b, a) for a, b in pairs], mixed_schema)
+        assert len(calls) == 1
         distinct = len(set().union(*(r.values[0] for r in records)))
         assert 10 * len(held) < distinct * (distinct - 1) // 2  # the list is sparse
         model = random_model(rng, mixed_schema)
@@ -438,19 +455,32 @@ class TestBulkScores:
         def forbidden(*args):
             raise AssertionError("per-pair path used")
 
-        calls = []
-
-        def counted(s, t):
-            calls.append((s, t))
-            return normalized_levenshtein(s, t)
-
+        calls = count_calls(monkeypatch, matching._batch_levenshtein)
         monkeypatch.setattr(matching, "score_pair", forbidden)
-        monkeypatch.setattr(matching, "normalized_levenshtein", counted)
         scores = condensed_pairwise_scores(model, records)
         assert np.allclose(scores, expected, rtol=0.0, atol=1e-12)
         distinct = [len(set().union(*(r.values[f] for r in records))) for f in (0, 1)]
         assert max(distinct) < len(records)  # names repeat
-        assert 0 < len(calls) <= sum(u * (u - 1) // 2 for u in distinct)
+        handed = sum(len(args[2]) for args in calls)
+        assert 0 < handed <= sum(u * (u - 1) // 2 for u in distinct)
+
+    def test_one_distance_pass_per_row_block(self, monkeypatch, mixed_schema):
+        """The condensed scores of the 40-record mixed set make no scalar
+        edit-distance call and at most one DP call per row block."""
+        from erbound import matching, reference
+
+        rng = np.random.default_rng(14)
+        records = random_records(rng, mixed_schema, 40, max_values=2)
+        scalar = [count_calls(monkeypatch, reference.levenshtein),
+                  count_calls(monkeypatch, reference.normalized_levenshtein)]
+        dp = count_calls(monkeypatch, matching._batch_levenshtein)
+        blocks = []
+        gather = PairColumns.slots
+        monkeypatch.setattr(PairColumns, "slots",
+                            lambda self, *args: blocks.append(args) or gather(self, *args))
+        condensed_pairwise_scores(random_model(rng, mixed_schema), records)
+        assert scalar == [[], []]
+        assert 1 <= len(dp) <= len(blocks) < len(records) - 1
 
     def test_scored_matcher_equals_base_match(self, mixed_schema):
         rng = np.random.default_rng(15)
