@@ -338,7 +338,7 @@ def cmd_resolve(args) -> int:
     result = pipeline.sweep_thresholds(model, records, val_scores, val_labels, [threshold],
                                        c_t_override=args.ct, confidence=args.confidence)
     row = result.rows[0]
-    clustering = resolver.resolve_from_condensed(records, result.scores, threshold)
+    clustering = resolver.resolve_from_condensed(records, result.labels[0])
     out = _out_dir(args)
     resolver.write_clustering_csv(out / "clustering.csv", clustering)
     (out / "bound_report.json").write_text(

@@ -9,24 +9,27 @@ and a single cut-off threshold turns it into a boolean match decision.
 Every pair is featurized by one gather: `PairColumns` codes each feature
 column of a record list once, and `PairColumns.slots` returns the value
 slots of any index pairs. Training pairs, validation pairs (`score_pairs`)
-and the condensed scores of all test pairs, from which the resolver and the
-bounds read every threshold's edges, all go through it, and every score
-comes from one formula. The test pairs are gathered in blocks of rows. The
-text edit distances a gather needs are computed in one vectorized
-Levenshtein DP over the value pairs not yet known, and cached as sorted
-keys. The per-pair definition the gather reproduces is
-`erbound.reference.featurize_pair`, kept there with the scalar edit
-distance as their oracles.
+and all test pairs go through it, and every score comes from one formula.
+The test pairs are gathered in blocks of rows, and of each block only the
+pairs scoring at or above a floor are kept, as an edge list (`Edges`) from
+which the resolver and the bounds read every threshold at or above it; the
+n(n-1)/2 scores of all pairs are never held at once. The text edit
+distances a gather needs are computed in one vectorized Levenshtein DP over
+the value pairs not yet known, and cached as sorted keys. The per-pair
+definition the gather reproduces is `erbound.reference.featurize_pair`,
+kept there with the scalar edit distance as their oracles.
 """
 
 import json
+import os
+import sys
 from dataclasses import dataclass, asdict, field, replace
 from pathlib import Path
 from typing import Mapping, Sequence
 
 import numpy as np
 
-from .errors import DataError, DegenerateDataError, SchemaError
+from .errors import ConfigError, DataError, DegenerateDataError, SchemaError
 from .records import CATEGORICAL, NUMERIC, TEXT, FeatureSchema, Record
 
 MODEL_FORMAT_VERSION = 1
@@ -36,6 +39,14 @@ MODEL_FORMAT_VERSION = 1
 # at about this many elements: 128 KiB of float64. Blocks of 2^15 and more
 # took more page faults and ran slower in a fresh process.
 BLOCK_ELEMENTS = 1 << 14
+
+# bytes that scoring may hold in kept edges and cached edit distances: a
+# quarter of physical memory, since labelling and sweeping the edges takes
+# further copies of them
+try:
+    MEMORY_BUDGET = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES") // 4
+except (AttributeError, ValueError, OSError):  # no sysconf: memory unknown
+    MEMORY_BUDGET = sys.maxsize
 
 
 def _code_points(strings: Sequence[str]) -> tuple[np.ndarray, np.ndarray]:
@@ -80,7 +91,8 @@ class PairColumns:
     Text values are also held as code points. The edit distances a gather
     needs and no earlier gather computed are computed in one vectorized DP
     and kept as sorted value-pair keys beside their distances, which every
-    gather reads by binary search.
+    gather reads by binary search. `complete` says whether every record
+    holds a value of every feature, so that no slot can be missing.
     """
 
     def __init__(self, records: Sequence[Record], schema: FeatureSchema):
@@ -98,6 +110,7 @@ class PairColumns:
         # array so that a binary search never runs past it
         self.keys, self.distances = np.array([np.iinfo(np.int64).max]), np.array([np.nan])
         sizes = [len(v) for r in records for v in r.values]
+        self.complete = all(sizes)
         pad = [np.nan] * max([1] + sizes)
         cells = np.empty((len(records), len(kinds), len(pad)))
         for i, r in enumerate(records):
@@ -341,17 +354,20 @@ def train_match_model(pairs: Sequence[tuple[Record, Record, int]],
                       feature_means=means, feature_scales=scales, config=config)
 
 
-def _scorer(model: MatchModel):
+def _scorer(model: MatchModel, complete: bool):
     """The match function of (P, F) value slots, NaN where missing, with the
     standardization folded into the weights: sigmoid(x . w/scale + bias -
     w . mean/scale), x the slots (0 where missing) and missing indicators.
-    It zeroes the missing slots in place."""
+    It zeroes the missing slots in place. When `complete`, no slot is
+    missing and the indicator term, an exact 0.0, is left out."""
     w = model.weights / model.feature_scales
     offset = model.bias - float(w @ model.feature_means)
     w_slot, w_missing = w.reshape(2, -1)
 
     def score(slots: np.ndarray) -> np.ndarray:
         x = slots.T  # feature-major, as the gather lays its slots out
+        if complete:
+            return sigmoid(w_slot @ x + offset)
         missing = np.isnan(x)
         np.copyto(x, 0.0, where=missing)
         return sigmoid(w_slot @ x + w_missing @ missing + offset)
@@ -360,7 +376,7 @@ def _scorer(model: MatchModel):
 
 def score_pairs(model: MatchModel, pairs: Sequence[tuple]) -> np.ndarray:
     """Match probabilities of the (a, b, ...) record pairs in a list."""
-    return _scorer(model)(_pair_list_slots(pairs, model.schema))
+    return _scorer(model, complete=False)(_pair_list_slots(pairs, model.schema))
 
 
 def score_pair(model: MatchModel, a: Record, b: Record) -> float:
@@ -368,28 +384,59 @@ def score_pair(model: MatchModel, a: Record, b: Record) -> float:
     return float(score_pairs(model, [(a, b)])[0])
 
 
-def condensed_pairwise_scores(model: MatchModel,
-                              records: Sequence[Record]) -> np.ndarray:
-    """Scores for all unordered record pairs, in condensed order: pair
-    (i, j) with i < j sits at index i*n - i*(i+1)/2 + (j - i - 1).
+@dataclass(frozen=True, eq=False)
+class Edges:
+    """Scored pairs of n records: pair k is (rows[k], cols[k]), rows[k] <
+    cols[k], with score scores[k], in condensed order (by row, then column).
+    A scorer keeps the pairs at or above a floor and drops the rest."""
+
+    n: int
+    rows: np.ndarray
+    cols: np.ndarray
+    scores: np.ndarray
+
+    @property
+    def total_pairs(self) -> int:
+        """The number of unordered pairs of the n records, kept or not."""
+        return self.n * (self.n - 1) // 2
+
+
+def condensed_pairwise_scores(model: MatchModel, records: Sequence[Record],
+                              floor: float) -> Edges:
+    """The edges of all unordered record pairs that score at or above
+    `floor`, in condensed order.
 
     The records are coded once. Each gather is a block of rows i..i+r-1
     against the columns i+1..n-1, a view of the coded array, with r chosen
-    so that the gather's temporary holds about `BLOCK_ELEMENTS` values; the
-    pairs j > i of the rectangle are kept.
+    so that the gather's temporary holds about `BLOCK_ELEMENTS` values; of
+    the block's pairs j > i, those at or above the floor are kept. Raises
+    ConfigError once the kept edges and the cached edit distances pass
+    `MEMORY_BUDGET` bytes.
     """
     n = len(records)
-    out = np.empty(n * (n - 1) // 2)
-    columns, score = PairColumns(records, model.schema), _scorer(model)
+    columns = PairColumns(records, model.schema)
+    score = _scorer(model, columns.complete)
     per_pair = columns.cells.shape[0] * columns.cells.shape[1] ** 2
-    i = pos = 0
+    parts = [(np.empty(0, np.int32), np.empty(0, np.int32), np.empty(0))]
+    held = i = 0
     while i < n - 1:
         width = n - 1 - i
         r = min(width, max(1, BLOCK_ELEMENTS // (per_pair * width)))
         slots = columns.slots(np.arange(i, i + r)[:, None], slice(i + 1, n))
         block = score(slots.reshape(-1, slots.shape[-1])).reshape(r, width)
-        for k in range(r):  # row i + k pairs with the columns from i + k + 1
-            out[pos:pos + width - k] = block[k, k:]
-            pos += width - k
+        keep = block >= floor
+        if r > 1:  # row i + k pairs with the columns from i + k + 1
+            keep &= np.arange(width) >= np.arange(r)[:, None]
+        at = np.flatnonzero(keep)
+        k, col = np.divmod(at, width)
+        parts.append(((k + i).astype(np.int32), (col + i + 1).astype(np.int32),
+                      block.ravel()[at]))
+        held += sum(part.nbytes for part in parts[-1])
+        if held + columns.keys.nbytes + columns.distances.nbytes > MEMORY_BUDGET:
+            raise ConfigError(
+                f"scoring {n} records at or above {floor:g} holds more than "
+                f"{MEMORY_BUDGET} bytes of edges and edit distances; a higher "
+                f"--threshold or --grid-start keeps fewer pairs")
         i += r
-    return out
+    rows, cols, scores = (np.concatenate(part) for part in zip(*parts))
+    return Edges(n, rows, cols, scores)

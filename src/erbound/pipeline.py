@@ -1,7 +1,8 @@
 """End-to-end wiring: train on a split, sweep thresholds, resolve and bound.
 
 A sweep scores every test pair once (scores do not depend on the
-threshold), then passes down the grid once: it labels every test record
+threshold) and keeps the pairs at or above the lowest grid threshold as an
+edge list, then passes down the grid once: it labels every test record
 with its connected component at the top threshold and merges each lower
 score band into the labels of the band above. Each threshold counts |R|
 (and, with gold, true hits) as pairs sharing a label, recomputes the
@@ -24,8 +25,8 @@ from .bounds import ValidationStats, compute_bound_report, f1_lower_bound, wilso
 from .dataset import (GoldTruth, Split, SplitSpec, generate_synthetic, split_dataset,
                       synthetic_schema)
 from .errors import ConfigError, DegenerateDataError, UninformativeMatcherError
-from .matching import (MatchModel, TrainConfig, condensed_pairwise_scores, score_pairs,
-                       train_match_model)
+from .matching import (Edges, MatchModel, TrainConfig, condensed_pairwise_scores,
+                       score_pairs, train_match_model)
 from .records import FeatureSchema, Record
 from .resolver import components_by_threshold
 
@@ -99,15 +100,16 @@ class SweepRow:
 
 @dataclass(frozen=True)
 class SweepResult:
-    """Rows, the selected row, the condensed test-pair scores every row was
-    computed from, so a caller can resolve at any threshold without scoring
-    the pairs again, and each row's component label per test record."""
+    """Rows, the selected row, the test-pair edges every row was computed
+    from (every pair scoring at or above the lowest threshold), so a caller
+    can resolve at any threshold in the grid's range without scoring the
+    pairs again, and each row's component label per test record."""
 
     rows: list[SweepRow]
     best: SweepRow | None
     select_metric: str
     recall_floor: float | None
-    scores: np.ndarray = field(repr=False, compare=False)
+    edges: Edges = field(repr=False, compare=False)
     labels: list[np.ndarray] = field(repr=False, compare=False)
 
 
@@ -148,15 +150,16 @@ def sweep_thresholds(model: MatchModel, test_records: Sequence[Record],
                      recall_floor: float | None = None) -> SweepResult:
     """Evaluate bounds (and true metrics with `gold`) across a threshold
     grid on the test records. Each threshold must lie strictly inside
-    (0, 1); a repeated threshold gives one row per repeat."""
+    (0, 1); a repeated threshold gives one row per repeat. The test pairs
+    are scored once, keeping only those at or above the lowest threshold;
+    |T_M| at each threshold is the count of kept scores that clear it."""
     bad = [float(t) for t in thresholds if not 0.0 < t < 1.0]
     if bad or not len(thresholds):
         raise ConfigError(f"thresholds must lie strictly inside (0, 1), got {bad or 'none'}")
     n = len(test_records)
     if n < 2:
         raise ConfigError("needs at least 2 test records")
-    scores = condensed_pairwise_scores(model, test_records)
-    total_pairs = len(scores)
+    edges = condensed_pairwise_scores(model, test_records, float(min(thresholds)))
     if gold is not None:
         labeled = [k for k, r in enumerate(test_records) if r.record_id in gold.labels]
         entity = np.unique([gold.labels[test_records[k].record_id] for k in labeled],
@@ -164,14 +167,15 @@ def sweep_thresholds(model: MatchModel, test_records: Sequence[Record],
         truth_total = _pairs_within(entity)
 
     rows, row_labels = [], []
-    for t, labels, tm_pairs in components_by_threshold(n, scores, thresholds):
+    for t, labels, tm_pairs in components_by_threshold(n, edges.scores, thresholds,
+                                                       edges.rows, edges.cols):
         r_pairs = _pairs_within(labels)
         row = {"threshold": t, "r_pairs": r_pairs, "tm_pairs": tm_pairs}
         stats = ValidationStats.from_scores(val_scores, val_labels, t)
         rec_lo, rec_hi = wilson_interval(stats.n_true_match, stats.n_positive, confidence)
         row.update(recall_lb=stats.recall_v, recall_lb_lo=rec_lo, recall_lb_hi=rec_hi)
         try:
-            report = compute_bound_report(stats, tm_pairs, r_pairs, total_pairs,
+            report = compute_bound_report(stats, tm_pairs, r_pairs, edges.total_pairs,
                                           c_t=c_t_override, confidence=confidence)
         except (DegenerateDataError, UninformativeMatcherError):
             report = None
@@ -203,7 +207,7 @@ def sweep_thresholds(model: MatchModel, test_records: Sequence[Record],
                 "the resolver violated edge-removal monotonicity"
             )
     return SweepResult(rows, select_best_row(rows, select_metric, recall_floor),
-                       select_metric, recall_floor, scores, row_labels)
+                       select_metric, recall_floor, edges, row_labels)
 
 
 @dataclass(frozen=True)

@@ -68,6 +68,8 @@ class FeatureSchema:
             feats = tuple(Feature(f["name"], f["kind"]) for f in d["features"])
         except (KeyError, TypeError) as exc:
             raise SchemaError(f"malformed schema document: {exc}") from exc
+        if not feats:
+            raise SchemaError("schema has no features")
         return cls(feats)
 
 

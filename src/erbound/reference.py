@@ -15,7 +15,10 @@ production path to. No production module imports this one.
 
 With the max-over-constituents match rule and set-union merge, the fixpoint
 equals the connected components of the direct-match graph, which is what
-`resolver.resolve_from_condensed` computes from condensed scores.
+`resolver.components_from_condensed` labels from the scored edge list and
+`resolver.resolve_from_condensed` turns into a clustering. The dict score
+table takes every pair's score from the edge list at floor 0, which every
+score clears.
 """
 
 from collections import deque
@@ -123,7 +126,7 @@ def pairwise_scores(model: MatchModel,
     ids = [r.record_id for r in records]
     if len(set(ids)) != len(ids):
         raise DataError("duplicate record ids")
-    condensed = iter(condensed_pairwise_scores(model, records).tolist())
+    condensed = iter(condensed_pairwise_scores(model, records, 0.0).scores.tolist())
     return {(a, b) if a < b else (b, a): next(condensed)
             for a, b in combinations(ids, 2)}
 

@@ -1,8 +1,10 @@
-"""Resolution by connected components over condensed pairwise scores.
+"""Resolution by connected components over scored pair edges.
 
 A resolution is a partition of the test records' ids: every pair whose
 score clears the threshold is an edge, and the clusters are the connected
-components of that graph, found in numpy as one label per record. This
+components of that graph, found in numpy as one label per record. The
+edges come as index arrays (rows, cols) beside their scores, as the scorer
+keeps them: only pairs at or above some floor, never all n(n-1)/2. This
 is the partition the match/merge fixpoint reaches with the
 max-over-constituents match rule and set-union merge; the slow engines
 that show it live in `erbound.reference`. A sweep merges each score band
@@ -76,13 +78,6 @@ def _check_base_inputs(records: Sequence[Record]) -> None:
         raise DataError("duplicate record ids in resolver input")
 
 
-def _pair_indices(n: int, hits: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The index pairs (i, j), i < j, at the given condensed positions."""
-    row_starts = np.concatenate(([0], np.cumsum(np.arange(n - 1, 1, -1))))
-    rows = np.searchsorted(row_starts, hits, side="right") - 1
-    return rows, hits - row_starts[rows] + rows + 1
-
-
 def _merge(labels: np.ndarray, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
     """Smallest-member labels after adding the edges (rows[k], cols[k]) to
     the components that `labels` gives as smallest members; overwrites it.
@@ -105,27 +100,33 @@ def _merge(labels: np.ndarray, rows: np.ndarray, cols: np.ndarray) -> np.ndarray
             labels = jumped
 
 
-def components_from_condensed(n: int, scores: np.ndarray, threshold: float) -> np.ndarray:
-    """Component label of each of n items whose condensed pairwise scores
-    clear the threshold: the smallest index in its component."""
-    return _merge(np.arange(n), *_pair_indices(n, np.flatnonzero(scores >= threshold)))
+def components_from_condensed(n: int, scores: np.ndarray, threshold: float,
+                              rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
+    """Component label of each of n items joined by the edges (rows[k],
+    cols[k]) whose scores[k] clears the threshold: the smallest index in
+    its component."""
+    keep = scores >= threshold
+    return _merge(np.arange(n), rows[keep], cols[keep])
 
 
-def components_by_threshold(n: int, scores: np.ndarray, thresholds: Sequence[float]):
+def components_by_threshold(n: int, scores: np.ndarray, thresholds: Sequence[float],
+                            rows: np.ndarray, cols: np.ndarray):
     """Yield (threshold, labels, tm_pairs) for each entry of the non-empty
     `thresholds`, highest first: the `components_from_condensed` labels and
-    the number of scores >= threshold. The highest threshold is labelled
-    outright; each lower score band [t_k, t_k+1) is then merged into the
-    labels of the band above. Yielded arrays are never changed afterwards.
+    the number of edge scores >= threshold. The highest threshold is
+    labelled outright; each lower score band [t_k, t_k+1) is then merged
+    into the labels of the band above. Yielded arrays are never changed
+    afterwards. The counts are the whole graph's when the edges hold every
+    pair scoring at or above min(thresholds).
     """
     ts, repeats = np.unique(np.asarray(thresholds, dtype=float), return_counts=True)
-    labels = components_from_condensed(n, scores, ts[-1])
-    hits = np.flatnonzero(scores >= ts[0])
-    band = np.searchsorted(ts, scores[hits], side="right") - 1
+    labels = components_from_condensed(n, scores, ts[-1], rows, cols)
+    band = np.searchsorted(ts, scores, side="right") - 1  # -1: below every threshold
+    counts = np.bincount(band + 1, minlength=len(ts) + 1)
     # above[k]: scores >= ts[k]; edges sorted by band, highest first
-    above = np.append(np.cumsum(np.bincount(band, minlength=len(ts))[::-1])[::-1], 0)
+    above = np.append(np.cumsum(counts[::-1])[::-1][1:], 0)
     order = np.argsort(-band)
-    rows, cols = (index[order] for index in _pair_indices(n, hits))
+    rows, cols = rows[order], cols[order]
     for k in range(len(ts) - 1, -1, -1):
         lo, hi = above[k + 1], above[k]
         if k + 1 < len(ts) and lo < hi:
@@ -133,14 +134,13 @@ def components_by_threshold(n: int, scores: np.ndarray, thresholds: Sequence[flo
         yield from [(float(ts[k]), labels, int(hi))] * repeats[k]
 
 
-def resolve_from_condensed(records: Sequence[Record], scores: np.ndarray,
-                           threshold: float) -> Clustering:
-    """Connected-components resolution from precomputed condensed scores;
+def resolve_from_condensed(records: Sequence[Record], labels: np.ndarray) -> Clustering:
+    """The resolution whose component labels, one per record, a sweep or
+    `components_from_condensed` computed from the records' scored edges;
     identical to `reference.resolve_connected_components` with the
     thresholded matcher the scores came from."""
     _check_base_inputs(records)
-    return Clustering.from_labels(
-        records, components_from_condensed(len(records), scores, threshold))
+    return Clustering.from_labels(records, labels)
 
 
 def write_clustering_csv(path, clustering: Clustering) -> None:

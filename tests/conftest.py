@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 import erbound
-from erbound.matching import MatchModel, TrainConfig
+from erbound.matching import MatchModel, TrainConfig, condensed_pairwise_scores
 from erbound.records import (
     CATEGORICAL,
     NUMERIC,
@@ -11,6 +11,7 @@ from erbound.records import (
     FeatureSchema,
     base_record,
 )
+from erbound.resolver import components_from_condensed, resolve_from_condensed
 
 
 @pytest.fixture
@@ -94,3 +95,20 @@ def count_calls(monkeypatch, original):
                 if value is original:
                     monkeypatch.setattr(module, attr, counting)
     return calls
+
+
+def all_pairs(model, records):
+    """The production edges at floor 0, which every score clears: every
+    pair of the records, checked to come in condensed order, so `.scores`
+    is the dense condensed score array."""
+    edges = condensed_pairwise_scores(model, records, 0.0)
+    rows, cols = np.triu_indices(len(records), 1)
+    assert np.array_equal(edges.rows, rows) and np.array_equal(edges.cols, cols)
+    return edges
+
+
+def resolve_at(records, edges, threshold):
+    """The production resolution of the records at a threshold, labelled
+    outright from their edges."""
+    return resolve_from_condensed(records, components_from_condensed(
+        len(records), edges.scores, threshold, edges.rows, edges.cols))

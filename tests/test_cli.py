@@ -14,7 +14,7 @@ from erbound import matching, resolver
 from erbound.cli import EXIT_DATA, EXIT_GATE, EXIT_OK, SWEEP_COLUMNS, _fmt, main
 from erbound.dataset import GoldTruth, save_schema_json, write_gold_csv, write_records_csv
 
-from conftest import count_calls, random_records, random_words
+from conftest import all_pairs, count_calls, random_records, random_words, resolve_at
 
 
 NOT_UTF8 = b"id,label\n" + b"\xc1\xff\xfe" * 1000
@@ -164,11 +164,10 @@ class TestSweep:
         assert [f.name for f in files] == ["clustering_0.500000.csv", "clustering_0.900000.csv"]
         model = matching.load_model(run / "model.json")
         records = erbound.load_records_csv(run / "test_records.csv", model.schema)
-        scores = matching.condensed_pairwise_scores(model, records)
+        edges = all_pairs(model, records)
         for path, threshold in zip(files, (0.5, 0.9)):
-            resolver.write_clustering_csv(
-                tmp_path / "expected.csv",
-                resolver.resolve_from_condensed(records, scores, threshold))
+            resolver.write_clustering_csv(tmp_path / "expected.csv",
+                                          resolve_at(records, edges, threshold))
             assert path.read_bytes() == (tmp_path / "expected.csv").read_bytes()
 
     def test_bad_grid(self, trained, tmp_path, capsys):
@@ -187,6 +186,7 @@ class TestScoreOnce:
     def test_resolve_scores_once(self, trained, tmp_path, monkeypatch):
         _, run = trained
         calls = count_calls(monkeypatch, matching.condensed_pairwise_scores)
+        labellings = count_calls(monkeypatch, resolver.components_from_condensed)
         assert main([
             "resolve", "--model", str(run / "model.json"),
             "--records", str(run / "test_records.csv"),
@@ -194,6 +194,7 @@ class TestScoreOnce:
             "--threshold", "0.8", "--out", str(tmp_path / "res"),
         ]) == EXIT_OK
         assert len(calls) == 1
+        assert len(labellings) == 1
 
     def test_sweep_clusterings_do_not_rescore_per_grid_point(self, trained, tmp_path,
                                                             monkeypatch):
@@ -214,6 +215,30 @@ class TestScoreOnce:
             counts.append((len(calls), len(labellings)))
             monkeypatch.undo()
         assert counts[0] == counts[1] == (1, 1)
+
+
+class TestMemoryBudget:
+    @pytest.mark.parametrize("command,flags", [
+        ("sweep", ("--grid-start", "0.3", "--grid-stop", "0.7", "--grid-steps", "3")),
+        ("resolve", ("--threshold", "0.3")),
+    ], ids=["sweep", "resolve"])
+    def test_over_budget_exits_3_naming_the_way_out(self, trained, tmp_path, capsys,
+                                                     monkeypatch, command, flags):
+        _, run = trained
+        monkeypatch.setattr(matching, "MEMORY_BUDGET", 1000)
+        out = tmp_path / "out"
+        assert main([
+            command, "--model", str(run / "model.json"),
+            "--records", str(run / "test_records.csv"),
+            "--validation-stats", str(run / "validation_stats.json"),
+            *flags, "--out", str(out),
+        ]) == EXIT_DATA
+        err = capsys.readouterr().err
+        n = len(erbound.load_records_csv(run / "test_records.csv",
+                                         matching.load_model(run / "model.json").schema))
+        assert f"scoring {n} records" in err and "at or above 0.3" in err
+        assert "a higher --threshold or --grid-start keeps fewer pairs" in err
+        assert not out.exists()
 
 
 class TestResolve:
@@ -246,6 +271,24 @@ class TestResolve:
         assert code == EXIT_GATE
         assert (out / "bound_report.json").exists()
         assert "quality gate failed" in capsys.readouterr().err
+
+    def test_clustering_equals_resolution_from_every_pair(self, trained, tmp_path):
+        """`resolve` writes the clustering of its one-point sweep's labels;
+        it equals the clustering labelled outright from every pair's score."""
+        _, run = trained
+        out = tmp_path / "res"
+        assert main([
+            "resolve", "--model", str(run / "model.json"),
+            "--records", str(run / "test_records.csv"),
+            "--validation-stats", str(run / "validation_stats.json"),
+            "--threshold", "0.5", "--out", str(out),
+        ]) == EXIT_OK
+        model = matching.load_model(run / "model.json")
+        records = erbound.load_records_csv(run / "test_records.csv", model.schema)
+        expected = resolve_at(records, all_pairs(model, records), 0.5)
+        assert len(expected.clusters) < len(records)
+        resolver.write_clustering_csv(tmp_path / "expected.csv", expected)
+        assert (out / "clustering.csv").read_bytes() == (tmp_path / "expected.csv").read_bytes()
 
     def test_clustering_stable_across_reruns(self, trained, tmp_path):
         _, run = trained
@@ -489,6 +532,7 @@ class TestMalformedInputs:
     @pytest.mark.parametrize("text,shown", [
         ("{not json", "line 1"),
         ('{"features": [{"name": "x", "kind": "blob"}]}', "'blob'"),
+        ('{"features": []}', "schema has no features"),
     ])
     def test_bad_schema_names_file(self, trained, tmp_path, capsys, text, shown):
         data, _ = trained

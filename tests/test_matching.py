@@ -1,17 +1,19 @@
 import json
+import tracemalloc
 from dataclasses import replace
 from functools import lru_cache
 
 import numpy as np
 import pytest
 
-from erbound.errors import DataError, DegenerateDataError, SchemaError
+from erbound.errors import ConfigError, DataError, DegenerateDataError, SchemaError
 from erbound.matching import (
     MatchModel,
     PairColumns,
     TrainConfig,
     _batch_levenshtein,
     _code_points,
+    _scorer,
     condensed_pairwise_scores,
     fit_logistic,
     load_model,
@@ -41,7 +43,8 @@ from erbound.reference import (
     pairwise_scores,
 )
 
-from conftest import count_calls, random_model, random_record, random_records, random_words
+from conftest import (all_pairs, count_calls, random_model, random_record, random_records,
+                      random_words)
 
 
 def oracle_levenshtein(s, t):
@@ -403,7 +406,7 @@ class TestBulkScores:
         model = random_model(rng, schema)
         n = len(records)
         pairs = [(a, b) for i, a in enumerate(records) for b in records[i + 1:]]
-        scores = condensed_pairwise_scores(model, records)
+        scores = all_pairs(model, records).scores
         assert scores.shape == (len(pairs),)
         assert np.allclose(scores, [pair_score(model, a, b) for a, b in pairs],
                            rtol=0.0, atol=1e-12)
@@ -457,7 +460,7 @@ class TestBulkScores:
 
         calls = count_calls(monkeypatch, matching._batch_levenshtein)
         monkeypatch.setattr(matching, "score_pair", forbidden)
-        scores = condensed_pairwise_scores(model, records)
+        scores = all_pairs(model, records).scores
         assert np.allclose(scores, expected, rtol=0.0, atol=1e-12)
         distinct = [len(set().union(*(r.values[f] for r in records))) for f in (0, 1)]
         assert max(distinct) < len(records)  # names repeat
@@ -478,7 +481,7 @@ class TestBulkScores:
         gather = PairColumns.slots
         monkeypatch.setattr(PairColumns, "slots",
                             lambda self, *args: blocks.append(args) or gather(self, *args))
-        condensed_pairwise_scores(random_model(rng, mixed_schema), records)
+        condensed_pairwise_scores(random_model(rng, mixed_schema), records, 0.0)
         assert scalar == [[], []]
         assert 1 <= len(dp) <= len(blocks) < len(records) - 1
 
@@ -492,6 +495,84 @@ class TestBulkScores:
             for j in range(i + 1, len(records)):
                 assert matcher(records[i], records[j]) == \
                     base_match(model, records[i], records[j])
+
+
+class TestEdges:
+    """Scoring keeps exactly the pairs at or above its floor, holds no
+    array of every pair's score, and stops at its memory budget."""
+
+    @pytest.mark.parametrize("floor", [0.02, 0.5, 0.96, "above-every-score"])
+    @pytest.mark.parametrize("case", [synthetic_case, mixed_case(14), mixed_case(2)],
+                             ids=["synthetic", "random-records", "n2"])
+    def test_floor_keeps_exactly_the_pairs_at_or_above(self, case, floor, mixed_schema):
+        rng = np.random.default_rng(20)
+        schema, records = case(rng, mixed_schema)
+        model = random_model(rng, schema)
+        dense = all_pairs(model, records)
+        if floor == "above-every-score":
+            floor = float(np.nextafter(dense.scores.max(), 2.0))
+        edges = condensed_pairwise_scores(model, records, floor)
+        kept = dense.scores >= floor
+        assert edges.n == len(records) and edges.total_pairs == len(kept)
+        for name in ("rows", "cols", "scores"):
+            assert np.array_equal(getattr(edges, name), getattr(dense, name)[kept])
+
+    def test_scoring_holds_no_array_of_every_pair(self):
+        """1,200 numeric records at floor 0.9 peak below the 8 n(n-1)/2
+        bytes of every pair's score, over row blocks of one row and of many;
+        the edges are still exactly the pairs at or above the floor."""
+        from erbound.dataset import generate_synthetic, synthetic_schema
+
+        records, gold = generate_synthetic(n_entities=120, records_per_entity=10, seed=5)
+        pairs = [(a, b, int(gold.labels[a.record_id] == gold.labels[b.record_id]))
+                 for a, b in zip(records[::7], records[1::7])]
+        pairs += [(a, b, 0) for a, b in zip(records[::11], records[600::11])]
+        model = train_match_model(pairs, synthetic_schema(10))
+        n = len(records)
+        tracemalloc.start()
+        try:
+            edges = condensed_pairwise_scores(model, records, 0.9)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 * n * (n - 1) // 2
+        dense = all_pairs(model, records)
+        kept = dense.scores >= 0.9
+        assert 0 < kept.sum() < len(kept) // 50
+        for name in ("rows", "cols", "scores"):
+            assert np.array_equal(getattr(edges, name), getattr(dense, name)[kept])
+
+    def test_complete_columns_skip_the_missing_term(self, mixed_schema):
+        """Where no record lacks a feature, the scorer leaves out the missing
+        indicators, and the scores stay bit-identical."""
+        from erbound.dataset import generate_synthetic, synthetic_schema
+
+        rng = np.random.default_rng(21)
+        records, _ = generate_synthetic(n_entities=8, records_per_entity=5, seed=21)
+        columns = PairColumns(records, synthetic_schema(10))
+        assert columns.complete
+        assert not PairColumns(*mixed_case(10)(rng, mixed_schema)[::-1]).complete
+        slots = columns.slots(*np.triu_indices(len(records), 1))
+        model = random_model(rng, synthetic_schema(10))
+        assert np.array_equal(_scorer(model, complete=True)(slots.copy()),
+                              _scorer(model, complete=False)(slots.copy()))
+
+    @pytest.mark.parametrize("floor", [0.02, 2.0], ids=["edges", "cache-only"])
+    def test_memory_budget(self, monkeypatch, mixed_schema, floor):
+        """Kept edges and cached edit distances both count; above the
+        budget, scoring stops with a ConfigError naming the way out. At a
+        floor above every score only the distance cache is held."""
+        from erbound import matching
+
+        rng = np.random.default_rng(22)
+        records = random_records(rng, mixed_schema, 40, words=random_words(rng, 30))
+        model = random_model(rng, mixed_schema)
+        monkeypatch.setattr(matching, "MEMORY_BUDGET", 64)
+        with pytest.raises(ConfigError, match="40 records .* --threshold or --grid-start"):
+            condensed_pairwise_scores(model, records, floor)
+        monkeypatch.setattr(matching, "MEMORY_BUDGET", 1 << 30)
+        assert len(condensed_pairwise_scores(model, records, floor).scores) == \
+            int((all_pairs(model, records).scores >= floor).sum())
 
 
 class TestModelIO:

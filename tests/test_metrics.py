@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from erbound.dataset import GoldTruth, pairs_from_labels
-from erbound.matching import condensed_pairwise_scores
 from erbound.pipeline import sweep_thresholds
 from erbound.reference import (
     base_match,
@@ -14,9 +13,9 @@ from erbound.reference import (
     pairwise_scores,
     resolve_connected_components,
 )
-from erbound.resolver import Clustering, resolve_from_condensed
+from erbound.resolver import Clustering
 
-from conftest import random_model, random_records
+from conftest import all_pairs, random_model, random_records, resolve_at
 
 
 def naive_metrics(predicted, truth):
@@ -131,7 +130,7 @@ class TestCountBasedMetrics:
             result = sweep_thresholds(model, records, val_scores, val_labels,
                                       rng.uniform(0.05, 0.95, size=3), gold=gold)
             for row in result.rows:
-                c = resolve_from_condensed(records, result.scores, row.threshold)
+                c = resolve_at(records, result.edges, row.threshold)
                 slow = pair_metrics(intra_cluster_pairs(c), truth)
                 assert row.r_pairs == len(intra_cluster_pairs(c))
                 assert (row.true_precision, row.true_recall, row.true_f1) == \
@@ -148,8 +147,7 @@ class TestDirectMatchCount:
             scored = matcher_from_scores(table, model.threshold)
             clustering = resolve_connected_components(records, scored)
             # |T_M| as the CLI counts it: condensed scores at the threshold
-            counted = int((condensed_pairwise_scores(model, records)
-                           >= model.threshold).sum())
+            counted = int((all_pairs(model, records).scores >= model.threshold).sum())
             exhaustive = sum(
                 base_match(model, a, b)
                 for i, a in enumerate(records) for b in records[i + 1:]

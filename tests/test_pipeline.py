@@ -4,7 +4,6 @@ import pytest
 from erbound.bounds import ValidationStats, compute_bound_report
 from erbound.dataset import SplitSpec, generate_synthetic, synthetic_schema
 from erbound.errors import ConfigError
-from erbound.matching import condensed_pairwise_scores
 from erbound.pipeline import (
     degradation_experiment,
     select_best_row,
@@ -17,7 +16,8 @@ from erbound.reference import (
     pair_metrics,
     resolve_connected_components,
 )
-from erbound.resolver import resolve_from_condensed
+
+from conftest import all_pairs, resolve_at
 
 
 @pytest.fixture(scope="module")
@@ -57,13 +57,15 @@ class TestSweep:
         grid = [0.3, 0.6, 0.9]
         result = sweep_thresholds(outcome.model, test_records, scores, labels,
                                   grid, gold=test_gold)
-        condensed = condensed_pairwise_scores(outcome.model, test_records)
-        assert np.array_equal(result.scores, condensed)
+        condensed = all_pairs(outcome.model, test_records)
+        kept = condensed.scores >= min(grid)
+        for name in ("rows", "cols", "scores"):
+            assert np.array_equal(getattr(result.edges, name), getattr(condensed, name)[kept])
         truth = test_gold.truth_pairs()
         for row in result.rows:
-            clustering = resolve_from_condensed(test_records, condensed, row.threshold)
+            clustering = resolve_at(test_records, condensed, row.threshold)
             assert row.r_pairs == len(intra_cluster_pairs(clustering))
-            assert row.tm_pairs == int((condensed >= row.threshold).sum())
+            assert row.tm_pairs == int((condensed.scores >= row.threshold).sum())
             expected = pair_metrics(intra_cluster_pairs(clustering), truth)
             assert row.true_precision == expected.precision
             assert row.true_recall == expected.recall
@@ -71,7 +73,7 @@ class TestSweep:
             assert row.recall_lb == stats.recall_v
             if row.precision_lb is not None:
                 report = compute_bound_report(stats, row.tm_pairs, row.r_pairs,
-                                              len(condensed))
+                                              len(condensed.scores))
                 assert row.precision_lb == report.precision_lb
                 assert row.c_t == report.c_t_estimate
                 assert (row.precision_lb_lo, row.precision_lb_hi) == \
@@ -167,8 +169,7 @@ class TestResolveAt:
     def test_matches_predicate_resolver(self, small_run):
         _, _, outcome = small_run
         test_records = outcome.split.test_records[:40]
-        scores = condensed_pairwise_scores(outcome.model, test_records)
-        fast = resolve_from_condensed(test_records, scores, 0.7)
+        fast = resolve_at(test_records, all_pairs(outcome.model, test_records), 0.7)
         slow = resolve_connected_components(
             test_records,
             lambda a, b: base_match(outcome.model.with_threshold(0.7), a, b))

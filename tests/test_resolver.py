@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from erbound.errors import DataError
-from erbound.matching import condensed_pairwise_scores
 from erbound.records import base_record
 from erbound.reference import (
     base_match,
@@ -19,11 +18,10 @@ from erbound.resolver import (
     Clustering,
     components_by_threshold,
     components_from_condensed,
-    resolve_from_condensed,
     write_clustering_csv,
 )
 
-from conftest import random_model, random_records
+from conftest import all_pairs, random_model, random_records, resolve_at
 
 
 def wrapper_and_merge(model, records):
@@ -101,20 +99,26 @@ class TestComponentLabels:
         return [base_record(mixed_schema, f"r{k:04d}", {}) for k in range(n)]
 
     def check(self, records, scores, threshold):
-        labels = components_from_condensed(len(records), scores, threshold)
+        n = len(records)
+        rows, cols = np.triu_indices(n, 1)
+        labels = components_from_condensed(n, scores, threshold, rows, cols)
         assert labels.tolist() == smallest_member_labels(records, scores, threshold).tolist()
+        # the edges at or above the threshold alone give the same labels
+        kept = scores >= threshold
+        assert labels.tolist() == components_from_condensed(
+            n, scores[kept], threshold, rows[kept], cols[kept]).tolist()
 
     def test_random_records(self, mixed_schema):
         rng = np.random.default_rng(9)
         for _ in range(30):
             model = random_model(rng, mixed_schema)
             records = random_records(rng, mixed_schema, int(rng.integers(2, 25)))
-            self.check(records, condensed_pairwise_scores(model, records), model.threshold)
+            self.check(records, all_pairs(model, records).scores, model.threshold)
 
     def test_random_order_path(self):
         n = 2000
         scores = condensed_from_edges(n, path_edges(n, np.random.default_rng(10)))
-        assert (components_from_condensed(n, scores, 0.5) == 0).all()
+        assert (components_from_condensed(n, scores, 0.5, *np.triu_indices(n, 1)) == 0).all()
 
     def test_star_centred_on_largest_index(self, mixed_schema):
         n = 300
@@ -134,21 +138,27 @@ class TestComponentLabels:
         scores = rng.random(50 * 49 // 2)
         threshold = np.nextafter(scores.max(), 2.0)
         self.check(self.records(mixed_schema, 50), scores, threshold)
-        assert components_from_condensed(50, scores, threshold).tolist() == list(range(50))
+        assert components_from_condensed(50, scores, threshold,
+                                         *np.triu_indices(50, 1)).tolist() == list(range(50))
 
 
 class TestComponentsByThreshold:
     """The one-pass sweep yields, at every threshold, exactly the labels of
-    `components_from_condensed` and the number of scores that clear it."""
+    `components_from_condensed` and the number of scores that clear it,
+    from every pair or from the edges at or above the lowest threshold."""
 
     @staticmethod
     def check(n, scores, thresholds):
-        passed = list(components_by_threshold(n, scores, thresholds))
-        assert [t for t, _, _ in passed] == sorted(map(float, thresholds), reverse=True)
-        # checked after the pass has finished: earlier label arrays must not change
-        for t, labels, tm_pairs in passed:
-            assert labels.tolist() == components_from_condensed(n, scores, t).tolist()
-            assert tm_pairs == int((scores >= t).sum())
+        rows, cols = np.triu_indices(n, 1)
+        kept = scores >= min(thresholds)
+        for edges in ((scores, rows, cols), (scores[kept], rows[kept], cols[kept])):
+            passed = list(components_by_threshold(n, edges[0], thresholds, *edges[1:]))
+            assert [t for t, _, _ in passed] == sorted(map(float, thresholds), reverse=True)
+            # checked after the pass has finished: earlier label arrays must not change
+            for t, labels, tm_pairs in passed:
+                assert labels.tolist() == \
+                    components_from_condensed(n, scores, t, rows, cols).tolist()
+                assert tm_pairs == int((scores >= t).sum())
 
     def test_random_condensed_arrays(self):
         rng = np.random.default_rng(16)
@@ -187,9 +197,9 @@ class TestComponentsByThreshold:
 
         calls = []
 
-        def counted(n, scores, threshold):
+        def counted(n, scores, threshold, rows, cols):
             calls.append(threshold)
-            return components_from_condensed(n, scores, threshold)
+            return components_from_condensed(n, scores, threshold, rows, cols)
 
         for module in (resolver, pipeline):
             monkeypatch.setattr(module, "components_from_condensed", counted, raising=False)
@@ -330,8 +340,7 @@ class TestEquivalenceAndDeterminism:
         for _ in range(30):
             model = random_model(rng, mixed_schema)
             records = random_records(rng, mixed_schema, 12)
-            scores = condensed_pairwise_scores(model, records)
-            via_scores = resolve_from_condensed(records, scores, model.threshold)
+            via_scores = resolve_at(records, all_pairs(model, records), model.threshold)
             via_predicate = resolve_connected_components(
                 records, lambda a, b: base_match(model, a, b))
             assert via_scores.partition() == via_predicate.partition()
