@@ -35,6 +35,7 @@ from .errors import (
 )
 from .matching import (
     MatchModel,
+    PairColumns,
     TrainConfig,
     condensed_pairwise_scores,
     score_pair,

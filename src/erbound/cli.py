@@ -13,6 +13,7 @@ import argparse
 import csv
 import json
 import sys
+from dataclasses import astuple
 from pathlib import Path
 
 import numpy as np
@@ -26,6 +27,7 @@ EXIT_GATE = 4
 
 STATS_FORMAT_VERSION = 1
 
+# one column per `pipeline.SweepRow` field, in field order
 SWEEP_COLUMNS = [
     "threshold", "r_pairs", "tm_pairs", "c_t_est",
     "prec_lb", "prec_lb_lo", "prec_lb_hi",
@@ -60,17 +62,6 @@ def _read_config_file(path: str) -> dict[str, str]:
     return values
 
 
-def _explicit_dests(argv: list[str], sub: argparse.ArgumentParser) -> set[str]:
-    tokens = set()
-    for tok in argv:
-        tokens.add(tok.split("=", 1)[0] if tok.startswith("--") else tok)
-    explicit = set()
-    for action in sub._actions:
-        if any(opt in tokens for opt in action.option_strings):
-            explicit.add(action.dest)
-    return explicit
-
-
 def _merge_config(args: argparse.Namespace, argv: list[str],
                   sub: argparse.ArgumentParser) -> None:
     """Fill namespace values from the config file wherever the flag was not
@@ -79,7 +70,8 @@ def _merge_config(args: argparse.Namespace, argv: list[str],
         return
     raw = _read_config_file(args.config)
     actions = {a.dest: a for a in sub._actions}
-    explicit = _explicit_dests(argv, sub)
+    given = {tok.split("=", 1)[0] for tok in argv}  # flags given as --flag or --flag=value
+    explicit = {a.dest for a in sub._actions if given.intersection(a.option_strings)}
     for key, value in raw.items():
         dest = key.replace("-", "_")
         if dest not in actions or dest in ("help", "config"):
@@ -103,11 +95,8 @@ def _merge_config(args: argparse.Namespace, argv: list[str],
 
 
 def _write_effective_config(out_dir: Path, command: str, args: argparse.Namespace) -> None:
-    lines = []
-    for key in sorted(vars(args)):
-        if key in ("func", "config", "command"):
-            continue
-        lines.append(f"{key}={getattr(args, key)}")
+    lines = [f"{key}={getattr(args, key)}" for key in sorted(vars(args))
+             if key not in ("func", "config", "command")]
     (out_dir / f"{command}.effective.cfg").write_text("\n".join(lines) + "\n")
 
 
@@ -150,7 +139,7 @@ def cmd_generate(args) -> int:
     )
     schema = dataset.synthetic_schema(args.dims)
     out = _out_dir(args)
-    dataset.write_records_csv(out / "records.csv", records, schema)
+    dataset.write_records_csv(out / "records.csv", matching.PairColumns(records, schema))
     dataset.write_gold_csv(out / "gold.csv", gold)
     dataset.save_schema_json(out / "schema.json", schema)
     _write_effective_config(out, "generate", args)
@@ -195,27 +184,33 @@ def load_validation_stats(path) -> tuple[np.ndarray, np.ndarray]:
         if doc.get("format_version") != STATS_FORMAT_VERSION:
             raise DataError(f"{path}: unsupported stats format_version "
                             f"{doc.get('format_version')!r}")
-        scores = np.array([p["score"] for p in doc["pairs"]], dtype=float)
+        raw = [p["score"] for p in doc["pairs"]]
         labels = [p["label"] for p in doc["pairs"]]
+        scores = np.array(raw, dtype=float)
     except KeyError as exc:
         raise DataError(f"{path}: validation stats have no field {exc}") from exc
     except (TypeError, ValueError, IndexError) as exc:
         raise DataError(f"{path}: malformed validation stats: {exc}") from exc
-    bad = scores[~((scores >= 0.0) & (scores <= 1.0))]
-    if len(bad):
+    # a JSON true or false is no number, though Python reads it as 1 or 0
+    bad = [s for s, v in zip(raw, scores) if isinstance(s, bool) or not 0.0 <= v <= 1.0]
+    if bad:
         raise DataError(f"{path}: validation stats field 'score' must be a number in [0, 1], "
-                        f"got {float(bad[0])!r}")
-    bad = [label for label in labels if label not in (0, 1)]
+                        f"got {bad[0]!r}")
+    bad = [label for label in labels if isinstance(label, bool) or label not in (0, 1)]
     if bad:
         raise DataError(f"{path}: validation stats field 'label' must be 0 or 1, "
                         f"got {bad[0]!r}")
+    positives = sum(labels)
+    if not 0 < positives < len(labels):
+        raise DataError(f"{path}: validation pairs must include both labels "
+                        f"(got {positives} positives of {len(labels)})")
     return scores, np.array(labels, dtype=int)
 
 
 def cmd_train(args) -> int:
     schema = dataset.load_schema_json(args.schema)
     records = dataset.load_records_csv(args.records, schema)
-    gold = dataset.load_gold(args.gold, valid_ids=[r.record_id for r in records])
+    gold = dataset.load_gold(args.gold, valid_ids=records.ids)
     spec = dataset.SplitSpec(
         n_train_pairs=args.n_train_pairs,
         n_validation_pairs=args.n_validation_pairs,
@@ -225,43 +220,39 @@ def cmd_train(args) -> int:
     )
     config = matching.TrainConfig(learning_rate=args.learning_rate,
                                   epochs=args.epochs, l2=args.l2, seed=args.seed)
-    outcome = pipeline.train_pipeline(records, gold, schema, spec, config,
-                                      threshold=args.threshold)
+    outcome = pipeline.train_pipeline(records, gold, spec, config, threshold=args.threshold)
     out = _out_dir(args)
     matching.save_model(out / "model.json", outcome.model)
     payload = _stats_payload(outcome, args.threshold, args.confidence)
     (out / "validation_stats.json").write_text(
         json.dumps(payload, indent=2, sort_keys=True) + "\n")
-    dataset.write_records_csv(out / "test_records.csv", outcome.split.test_records, schema)
+    dataset.write_records_csv(out / "test_records.csv", outcome.split.test_records)
     dataset.write_gold_csv(out / "test_gold.csv", outcome.split.test_gold)
     _write_effective_config(out, "train", args)
 
     s = payload["stats"]
     prec = "undefined" if s["precision_v"] is None else "%.4f" % s["precision_v"]
-    print(f"trained on {len(outcome.split.train_pairs)} pairs; "
+    print(f"trained on {len(outcome.split.train_pairs.labels)} pairs; "
           f"validation n={s['n_pairs']} c_v={s['c_v']:.3f} "
           f"precision_v={prec} recall_v={s['recall_v']:.4f}")
     print(f"test set: {len(outcome.split.test_records)} records")
     return EXIT_OK
 
 
-def _sweep_row_cells(row: pipeline.SweepRow) -> list[str]:
-    return [_fmt(v) for v in (
-        row.threshold, row.r_pairs, row.tm_pairs, row.c_t,
-        row.precision_lb, row.precision_lb_lo, row.precision_lb_hi,
-        row.recall_lb, row.recall_lb_lo, row.recall_lb_hi,
-        row.f1_lb, row.f1_lb_lo, row.f1_lb_hi,
-        row.true_precision, row.true_recall, row.true_f1,
-    )]
+def _load_test_records(args, model: matching.MatchModel) -> matching.PairColumns:
+    records = dataset.load_records_csv(args.records, model.schema)
+    if len(records) < 2:
+        raise DataError(f"{args.records}: needs at least 2 test records, got {len(records)}")
+    return records
 
 
 def cmd_sweep(args) -> int:
     model = matching.load_model(args.model)
-    records = dataset.load_records_csv(args.records, model.schema)
+    records = _load_test_records(args, model)
     val_scores, val_labels = load_validation_stats(args.validation_stats)
     gold = None
     if args.gold:
-        gold = dataset.load_gold(args.gold, valid_ids=[r.record_id for r in records])
+        gold = dataset.load_gold(args.gold, valid_ids=records.ids)
     grid = np.linspace(args.grid_start, args.grid_stop, args.grid_steps)
     result = pipeline.sweep_thresholds(
         model, records, val_scores, val_labels, grid,
@@ -273,7 +264,7 @@ def cmd_sweep(args) -> int:
         writer = csv.writer(fh)
         writer.writerow(SWEEP_COLUMNS)
         for row in result.rows:
-            writer.writerow(_sweep_row_cells(row))
+            writer.writerow(_fmt(v) for v in astuple(row))
         fh.write(f"# select_metric={result.select_metric}\n")
         if result.recall_floor is not None:
             fh.write(f"# recall_floor={_fmt(result.recall_floor)}\n")
@@ -293,7 +284,7 @@ def cmd_sweep(args) -> int:
     if args.write_clusterings:
         for row, labels in zip(result.rows, result.labels):
             resolver.write_clustering_csv(out / f"clustering_{row.threshold:.6f}.csv",
-                                          resolver.Clustering.from_labels(records, labels))
+                                          resolver.resolve_from_condensed(records.ids, labels))
     _write_effective_config(out, "sweep", args)
     if result.best is None:
         print("sweep finished; no threshold produced a defined bound")
@@ -332,13 +323,13 @@ def _bound_report_doc(row: pipeline.SweepRow, confidence: float) -> dict:
 
 def cmd_resolve(args) -> int:
     model = matching.load_model(args.model)
-    records = dataset.load_records_csv(args.records, model.schema)
+    records = _load_test_records(args, model)
     val_scores, val_labels = load_validation_stats(args.validation_stats)
     threshold = model.threshold if args.threshold is None else args.threshold
     result = pipeline.sweep_thresholds(model, records, val_scores, val_labels, [threshold],
                                        c_t_override=args.ct, confidence=args.confidence)
     row = result.rows[0]
-    clustering = resolver.resolve_from_condensed(records, result.labels[0])
+    clustering = resolver.resolve_from_condensed(records.ids, result.labels[0])
     out = _out_dir(args)
     resolver.write_clustering_csv(out / "clustering.csv", clustering)
     (out / "bound_report.json").write_text(
@@ -373,7 +364,6 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argument
         allow_abbrev=False,
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    sub_map = {}
 
     def add_common(p):
         p.add_argument("--config", help="key=value file; flags override it")
@@ -387,7 +377,6 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argument
     g.add_argument("--noise-sigma", type=float, default=0.02)
     g.add_argument("--seed", type=int, default=0)
     g.set_defaults(func=cmd_generate)
-    sub_map["generate"] = g
 
     t = sub.add_parser("train", help="split, train the match model, score validation",
                        allow_abbrev=False)
@@ -406,7 +395,6 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argument
     t.add_argument("--confidence", type=float, default=0.95)
     t.add_argument("--seed", type=int, default=0)
     t.set_defaults(func=cmd_train)
-    sub_map["train"] = t
 
     s = sub.add_parser("sweep", help="bound curves across a threshold grid",
                        allow_abbrev=False)
@@ -425,7 +413,6 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argument
     s.add_argument("--recall-floor", type=float, default=None)
     s.add_argument("--write-clusterings", action="store_true")
     s.set_defaults(func=cmd_sweep)
-    sub_map["sweep"] = s
 
     r = sub.add_parser("resolve", help="resolve at one threshold and gate on bounds",
                        allow_abbrev=False)
@@ -441,8 +428,7 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argument
     r.add_argument("--min-recall-lb", type=float, default=None)
     r.add_argument("--min-f1-lb", type=float, default=None)
     r.set_defaults(func=cmd_resolve)
-    sub_map["resolve"] = r
-    return parser, sub_map
+    return parser, sub.choices
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -457,13 +443,7 @@ def main(argv: list[str] | None = None) -> int:
                 sub.error(f"the following argument is required: --{dest.replace('_', '-')}")
         _check_ranges(args)
         return args.func(args)
-    except ErboundError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_DATA
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_DATA
-    except OSError as exc:
+    except (ErboundError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_DATA
 

@@ -1,5 +1,10 @@
 """Datasets: synthetic generation, CSV ingestion, gold truth, splitting.
 
+A CSV is read straight into the record table `matching.PairColumns`, the
+one record form from the CSV to the score, and a split names its labeled
+pairs by index into that table. `generate_synthetic` returns `Record`s,
+which `PairColumns(records, schema)` codes into a table.
+
 File formats
 ------------
 records CSV       : header `id,<feature...>`; multi-valued cells joined with
@@ -17,12 +22,13 @@ import json
 from dataclasses import dataclass
 from itertools import combinations
 from pathlib import Path
-from typing import Iterable, Iterator, Mapping, Sequence
+from typing import Iterable, Iterator, Mapping, NamedTuple, Sequence
 
 import numpy as np
 
 from .errors import ConfigError, DataError, SchemaError
-from .records import NUMERIC, Feature, FeatureSchema, Record, base_record
+from .matching import PairColumns
+from .records import NUMERIC, Feature, FeatureSchema, Record, base_record, canonical_value
 
 Pair = tuple[str, str]
 
@@ -32,10 +38,8 @@ def pairs_from_labels(labels: Mapping[str, str]) -> frozenset[Pair]:
     by_label: dict[str, list[str]] = {}
     for rid, label in labels.items():
         by_label.setdefault(label, []).append(rid)
-    pairs = set()
-    for group in by_label.values():
-        pairs.update(combinations(sorted(group), 2))
-    return frozenset(pairs)
+    return frozenset(pair for group in by_label.values()
+                     for pair in combinations(sorted(group), 2))
 
 
 @dataclass(frozen=True)
@@ -81,17 +85,13 @@ def generate_synthetic(n_entities: int = 100, records_per_entity: int = 10,
     ent_width = max(4, len(str(n_entities - 1)))
     records = []
     labels = {}
-    row = 0
-    for e in range(n_entities):
-        for _ in range(records_per_entity):
-            rid = f"r{row:0{id_width}d}"
-            feats = latents[e] + noise[row]
-            records.append(base_record(
-                schema, rid,
-                {name: [float(v)] for name, v in zip(schema.names, feats)},
-            ))
-            labels[rid] = f"e{e:0{ent_width}d}"
-            row += 1
+    for row in range(total):
+        e = row // records_per_entity
+        rid = f"r{row:0{id_width}d}"
+        feats = latents[e] + noise[row]
+        records.append(base_record(
+            schema, rid, {name: [float(v)] for name, v in zip(schema.names, feats)}))
+        labels[rid] = f"e{e:0{ent_width}d}"
     return records, GoldTruth(labels)
 
 
@@ -109,9 +109,10 @@ def _csv_rows(path) -> Iterator[list[str]]:
         raise DataError(f"{path}: not UTF-8 text: {exc}") from exc
 
 
-def load_records_csv(path, schema: FeatureSchema) -> list[Record]:
-    """Read base records; the header must contain `id` plus exactly the
-    schema's feature names (any column order)."""
+def load_records_csv(path, schema: FeatureSchema) -> PairColumns:
+    """Read base records into a record table; the header must contain `id`
+    plus exactly the schema's feature names (any column order). Each
+    distinct cell of a feature is split and canonicalized once."""
     rows = _csv_rows(path)
     header = next(rows)
     if "id" not in header:
@@ -122,52 +123,54 @@ def load_records_csv(path, schema: FeatureSchema) -> list[Record]:
             f"{path}: header {sorted(header)} does not match schema "
             f"columns {sorted(expected)}"
         )
-    idx = {name: header.index(name) for name in header}
-    records = []
-    seen = set()
-    for row_no, row in enumerate(rows, start=2):
+    body = list(rows)
+    id_col = header.index("id")
+    ids: dict[str, None] = {}
+    for row_no, row in enumerate(body, start=2):
         if len(row) != len(header):
             raise DataError(f"{path}:{row_no}: expected {len(header)} cells, got {len(row)}")
-        rid = row[idx["id"]].strip()
+        rid = row[id_col].strip()
         if not rid:
             raise DataError(f"{path}:{row_no}: empty id")
-        if rid in seen:
+        if rid in ids:
             raise DataError(f"{path}:{row_no}: duplicate id {rid!r}")
-        seen.add(rid)
+        ids[rid] = None
+    cells = list(zip(*body)) or [()] * len(header)
+    columns = []
+    for feat in schema.features:
+        column = cells[header.index(feat.name)]
         values = {}
-        for feat in schema.features:
-            cell = row[idx[feat.name]].strip()
-            if not cell:
-                continue
-            parts = [p for p in (s.strip() for s in cell.split("|")) if p]
-            values[feat.name] = parts
-        try:
-            records.append(base_record(schema, rid, values))
-        except SchemaError as exc:
-            raise DataError(f"{path}:{row_no}: {exc}") from exc
-    return records
+        for cell in dict.fromkeys(column):
+            try:
+                values[cell] = tuple({canonical_value(p, feat.kind)
+                                      for p in map(str.strip, cell.split("|")) if p})
+            except SchemaError as exc:
+                raise DataError(f"{path}:{column.index(cell) + 2}: "
+                                f"feature {feat.name!r}: {exc}") from exc
+        columns.append([values[cell] for cell in column])
+    return PairColumns.from_columns(schema, ids, columns)
 
 
-def _format_value(v) -> str:
-    return repr(float(v)) if isinstance(v, float) else str(v)
-
-
-def write_records_csv(path, records: Sequence[Record], schema: FeatureSchema) -> None:
+def write_records_csv(path, table: PairColumns) -> None:
+    """Write a record table as a records CSV, one feature column at a time;
+    a cell joins its values, sorted as strings, with `|`."""
+    # empty strings and '|' cannot survive the cell encoding
+    bad = [code for code, v in enumerate(table.values) if v == "" or "|" in v]
+    for f in table.categorical + table.text:
+        holding = np.nonzero((table.cells[f, :, :, None] == bad).any(axis=2))[1]
+        if holding.size:
+            raise DataError(
+                f"record {table.ids[holding[0]]!r} feature {table.schema.names[f]!r} "
+                "holds a value the CSV cell encoding cannot represent")
+    columns = [table.ids]
+    for f, feat in enumerate(table.schema.features):
+        as_text = repr if feat.kind == NUMERIC else lambda code: table.values[int(code)]
+        columns.append(["|".join(sorted([as_text(v) for v in slot if v == v]))
+                        for slot in table.cells[f].T.tolist()])
     with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
-        writer.writerow(["id", *schema.names])
-        for rec in records:
-            cells = [rec.record_id]
-            for feat, slot in zip(schema.features, rec.values):
-                parts = sorted((_format_value(v) for v in slot), key=str)
-                # empty strings and '|' cannot survive the cell encoding
-                if any(p == "" or "|" in p for p in parts):
-                    raise DataError(
-                        f"record {rec.record_id!r} feature {feat.name!r} holds a "
-                        "value the CSV cell encoding cannot represent"
-                    )
-                cells.append("|".join(parts))
-            writer.writerow(cells)
+        writer.writerow(["id", *table.schema.names])
+        writer.writerows(zip(*columns))
 
 
 def load_gold(path, valid_ids: Iterable[str] | None = None) -> GoldTruth:
@@ -237,14 +240,20 @@ class SplitSpec:
                 raise ConfigError(f"{name} must lie strictly inside (0, 1)")
 
 
-LabeledPair = tuple[Record, Record, int]
+class LabeledPairs(NamedTuple):
+    """Pair k is the records rows[k] and cols[k] of a record table, with
+    label labels[k], 1 for a match."""
+
+    rows: np.ndarray
+    cols: np.ndarray
+    labels: np.ndarray
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Split:
-    train_pairs: list[LabeledPair]
-    validation_pairs: list[LabeledPair]
-    test_records: list[Record]
+    train_pairs: LabeledPairs
+    validation_pairs: LabeledPairs
+    test_records: PairColumns
     test_gold: GoldTruth
 
 
@@ -258,7 +267,7 @@ def _positive_count(n_pairs: int, fraction: float) -> int:
 
 
 def _sample_negative_pairs(ids: Sequence[str], labels: dict[str, str], count: int,
-                           rng: np.random.Generator) -> list[Pair]:
+                           rng: "np.random.Generator") -> list[Pair]:
     """Distinct-label pairs sampled without replacement, by rejection for
     sparse requests and by full enumeration otherwise."""
     n = len(ids)
@@ -287,8 +296,7 @@ def _sample_negative_pairs(ids: Sequence[str], labels: dict[str, str], count: in
     return sorted(chosen)
 
 
-def split_dataset(records: Sequence[Record], gold: GoldTruth,
-                  spec: SplitSpec) -> Split:
+def split_dataset(table: PairColumns, gold: GoldTruth, spec: SplitSpec) -> Split:
     """Draw labeled train and validation pairs and carve the test set.
 
     Positive pairs come from the gold truth, negative pairs from pairs of
@@ -297,12 +305,11 @@ def split_dataset(records: Sequence[Record], gold: GoldTruth,
     drawn pair is removed from the test records, and the gold truth is
     restricted to what remains. Deterministic given spec.seed.
     """
-    by_id = {}
-    for rec in records:
-        if rec.record_id in by_id:
-            raise DataError(f"duplicate record id {rec.record_id!r}")
-        by_id[rec.record_id] = rec
-    unknown = set(gold.labels) - set(by_id)
+    index: dict[str, int] = {}
+    for k, rid in enumerate(table.ids):
+        if index.setdefault(rid, k) != k:
+            raise DataError(f"duplicate record id {rid!r}")
+    unknown = set(gold.labels) - set(index)
     if unknown:
         raise DataError(f"gold labels reference unknown ids: {sorted(unknown)[:5]}")
 
@@ -332,18 +339,16 @@ def split_dataset(records: Sequence[Record], gold: GoldTruth,
     neg_pairs = _sample_negative_pairs(labeled_ids, gold.labels,
                                        n_neg_train + n_neg_val, rng)
 
-    def materialize(id_pairs: list[Pair], label: int) -> list[LabeledPair]:
-        return [(by_id[a], by_id[b], label) for a, b in id_pairs]
+    def labeled(positive: list[Pair], negative: list[Pair]) -> LabeledPairs:
+        at = np.array([(index[a], index[b]) for a, b in positive + negative],
+                      dtype=np.intp).reshape(-1, 2)
+        return LabeledPairs(at[:, 0], at[:, 1],
+                            np.repeat([1, 0], [len(positive), len(negative)]))
 
-    train = materialize(pos_pairs[:n_pos_train], 1) + materialize(neg_pairs[:n_neg_train], 0)
-    validation = (materialize(pos_pairs[n_pos_train:], 1)
-                  + materialize(neg_pairs[n_neg_train:], 0))
-
-    used = {rid for a, b, _ in train + validation for rid in (a.record_id, b.record_id)}
-    test_records = [r for r in records if r.record_id not in used]
-    return Split(
-        train_pairs=train,
-        validation_pairs=validation,
-        test_records=test_records,
-        test_gold=gold.restricted(r.record_id for r in test_records),
-    )
+    train = labeled(pos_pairs[:n_pos_train], neg_pairs[:n_neg_train])
+    validation = labeled(pos_pairs[n_pos_train:], neg_pairs[n_neg_train:])
+    used = np.zeros(len(table), dtype=bool)
+    for pairs in (train, validation):
+        used[pairs.rows] = used[pairs.cols] = True
+    test_records = table.take(np.flatnonzero(~used))
+    return Split(train, validation, test_records, gold.restricted(test_records.ids))

@@ -6,26 +6,30 @@ the two value sets, text features by the smallest normalized Levenshtein
 distance. A logistic model over those features gives a match probability,
 and a single cut-off threshold turns it into a boolean match decision.
 
-Every pair is featurized by one gather: `PairColumns` codes each feature
-column of a record list once, and `PairColumns.slots` returns the value
-slots of any index pairs. Training pairs, validation pairs (`score_pairs`)
-and all test pairs go through it, and every score comes from one formula.
-The test pairs are gathered in blocks of rows, and of each block only the
-pairs scoring at or above a floor are kept, as an edge list (`Edges`) from
-which the resolver and the bounds read every threshold at or above it; the
-n(n-1)/2 scores of all pairs are never held at once. The text edit
-distances a gather needs are computed in one vectorized Levenshtein DP over
-the value pairs not yet known, and cached as sorted keys. The per-pair
-definition the gather reproduces is `erbound.reference.featurize_pair`,
-kept there with the scalar edit distance as their oracles.
+Records live in one form, the record table `PairColumns`, which codes each
+feature column once. Every pair is featurized by one gather on it,
+`PairColumns.slots`, which returns the value slots of any index pairs.
+Training, validation (`score_pairs`) and test pairs all go through it, and
+every score comes from one formula. The test pairs are gathered in blocks
+of rows, and of each block only the pairs scoring at or above a floor are
+kept, as an edge list (`Edges`) from which the resolver and the bounds read
+every threshold at or above it; the n(n-1)/2 scores of all pairs are never
+held at once. The text edit distances a gather needs are computed in one
+vectorized Levenshtein DP over the value pairs not yet known, and cached as
+sorted keys. The per-pair definition the gather reproduces is
+`erbound.reference.featurize_pair`, kept there with the scalar edit
+distance as their oracles.
 """
 
+import copy
 import json
 import os
 import sys
-from dataclasses import dataclass, asdict, field, replace
+from collections.abc import Sequence
+from dataclasses import dataclass, asdict, field
+from itertools import chain
 from pathlib import Path
-from typing import Mapping, Sequence
+from typing import Mapping
 
 import numpy as np
 
@@ -82,11 +86,13 @@ def _batch_levenshtein(chars: np.ndarray, lengths: np.ndarray,
     return dist / np.maximum(np.maximum(m, n), 1)
 
 
-class PairColumns:
-    """A record list coded once as one NaN-padded (F, k, n) array: numeric
-    values as they are, categorical and text values as integer codes into
-    their sorted distinct values. Records are the last axis, so a range of
-    them is a view. `slots` gathers the value slots of any index pairs.
+class PairColumns(Sequence):
+    """The record table: record ids, and every feature column coded once
+    into one NaN-padded (F, k, n) array, numeric values as they are and
+    categorical and text values as indices into `values`, the sorted
+    distinct values of each such feature in turn. Records are the last axis,
+    so a range of them is a view. `slots` gathers the value slots of any
+    index pairs, `table[i]` decodes record i, and `take` keeps some records.
 
     Text values are also held as code points. The edit distances a gather
     needs and no earlier gather computed are computed in one vectorized DP
@@ -98,27 +104,66 @@ class PairColumns:
     def __init__(self, records: Sequence[Record], schema: FeatureSchema):
         if any(len(r.values) != len(schema) for r in records):
             raise SchemaError("record does not conform to the schema (feature count)")
+        self._code(schema, [r.record_id for r in records],
+                   [[r.values[f] for r in records] for f in range(len(schema))])
+
+    @classmethod
+    def from_columns(cls, schema: FeatureSchema, ids: Sequence[str],
+                     columns: Sequence[Sequence[tuple]]) -> "PairColumns":
+        """The table of records ids[i] with distinct canonical values columns[f][i]."""
+        table = cls.__new__(cls)
+        table._code(schema, ids, columns)
+        return table
+
+    def _code(self, schema, ids, columns) -> None:
+        self.schema = schema
+        self.ids = list(ids)
         kinds = [feat.kind for feat in schema.features]
         self.categorical = [f for f, kind in enumerate(kinds) if kind == CATEGORICAL]
         self.text = [f for f, kind in enumerate(kinds) if kind == TEXT]
-        coded = sorted({(f, v) for f in self.categorical + self.text
-                        for r in records for v in r.values[f]})
-        code = {fv: u for u, fv in enumerate(coded)}
-        self.chars, self.lengths = _code_points(
-            [v if kinds[f] == TEXT else "" for f, v in coded])
+        self.values = []
+        strings = []  # the text of each value, "" for a categorical one
+        codes = []  # per feature, value -> code
+        for kind, column in zip(kinds, columns):
+            distinct = [] if kind == NUMERIC else sorted(set().union(*set(column)))
+            codes.append({v: len(self.values) + u for u, v in enumerate(distinct)})
+            self.values += distinct
+            strings += distinct if kind == TEXT else [""] * len(distinct)
+        self.chars, self.lengths = _code_points(strings)
         # key lo * U + hi of the codes lo < hi; the int64 maximum ends the
         # array so that a binary search never runs past it
         self.keys, self.distances = np.array([np.iinfo(np.int64).max]), np.array([np.nan])
-        sizes = [len(v) for r in records for v in r.values]
-        self.complete = all(sizes)
-        pad = [np.nan] * max([1] + sizes)
-        cells = np.empty((len(records), len(kinds), len(pad)))
-        for i, r in enumerate(records):
-            cells[i] = [(list(v) if kinds[f] == NUMERIC else [code[f, x] for x in v])
-                        + pad[len(v):] for f, v in enumerate(r.values)]
-        self.cells = np.ascontiguousarray(cells.transpose(1, 2, 0))
-        if np.isfinite(self.cells).sum() != sum(sizes):
+        sizes = np.array([[len(v) for v in column] for column in columns], dtype=np.intp)
+        self.complete = bool(sizes.all())
+        self.cells = np.full((len(kinds), max(1, sizes.max(initial=0)), len(self.ids)), np.nan)
+        for f, (kind, column) in enumerate(zip(kinds, columns)):
+            held = np.repeat(np.arange(len(self.ids)), sizes[f])  # the record of each value
+            slot = np.arange(len(held)) - np.repeat(np.cumsum(sizes[f]) - sizes[f], sizes[f])
+            flat = chain.from_iterable(column)
+            self.cells[f, slot, held] = np.fromiter(
+                flat if kind == NUMERIC else map(codes[f].__getitem__, flat), float, len(held))
+        if np.isfinite(self.cells).sum() != sizes.sum():
             raise DataError("numeric feature values must be finite")
+
+    def __len__(self) -> int:
+        return len(self.ids)
+
+    def __getitem__(self, i: int) -> Record:
+        """Record i, decoded."""
+        slots = ([v for v in slot if v == v] for slot in self.cells[:, :, i].tolist())
+        return Record(frozenset({self.ids[i]}), tuple(
+            frozenset(slot if feat.kind == NUMERIC else [self.values[int(v)] for v in slot])
+            for feat, slot in zip(self.schema.features, slots)))
+
+    def take(self, indices) -> "PairColumns":
+        """The table of the records at `indices` in order, under the same codes."""
+        table = copy.copy(self)
+        table.ids = [self.ids[i] for i in indices]
+        held = np.isfinite(self.cells[:, :, indices])
+        k = max(1, int(held.sum(axis=1).max(initial=0)))
+        table.cells = np.ascontiguousarray(self.cells[:, :k, indices])
+        table.complete = bool(held[:, 0].all())
+        return table
 
     def edit_distances(self, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
         """Normalized edit distances between the text values coded lo and hi."""
@@ -160,13 +205,6 @@ class PairColumns:
                                               (lo + dist[apart]).astype(np.int64))
             closest[self.text] = np.fmin.reduce(dist, axis=(1, 2))
         return closest.transpose(*range(1, closest.ndim), 0)
-
-
-def _pair_list_slots(pairs: Sequence[tuple], schema: FeatureSchema) -> np.ndarray:
-    """Value slots of a list of (a, b, ...) record pairs, in one gather."""
-    p = len(pairs)
-    columns = PairColumns([pair[0] for pair in pairs] + [pair[1] for pair in pairs], schema)
-    return columns.slots(slice(0, p), slice(p, 2 * p))
 
 
 @dataclass(frozen=True)
@@ -216,9 +254,6 @@ class MatchModel:
             raise ValueError("threshold must lie strictly inside (0, 1)")
         if not np.all(self.feature_scales > 0):
             raise ValueError("feature scales must be positive")
-
-    def with_threshold(self, threshold: float) -> "MatchModel":
-        return replace(self, threshold=threshold)
 
     def to_dict(self) -> dict:
         return {
@@ -311,34 +346,32 @@ def fit_logistic(X: np.ndarray, y: np.ndarray,
             b_new = b - lr * grad_b
             new_loss = logistic_loss(w_new, b_new, X, y, config.l2)
             if new_loss <= loss:
+                w, b, loss = w_new, b_new, new_loss
                 break
             lr *= 0.5
-        else:
-            losses.append(loss)
-            continue
-        w, b, loss = w_new, b_new, new_loss
         losses.append(loss)
     return w, b, losses
 
 
-def train_match_model(pairs: Sequence[tuple[Record, Record, int]],
-                      schema: FeatureSchema,
+def train_match_model(table: PairColumns, pairs: tuple[np.ndarray, np.ndarray, np.ndarray],
                       config: TrainConfig | None = None,
                       threshold: float = 0.5) -> MatchModel:
-    """Train the logistic match function on labeled record pairs.
+    """Train the logistic match function on labeled pairs of a record table.
 
-    `pairs` holds (record, record, label) triples with label 1 for a match
-    and 0 for a mismatch; both labels must be present. Features are
-    standardized to zero mean and unit scale before the descent, and the
-    standardization is stored in the returned model.
+    `pairs` holds (rows, cols, labels) index arrays: pair k is the records
+    rows[k] and cols[k], with label 1 for a match and 0 for a mismatch; both
+    labels must be present. Features are standardized to zero mean and unit
+    scale before the descent, and the standardization is stored in the
+    returned model, whose schema is the table's.
     """
     config = config or TrainConfig()
-    if not pairs:
+    rows, cols, labels = pairs
+    if not len(labels):
         raise DegenerateDataError("no training pairs")
-    slots = np.ascontiguousarray(_pair_list_slots(pairs, schema))  # column sums in pair order
+    slots = np.ascontiguousarray(table.slots(rows, cols))  # column sums in pair order
     missing = np.isnan(slots)
     X = np.hstack([np.where(missing, 0.0, slots), missing])
-    y = np.array([label for _, _, label in pairs], dtype=float)
+    y = np.asarray(labels, dtype=float)
     if not np.all((y == 0.0) | (y == 1.0)):
         raise DataError("labels must be 0 or 1")
     if y.min() == y.max():
@@ -350,23 +383,26 @@ def train_match_model(pairs: Sequence[tuple[Record, Record, int]],
     scales = np.where(stds > 1e-12, stds, 1.0)
     Z = (X - means) / scales
     w, b, _ = fit_logistic(Z, y, config)
-    return MatchModel(schema=schema, weights=w, bias=b, threshold=threshold,
+    return MatchModel(schema=table.schema, weights=w, bias=b, threshold=threshold,
                       feature_means=means, feature_scales=scales, config=config)
 
 
-def _scorer(model: MatchModel, complete: bool):
-    """The match function of (P, F) value slots, NaN where missing, with the
-    standardization folded into the weights: sigmoid(x . w/scale + bias -
-    w . mean/scale), x the slots (0 where missing) and missing indicators.
-    It zeroes the missing slots in place. When `complete`, no slot is
-    missing and the indicator term, an exact 0.0, is left out."""
+def _scorer(model: MatchModel, table: PairColumns):
+    """The match function of (P, F) value slots of the table's pairs, NaN
+    where missing, with the standardization folded into the weights:
+    sigmoid(x . w/scale + bias - w . mean/scale), x the slots (0 where
+    missing) and missing indicators. It zeroes the missing slots in place.
+    When the table is complete, no slot is missing and the indicator term,
+    an exact 0.0, is left out."""
+    if table.schema != model.schema:
+        raise SchemaError("the records' schema is not the model's")
     w = model.weights / model.feature_scales
     offset = model.bias - float(w @ model.feature_means)
     w_slot, w_missing = w.reshape(2, -1)
 
     def score(slots: np.ndarray) -> np.ndarray:
         x = slots.T  # feature-major, as the gather lays its slots out
-        if complete:
+        if table.complete:
             return sigmoid(w_slot @ x + offset)
         missing = np.isnan(x)
         np.copyto(x, 0.0, where=missing)
@@ -374,14 +410,15 @@ def _scorer(model: MatchModel, complete: bool):
     return score
 
 
-def score_pairs(model: MatchModel, pairs: Sequence[tuple]) -> np.ndarray:
-    """Match probabilities of the (a, b, ...) record pairs in a list."""
-    return _scorer(model, complete=False)(_pair_list_slots(pairs, model.schema))
+def score_pairs(model: MatchModel, table: PairColumns, rows, cols) -> np.ndarray:
+    """Match probabilities of the pairs (rows[p], cols[p]) of a record table."""
+    # feature-major like a range's gather, so that dot products sum in its order
+    return _scorer(model, table)(np.asfortranarray(table.slots(rows, cols)))
 
 
 def score_pair(model: MatchModel, a: Record, b: Record) -> float:
     """Match probability in [0, 1]; symmetric in (a, b)."""
-    return float(score_pairs(model, [(a, b)])[0])
+    return float(score_pairs(model, PairColumns([a, b], model.schema), [0], [1])[0])
 
 
 @dataclass(frozen=True, eq=False)
@@ -401,28 +438,26 @@ class Edges:
         return self.n * (self.n - 1) // 2
 
 
-def condensed_pairwise_scores(model: MatchModel, records: Sequence[Record],
+def condensed_pairwise_scores(model: MatchModel, records: PairColumns,
                               floor: float) -> Edges:
-    """The edges of all unordered record pairs that score at or above
-    `floor`, in condensed order.
+    """The edges of all unordered pairs of a record table that score at or
+    above `floor`, in condensed order.
 
-    The records are coded once. Each gather is a block of rows i..i+r-1
-    against the columns i+1..n-1, a view of the coded array, with r chosen
-    so that the gather's temporary holds about `BLOCK_ELEMENTS` values; of
-    the block's pairs j > i, those at or above the floor are kept. Raises
-    ConfigError once the kept edges and the cached edit distances pass
-    `MEMORY_BUDGET` bytes.
+    Each gather is a block of rows i..i+r-1 against the columns i+1..n-1, a
+    view of the coded array, with r chosen so that the gather's temporary
+    holds about `BLOCK_ELEMENTS` values; of the block's pairs j > i, those at
+    or above the floor are kept. Raises ConfigError once the kept edges and
+    the cached edit distances pass `MEMORY_BUDGET` bytes.
     """
     n = len(records)
-    columns = PairColumns(records, model.schema)
-    score = _scorer(model, columns.complete)
-    per_pair = columns.cells.shape[0] * columns.cells.shape[1] ** 2
+    score = _scorer(model, records)
+    per_pair = records.cells.shape[0] * records.cells.shape[1] ** 2
     parts = [(np.empty(0, np.int32), np.empty(0, np.int32), np.empty(0))]
     held = i = 0
     while i < n - 1:
         width = n - 1 - i
         r = min(width, max(1, BLOCK_ELEMENTS // (per_pair * width)))
-        slots = columns.slots(np.arange(i, i + r)[:, None], slice(i + 1, n))
+        slots = records.slots(np.arange(i, i + r)[:, None], slice(i + 1, n))
         block = score(slots.reshape(-1, slots.shape[-1])).reshape(r, width)
         keep = block >= floor
         if r > 1:  # row i + k pairs with the columns from i + k + 1
@@ -432,7 +467,7 @@ def condensed_pairwise_scores(model: MatchModel, records: Sequence[Record],
         parts.append(((k + i).astype(np.int32), (col + i + 1).astype(np.int32),
                       block.ravel()[at]))
         held += sum(part.nbytes for part in parts[-1])
-        if held + columns.keys.nbytes + columns.distances.nbytes > MEMORY_BUDGET:
+        if held + records.keys.nbytes + records.distances.nbytes > MEMORY_BUDGET:
             raise ConfigError(
                 f"scoring {n} records at or above {floor:g} holds more than "
                 f"{MEMORY_BUDGET} bytes of edges and edit distances; a higher "

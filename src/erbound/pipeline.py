@@ -22,12 +22,11 @@ from typing import Sequence
 import numpy as np
 
 from .bounds import ValidationStats, compute_bound_report, f1_lower_bound, wilson_interval
-from .dataset import (GoldTruth, Split, SplitSpec, generate_synthetic, split_dataset,
-                      synthetic_schema)
+from .dataset import (GoldTruth, LabeledPairs, Split, SplitSpec, generate_synthetic,
+                      split_dataset, synthetic_schema)
 from .errors import ConfigError, DegenerateDataError, UninformativeMatcherError
-from .matching import (Edges, MatchModel, TrainConfig, condensed_pairwise_scores,
-                       score_pairs, train_match_model)
-from .records import FeatureSchema, Record
+from .matching import (Edges, MatchModel, PairColumns, TrainConfig,
+                       condensed_pairwise_scores, score_pairs, train_match_model)
 from .resolver import components_by_threshold
 
 
@@ -55,24 +54,26 @@ class TrainOutcome:
         return ValidationStats.from_scores(scores, labels, threshold)
 
 
-def score_labeled_pairs(model: MatchModel,
-                        pairs: Sequence[tuple[Record, Record, int]]) -> list[ScoredPair]:
-    """Score (record, record, label) triples in one batch; each result
-    carries the pair's ids in sorted order."""
-    return [ScoredPair(*sorted((a.record_id, b.record_id)), label, score)
-            for (a, b, label), score in zip(pairs, score_pairs(model, pairs).tolist())]
+def score_labeled_pairs(model: MatchModel, table: PairColumns,
+                        pairs: LabeledPairs) -> list[ScoredPair]:
+    """Score (rows, cols, labels) index pairs of a record table in one
+    gather; each result carries the pair's ids in sorted order."""
+    rows, cols, labels = pairs
+    scores = score_pairs(model, table, rows, cols).tolist()
+    return [ScoredPair(*sorted((table.ids[i], table.ids[j])), label, score)
+            for i, j, label, score in zip(rows.tolist(), cols.tolist(), labels.tolist(), scores)]
 
 
-def train_pipeline(records: Sequence[Record], gold: GoldTruth, schema: FeatureSchema,
-                   split_spec: SplitSpec, config: TrainConfig | None = None,
+def train_pipeline(table: PairColumns, gold: GoldTruth, split_spec: SplitSpec,
+                   config: TrainConfig | None = None,
                    threshold: float = 0.5) -> TrainOutcome:
     """Split the labeled pool, train the match model on the train pairs,
     and score the validation pairs once for later per-threshold stats."""
-    split = split_dataset(records, gold, split_spec)
-    if len(split.validation_pairs) < 2:
+    split = split_dataset(table, gold, split_spec)
+    if len(split.validation_pairs.labels) < 2:
         raise ConfigError("validation split needs at least 2 labeled pairs")
-    model = train_match_model(split.train_pairs, schema, config, threshold=threshold)
-    return TrainOutcome(model, split, score_labeled_pairs(model, split.validation_pairs))
+    model = train_match_model(table, split.train_pairs, config, threshold=threshold)
+    return TrainOutcome(model, split, score_labeled_pairs(model, table, split.validation_pairs))
 
 
 @dataclass(frozen=True)
@@ -140,7 +141,7 @@ def select_best_row(rows: Sequence[SweepRow], select_metric: str = "f1_lb",
     return best
 
 
-def sweep_thresholds(model: MatchModel, test_records: Sequence[Record],
+def sweep_thresholds(model: MatchModel, test_records: PairColumns,
                      val_scores: np.ndarray, val_labels: np.ndarray,
                      thresholds: Sequence[float], *,
                      gold: GoldTruth | None = None,
@@ -161,8 +162,8 @@ def sweep_thresholds(model: MatchModel, test_records: Sequence[Record],
         raise ConfigError("needs at least 2 test records")
     edges = condensed_pairwise_scores(model, test_records, float(min(thresholds)))
     if gold is not None:
-        labeled = [k for k, r in enumerate(test_records) if r.record_id in gold.labels]
-        entity = np.unique([gold.labels[test_records[k].record_id] for k in labeled],
+        labeled = [k for k, rid in enumerate(test_records.ids) if rid in gold.labels]
+        entity = np.unique([gold.labels[test_records.ids[k]] for k in labeled],
                            return_inverse=True)[1]
         truth_total = _pairs_within(entity)
 
@@ -178,8 +179,8 @@ def sweep_thresholds(model: MatchModel, test_records: Sequence[Record],
             report = compute_bound_report(stats, tm_pairs, r_pairs, edges.total_pairs,
                                           c_t=c_t_override, confidence=confidence)
         except (DegenerateDataError, UninformativeMatcherError):
-            report = None
-        if report is not None:
+            pass  # no precision or F1 bound at this threshold
+        else:
             row.update(
                 c_t=report.c_t_estimate,
                 precision_lb=report.precision_lb,
@@ -241,9 +242,13 @@ def degradation_experiment(seed: int = 7, *, dims: int = 10, noise_sigma: float 
     if grid is None:
         grid = np.linspace(0.02, 0.98, 49)
 
-    labeled, labeled_gold = generate_synthetic(small_entities, records_per_entity,
-                                               dims, noise_sigma, seed)
-    outcome = train_pipeline(labeled, labeled_gold, synthetic_schema(dims),
+    def synthetic(n_entities: int, data_seed: int) -> tuple[PairColumns, GoldTruth]:
+        records, gold = generate_synthetic(n_entities, records_per_entity, dims,
+                                           noise_sigma, data_seed)
+        return PairColumns(records, synthetic_schema(dims)), gold
+
+    labeled, labeled_gold = synthetic(small_entities, seed)
+    outcome = train_pipeline(labeled, labeled_gold,
                              SplitSpec(n_train_pairs=100, n_validation_pairs=100, seed=seed))
     val_scores, val_labels = outcome.validation_arrays()
 
@@ -255,10 +260,8 @@ def degradation_experiment(seed: int = 7, *, dims: int = 10, noise_sigma: float 
     t_orig = max(gold_sweep(labeled, labeled_gold, grid).rows,
                  key=lambda row: row.true_f1).threshold
 
-    small, small_gold = generate_synthetic(small_entities, records_per_entity,
-                                           dims, noise_sigma, seed + 1)
-    large, large_gold = generate_synthetic(large_entities, records_per_entity,
-                                           dims, noise_sigma, seed + 2)
+    small, small_gold = synthetic(small_entities, seed + 1)
+    large, large_gold = synthetic(large_entities, seed + 2)
     p_small = gold_sweep(small, small_gold, [t_orig]).rows[0].true_precision
     sweep = gold_sweep(large, large_gold, grid)
     if sweep.best is None:

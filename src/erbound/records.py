@@ -1,9 +1,9 @@
 """Record model: multi-valued features with provenance.
 
-A record is a bundle of per-feature value *sets* plus the set of base-record
-ids it stands for. Every record read or generated is a base record carrying
-exactly one id; the set-union merge that builds composite records is part
-of the R-Swoosh oracle in `erbound.reference`.
+A `Record` is a bundle of per-feature value *sets* plus the set of
+base-record ids it stands for: the form of `generate_synthetic`, of a
+record decoded from the record table `matching.PairColumns`, and of the
+composites that the R-Swoosh oracle in `erbound.reference` merges.
 """
 
 import math
@@ -53,12 +53,6 @@ class FeatureSchema:
     def names(self) -> tuple[str, ...]:
         return tuple(f.name for f in self.features)
 
-    def index(self, name: str) -> int:
-        for i, f in enumerate(self.features):
-            if f.name == name:
-                return i
-        raise SchemaError(f"schema has no feature named {name!r}")
-
     def to_dict(self) -> dict:
         return {"features": [{"name": f.name, "kind": f.kind} for f in self.features]}
 
@@ -104,12 +98,9 @@ class Record:
     base_ids: frozenset[str]
     values: tuple[frozenset, ...]
 
-    def is_base(self) -> bool:
-        return len(self.base_ids) == 1
-
     @property
     def record_id(self) -> str:
-        if not self.is_base():
+        if len(self.base_ids) != 1:
             raise ValueError("composite record has no single id")
         return next(iter(self.base_ids))
 

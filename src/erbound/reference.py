@@ -31,19 +31,13 @@ import numpy as np
 from .bounds import f1_lower_bound
 from .dataset import Pair
 from .errors import DataError, SchemaError
-from .matching import MatchModel, condensed_pairwise_scores, sigmoid
+from .matching import MatchModel, PairColumns, condensed_pairwise_scores, sigmoid
 from .records import CATEGORICAL, NUMERIC, FeatureSchema, Record
-from .resolver import Clustering, _check_base_inputs
+from .resolver import Clustering
 
 
 def levenshtein(s: str, t: str) -> int:
     """Edit distance with unit insert/delete/substitute costs."""
-    if s == t:
-        return 0
-    if not s:
-        return len(t)
-    if not t:
-        return len(s)
     prev = list(range(len(t) + 1))
     cur = [0] * (len(t) + 1)
     for i, cs in enumerate(s):
@@ -112,7 +106,7 @@ def merge_records(o1: Record, o2: Record) -> Record:
 def base_match(model: MatchModel, a: Record, b: Record) -> bool:
     """Thresholded match between two base records. Identical records match
     at any threshold, which makes the predicate idempotent."""
-    if not a.is_base() or not b.is_base():
+    if len(a.base_ids) != 1 or len(b.base_ids) != 1:
         raise ValueError("base_match takes base records, not merged ones")
     if a == b:
         return True
@@ -123,12 +117,12 @@ def pairwise_scores(model: MatchModel,
                     records: Sequence[Record]) -> dict[tuple[str, str], float]:
     """Score every unordered pair of base records, keyed by the sorted id
     pair. All inputs must be base records with distinct ids."""
-    ids = [r.record_id for r in records]
-    if len(set(ids)) != len(ids):
+    table = PairColumns(records, model.schema)
+    if len(set(table.ids)) != len(table):
         raise DataError("duplicate record ids")
-    condensed = iter(condensed_pairwise_scores(model, records, 0.0).scores.tolist())
+    condensed = iter(condensed_pairwise_scores(model, table, 0.0).scores.tolist())
     return {(a, b) if a < b else (b, a): next(condensed)
-            for a, b in combinations(ids, 2)}
+            for a, b in combinations(table.ids, 2)}
 
 
 def matcher_from_scores(scores: Mapping[tuple[str, str], float], threshold: float,
@@ -136,7 +130,7 @@ def matcher_from_scores(scores: Mapping[tuple[str, str], float], threshold: floa
     """Base-record match predicate backed by a precomputed score table.
     Equivalent to base_match for the model/threshold the table came from."""
     def match(a: Record, b: Record) -> bool:
-        if not a.is_base() or not b.is_base():
+        if len(a.base_ids) != 1 or len(b.base_ids) != 1:
             raise ValueError("scored matcher takes base records")
         if a == b:
             return True
@@ -144,6 +138,14 @@ def matcher_from_scores(scores: Mapping[tuple[str, str], float], threshold: floa
         key = (ia, ib) if ia < ib else (ib, ia)
         return scores[key] >= threshold
     return match
+
+
+def _check_base_inputs(records: Sequence[Record]) -> None:
+    """Resolver inputs must be base records with distinct ids."""
+    if any(len(r.base_ids) != 1 for r in records):
+        raise DataError("resolver inputs must be base records")
+    if len({r.record_id for r in records}) != len(records):
+        raise DataError("duplicate record ids in resolver input")
 
 
 def resolve_rswoosh(records: Sequence[Record],

@@ -18,7 +18,6 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .errors import DataError
-from .records import Record
 
 
 @dataclass(frozen=True)
@@ -57,25 +56,6 @@ class Clustering:
             members = frozenset(group)
             clusters[min(members, default="")] = members
         return cls(clusters)
-
-    @classmethod
-    def from_labels(cls, records: Sequence[Record], labels: np.ndarray) -> "Clustering":
-        """Group the records' ids by their component labels."""
-        groups: dict[int, list[str]] = {}
-        for record, label in zip(records, labels.tolist()):
-            groups.setdefault(label, []).append(record.record_id)
-        return cls.from_groups(groups.values())
-
-
-def _check_base_inputs(records: Sequence[Record]) -> None:
-    """Resolver inputs must be base records with distinct ids."""
-    ids = set()
-    for r in records:
-        if not r.is_base():
-            raise DataError("resolver inputs must be base records")
-        ids.add(r.record_id)
-    if len(ids) != len(records):
-        raise DataError("duplicate record ids in resolver input")
 
 
 def _merge(labels: np.ndarray, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
@@ -134,13 +114,15 @@ def components_by_threshold(n: int, scores: np.ndarray, thresholds: Sequence[flo
         yield from [(float(ts[k]), labels, int(hi))] * repeats[k]
 
 
-def resolve_from_condensed(records: Sequence[Record], labels: np.ndarray) -> Clustering:
-    """The resolution whose component labels, one per record, a sweep or
+def resolve_from_condensed(ids: Sequence[str], labels: np.ndarray) -> Clustering:
+    """The resolution whose component labels, one per record id, a sweep or
     `components_from_condensed` computed from the records' scored edges;
     identical to `reference.resolve_connected_components` with the
     thresholded matcher the scores came from."""
-    _check_base_inputs(records)
-    return Clustering.from_labels(records, labels)
+    groups: dict[int, list[str]] = {}
+    for rid, label in zip(ids, labels.tolist()):
+        groups.setdefault(label, []).append(rid)
+    return Clustering.from_groups(groups.values())
 
 
 def write_clustering_csv(path, clustering: Clustering) -> None:

@@ -2,7 +2,8 @@ import numpy as np
 import pytest
 
 import erbound
-from erbound.matching import MatchModel, TrainConfig, condensed_pairwise_scores
+from erbound.dataset import LabeledPairs
+from erbound.matching import MatchModel, PairColumns, TrainConfig, condensed_pairwise_scores
 from erbound.records import (
     CATEGORICAL,
     NUMERIC,
@@ -97,18 +98,27 @@ def count_calls(monkeypatch, original):
     return calls
 
 
+def labeled_table(pairs, schema):
+    """The record table of the (a, b, label) record triples and their
+    (rows, cols, labels) index pairs into it, as training takes them."""
+    p = len(pairs)
+    table = PairColumns([a for a, _, _ in pairs] + [b for _, b, _ in pairs], schema)
+    return table, LabeledPairs(np.arange(p), np.arange(p, 2 * p),
+                               np.array([label for _, _, label in pairs]))
+
+
 def all_pairs(model, records):
     """The production edges at floor 0, which every score clears: every
-    pair of the records, checked to come in condensed order, so `.scores`
-    is the dense condensed score array."""
-    edges = condensed_pairwise_scores(model, records, 0.0)
+    pair of the `Record` list, checked to come in condensed order, so
+    `.scores` is the dense condensed score array."""
+    edges = condensed_pairwise_scores(model, PairColumns(records, model.schema), 0.0)
     rows, cols = np.triu_indices(len(records), 1)
     assert np.array_equal(edges.rows, rows) and np.array_equal(edges.cols, cols)
     return edges
 
 
 def resolve_at(records, edges, threshold):
-    """The production resolution of the records at a threshold, labelled
-    outright from their edges."""
-    return resolve_from_condensed(records, components_from_condensed(
+    """The production resolution of the `Record` list at a threshold,
+    labelled outright from their edges."""
+    return resolve_from_condensed([r.record_id for r in records], components_from_condensed(
         len(records), edges.scores, threshold, edges.rows, edges.cols))

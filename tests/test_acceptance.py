@@ -10,7 +10,7 @@ import pytest
 
 from erbound.bounds import rebalance_precision, wilson_interval
 from erbound.dataset import SplitSpec, generate_synthetic, split_dataset, synthetic_schema
-from erbound.matching import train_match_model
+from erbound.matching import PairColumns, train_match_model
 from erbound.pipeline import (
     degradation_experiment,
     score_labeled_pairs,
@@ -138,7 +138,7 @@ def test_c06_recall_bound_exactness():
     from erbound.bounds import compute_bound_report, recall_lower_bound
 
     records, gold = generate_synthetic(n_entities=30, records_per_entity=5, seed=106)
-    outcome = train_pipeline(records, gold, synthetic_schema(10),
+    outcome = train_pipeline(PairColumns(records, synthetic_schema(10)), gold,
                              SplitSpec(40, 60, seed=106))
     for threshold in (0.3, 0.5, 0.7):
         stats = outcome.stats_at(threshold)
@@ -158,9 +158,10 @@ def test_c07_statistical_validity():
     evaluations = valid = 0
     for seed in range(50):
         records, gold = generate_synthetic(seed=seed)  # 1000 records per trial
-        split = split_dataset(records, gold, SplitSpec(80, 100, seed=seed))
-        model = train_match_model(split.train_pairs, schema)
-        val = score_labeled_pairs(model, split.validation_pairs)
+        table = PairColumns(records, schema)
+        split = split_dataset(table, gold, SplitSpec(80, 100, seed=seed))
+        model = train_match_model(table, split.train_pairs)
+        val = score_labeled_pairs(model, table, split.validation_pairs)
         scores = np.array([p.score for p in val])
         labels = np.array([p.label for p in val])
         result = sweep_thresholds(model, split.test_records, scores, labels,
@@ -229,7 +230,7 @@ def test_c12_monotone_sweep():
     for seed in (7, 12, 31):
         records, gold = generate_synthetic(n_entities=40, records_per_entity=5,
                                            seed=seed)
-        outcome = train_pipeline(records, gold, synthetic_schema(10),
+        outcome = train_pipeline(PairColumns(records, synthetic_schema(10)), gold,
                                  SplitSpec(40, 60, seed=seed))
         scores, labels = outcome.validation_arrays()
         result = sweep_thresholds(outcome.model, outcome.split.test_records,

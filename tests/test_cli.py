@@ -4,15 +4,17 @@ import json
 import os
 import subprocess
 import sys
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 import erbound
-from erbound import matching, resolver
+from erbound import matching, pipeline, resolver
 from erbound.cli import EXIT_DATA, EXIT_GATE, EXIT_OK, SWEEP_COLUMNS, _fmt, main
 from erbound.dataset import GoldTruth, save_schema_json, write_gold_csv, write_records_csv
+from erbound.matching import PairColumns
 
 from conftest import all_pairs, count_calls, random_records, random_words, resolve_at
 
@@ -126,6 +128,9 @@ class TestSweep:
         assert code == EXIT_OK
         rows, comments = read_sweep_csv(out / "sweep.csv")
         assert list(rows[0].keys()) == SWEEP_COLUMNS
+        # each row's cells are its `SweepRow` fields in field order
+        assert len(SWEEP_COLUMNS) == len(fields(pipeline.SweepRow))
+        assert float(rows[0]["threshold"]) == pytest.approx(0.2)
         assert len(rows) == 8
         r_pairs = [int(r["r_pairs"]) for r in rows]
         tm_pairs = [int(r["tm_pairs"]) for r in rows]
@@ -521,6 +526,49 @@ class TestMalformedInputs:
         assert str(bad) in err and "'label'" in err and repr(label) in err
         assert not (tmp_path / "out" / "clustering.csv").exists()
 
+    @pytest.mark.parametrize("field", ["score", "label"])
+    def test_stats_boolean_rejected(self, trained, tmp_path, capsys, field):
+        """A JSON `true` is not read as 1."""
+        _, run = trained
+        doc = json.loads((run / "validation_stats.json").read_text())
+        doc["pairs"][3][field] = True
+        bad = tmp_path / "validation_stats.json"
+        bad.write_text(json.dumps(doc))
+        assert self.resolve(run, tmp_path, stats=bad) == EXIT_DATA
+        err = capsys.readouterr().err
+        assert str(bad) in err and f"'{field}'" in err and "got True" in err
+        assert not (tmp_path / "out" / "clustering.csv").exists()
+
+    @pytest.mark.parametrize("keep,shown", [
+        (lambda pair: False, "got 0 positives of 0"),
+        (lambda pair: pair["label"] == 1, "positives of"),
+    ], ids=["no-pairs", "one-label"])
+    def test_stats_without_both_labels_names_file(self, trained, tmp_path, capsys,
+                                                  keep, shown):
+        _, run = trained
+        doc = json.loads((run / "validation_stats.json").read_text())
+        doc["pairs"] = [pair for pair in doc["pairs"] if keep(pair)]
+        bad = tmp_path / "validation_stats.json"
+        bad.write_text(json.dumps(doc))
+        assert self.resolve(run, tmp_path, stats=bad) == EXIT_DATA
+        err = capsys.readouterr().err
+        assert str(bad) in err and "both labels" in err and shown in err
+        assert not (tmp_path / "out" / "clustering.csv").exists()
+
+    @pytest.mark.parametrize("command", ["sweep", "resolve"])
+    def test_one_record_names_records_file(self, trained, tmp_path, capsys, command):
+        _, run = trained
+        one = tmp_path / "one.csv"
+        one.write_text("".join((run / "test_records.csv").read_text().splitlines(True)[:2]))
+        assert main([
+            command, "--model", str(run / "model.json"), "--records", str(one),
+            "--validation-stats", str(run / "validation_stats.json"),
+            "--out", str(tmp_path / "out"),
+        ]) == EXIT_DATA
+        err = capsys.readouterr().err
+        assert str(one) in err and "needs at least 2 test records, got 1" in err
+        assert not (tmp_path / "out").exists()
+
     @pytest.mark.parametrize("which", ["model", "stats"])
     def test_unparseable_json_names_file(self, trained, tmp_path, capsys, which):
         _, run = trained
@@ -641,7 +689,7 @@ class TestImports:
         import time and memory to every command."""
         rng = np.random.default_rng(23)
         records = random_records(rng, mixed_schema, 150, words=random_words(rng, 60))
-        write_records_csv(tmp_path / "records.csv", records, mixed_schema)
+        write_records_csv(tmp_path / "records.csv", PairColumns(records, mixed_schema))
         write_gold_csv(tmp_path / "gold.csv",
                        GoldTruth({r.record_id: f"e{k % 50}" for k, r in enumerate(records)}))
         save_schema_json(tmp_path / "schema.json", mixed_schema)
@@ -665,3 +713,13 @@ class TestImports:
                               capture_output=True, text=True, timeout=120)
         assert done.returncode == 0, done.stderr
         assert done.stdout.splitlines()[-1] == f"{[EXIT_OK] * 3} False"
+
+    def test_import_leaves_numpy_random_unimported(self):
+        """Importing the CLI loads no `numpy.random`: `sweep` and `resolve`
+        draw no random number, and `train` imports it when it splits."""
+        env = dict(os.environ, PYTHONPATH=str(Path(erbound.__file__).parents[1]))
+        script = "import sys, erbound.cli; print('numpy.random' in sys.modules)"
+        done = subprocess.run([sys.executable, "-c", script], env=env,
+                              capture_output=True, text=True, timeout=60)
+        assert done.returncode == 0, done.stderr
+        assert done.stdout.split() == ["False"]

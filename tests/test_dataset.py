@@ -1,3 +1,5 @@
+import csv
+
 import numpy as np
 import pytest
 
@@ -14,8 +16,44 @@ from erbound.dataset import (
     write_records_csv,
 )
 from erbound.errors import ConfigError, DataError
+from erbound.matching import PairColumns
+from erbound.records import NUMERIC, base_record
 
-from conftest import random_records
+from conftest import WORDS, random_records
+
+
+def messy_csv(rng, schema, path, n):
+    """Write n records as a CSV with the schema's columns shuffled: cells
+    with several values, a value repeated in one cell, whitespace padding,
+    case variants, empty parts and missing or blank cells. Returns the
+    `base_record` of each row, built from the raw values written."""
+    columns = ["id", *rng.permutation(schema.names)]
+    rows, records = [], []
+    for i in range(n):
+        rid, raw, row = f"r{i:03d}", {}, {}
+        for feat in schema.features:
+            if rng.random() < 0.2:
+                row[feat.name] = str(rng.choice(["", " ", "|", " | "]))
+                continue
+            if feat.kind == NUMERIC:
+                values = [str(rng.choice([repr(float(rng.normal(0, 3))), "2", "-0.5", "1e-3"]))
+                          for _ in range(rng.integers(1, 4))]
+            else:
+                values = [str(rng.choice(WORDS[:5])) for _ in range(rng.integers(1, 4))]
+                values = [v.upper() if rng.random() < 0.3 else v for v in values]
+            values += values[:1] * int(rng.random() < 0.3)  # a repeat in the cell
+            raw[feat.name] = values
+            pads = rng.choice(["", " ", "  ", "\t"], size=(len(values), 2))
+            parts = [f"{a}{v}{b}" for v, (a, b) in zip(values, pads)]
+            if rng.random() < 0.2:
+                parts.insert(int(rng.integers(0, len(parts) + 1)), " ")
+            row[feat.name] = "|".join(parts)
+        rows.append([f" {rid} " if rng.random() < 0.2 else rid,
+                     *(row[name] for name in columns[1:])])
+        records.append(base_record(schema, rid, raw))
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        csv.writer(fh).writerows([columns, *rows])
+    return records
 
 
 class TestGenerator:
@@ -72,14 +110,14 @@ class TestRecordsCsv:
         )
         records = load_records_csv(path, mixed_schema)
         assert [r.record_id for r in records] == ["r1", "r2", "r3"]
-        phone = mixed_schema.index("phone")
+        phone = mixed_schema.names.index("phone")
         assert records[0].values[phone] == frozenset({"377-8328"})
         assert records[2].values[phone] == frozenset()
 
     def test_empty_file_after_header(self, tmp_path, mixed_schema):
         path = tmp_path / "records.csv"
         path.write_text("id,name1,name2,phone,age\n")
-        assert load_records_csv(path, mixed_schema) == []
+        assert list(load_records_csv(path, mixed_schema)) == []
 
     def test_duplicate_id_named_in_error(self, tmp_path, mixed_schema):
         path = tmp_path / "records.csv"
@@ -116,15 +154,30 @@ class TestRecordsCsv:
         rng = np.random.default_rng(3)
         records = random_records(rng, mixed_schema, 20)
         path = tmp_path / "records.csv"
-        write_records_csv(path, records, mixed_schema)
-        assert load_records_csv(path, mixed_schema) == records
+        write_records_csv(path, PairColumns(records, mixed_schema))
+        assert list(load_records_csv(path, mixed_schema)) == records
+
+    @pytest.mark.parametrize("seed", range(8))
+    def test_loader_matches_its_oracle(self, tmp_path, mixed_schema, seed):
+        """The table read from a messy CSV decodes to the `base_record` of
+        each row, and its gathers equal, bit for bit, those of the table
+        coded from those records."""
+        rng = np.random.default_rng(seed)
+        path = tmp_path / "records.csv"
+        records = messy_csv(rng, mixed_schema, path, int(rng.integers(2, 60)))
+        table = load_records_csv(path, mixed_schema)
+        assert list(table) == records
+        oracle = PairColumns(records, mixed_schema)
+        rows, cols = rng.integers(0, len(records), size=(2, 400))
+        assert table.slots(rows, cols).tobytes() == oracle.slots(rows, cols).tobytes()
+        assert table.complete == oracle.complete
 
     def test_synthetic_round_trip_is_lossless(self, tmp_path):
         records, _ = generate_synthetic(n_entities=5, records_per_entity=4, seed=9)
         schema = synthetic_schema(10)
         path = tmp_path / "records.csv"
-        write_records_csv(path, records, schema)
-        assert load_records_csv(path, schema) == records
+        write_records_csv(path, PairColumns(records, schema))
+        assert list(load_records_csv(path, schema)) == records
 
 
 class TestGold:
@@ -165,14 +218,16 @@ class TestSchemaJson:
 class TestSplit:
     def test_requesting_zero_pairs_keeps_everything(self):
         records, gold = generate_synthetic(n_entities=4, records_per_entity=3, seed=5)
-        split = split_dataset(records, gold, SplitSpec(0, 0, seed=0))
-        assert split.train_pairs == [] and split.validation_pairs == []
-        assert split.test_records == records
+        split = split_dataset(PairColumns(records, synthetic_schema(10)), gold,
+                              SplitSpec(0, 0, seed=0))
+        assert split.train_pairs.labels.size == split.validation_pairs.labels.size == 0
+        assert list(split.test_records) == records
         assert split.test_gold.labels == gold.labels
 
     def test_disjointness_and_label_consistency(self):
         rng = np.random.default_rng(6)
         records, gold = generate_synthetic(n_entities=10, records_per_entity=6, seed=6)
+        table = PairColumns(records, synthetic_schema(10))
         for trial in range(10):
             spec = SplitSpec(
                 n_train_pairs=int(rng.integers(2, 40)),
@@ -181,47 +236,52 @@ class TestSplit:
                 positive_fraction_validation=float(rng.uniform(0.2, 0.8)),
                 seed=trial,
             )
-            split = split_dataset(records, gold, spec)
-            assert len(split.train_pairs) == spec.n_train_pairs
-            assert len(split.validation_pairs) == spec.n_validation_pairs
+            split = split_dataset(table, gold, spec)
+            assert len(split.train_pairs.labels) == spec.n_train_pairs
+            assert len(split.validation_pairs.labels) == spec.n_validation_pairs
             used = set()
             seen_pairs = set()
-            for a, b, label in split.train_pairs + split.validation_pairs:
-                key = tuple(sorted((a.record_id, b.record_id)))
-                assert key not in seen_pairs  # no pair reused anywhere
-                seen_pairs.add(key)
-                same = gold.labels[a.record_id] == gold.labels[b.record_id]
-                assert same == bool(label)
-                used.update(key)
-            test_ids = {r.record_id for r in split.test_records}
+            for rows, cols, labels in (split.train_pairs, split.validation_pairs):
+                for i, j, label in zip(rows, cols, labels):
+                    key = tuple(sorted((table.ids[i], table.ids[j])))
+                    assert key not in seen_pairs  # no pair reused anywhere
+                    seen_pairs.add(key)
+                    assert (gold.labels[key[0]] == gold.labels[key[1]]) == bool(label)
+                    used.update(key)
+            test_ids = set(split.test_records.ids)
+            assert list(split.test_records) == [r for r in records if r.record_id in test_ids]
             assert not (used & test_ids)
             assert set(split.test_gold.labels) <= test_ids
 
     def test_validation_class_balance_tracks_fraction(self):
         records, gold = generate_synthetic(seed=7)
-        split = split_dataset(records, gold, SplitSpec(0, 200,
-                                                       positive_fraction_validation=0.3,
-                                                       seed=7))
-        positives = sum(label for _, _, label in split.validation_pairs)
-        assert positives == 60
+        split = split_dataset(PairColumns(records, synthetic_schema(10)), gold,
+                              SplitSpec(0, 200, positive_fraction_validation=0.3, seed=7))
+        assert split.validation_pairs.labels.sum() == 60
 
     def test_infeasible_positive_request(self):
         records, gold = generate_synthetic(n_entities=2, records_per_entity=2, seed=8)
         with pytest.raises(ConfigError, match="positive"):
-            split_dataset(records, gold, SplitSpec(100, 0, seed=0))
+            split_dataset(PairColumns(records, synthetic_schema(10)), gold,
+                          SplitSpec(100, 0, seed=0))
 
     def test_infeasible_negative_request(self):
         records, gold = generate_synthetic(n_entities=2, records_per_entity=2, seed=8)
         # 4 records: 2 positives, 4 negatives available; ask for 1 pos + 5 neg
         with pytest.raises(ConfigError, match="negative"):
-            split_dataset(records, gold, SplitSpec(6, 0, positive_fraction_train=0.2, seed=0))
+            split_dataset(PairColumns(records, synthetic_schema(10)), gold,
+                          SplitSpec(6, 0, positive_fraction_train=0.2, seed=0))
 
     def test_deterministic(self):
         records, gold = generate_synthetic(n_entities=8, records_per_entity=5, seed=9)
         spec = SplitSpec(20, 20, seed=123)
-        a = split_dataset(records, gold, spec)
-        b = split_dataset(records, gold, spec)
-        assert a == b
+        a = split_dataset(PairColumns(records, synthetic_schema(10)), gold, spec)
+        b = split_dataset(PairColumns(records, synthetic_schema(10)), gold, spec)
+        for pairs_a, pairs_b in ((a.train_pairs, b.train_pairs),
+                                 (a.validation_pairs, b.validation_pairs)):
+            assert all(np.array_equal(x, y) for x, y in zip(pairs_a, pairs_b))
+        assert list(a.test_records) == list(b.test_records)
+        assert a.test_gold == b.test_gold
 
     def test_spec_validation(self):
         with pytest.raises(ConfigError):

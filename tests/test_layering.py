@@ -1,5 +1,6 @@
-"""Module layering rules, checked on the source text with `ast`, and the
-one featurizer that training and validation share with test scoring."""
+"""Module layering rules, checked on the source text with `ast`, the one
+featurizer that training and validation share with test scoring, and the
+one record table the commands keep records in."""
 
 import ast
 import sys
@@ -9,9 +10,12 @@ import numpy as np
 
 import erbound
 from erbound import matching
-from erbound.dataset import GoldTruth, SplitSpec
+from erbound.cli import main
+from erbound.dataset import (GoldTruth, SplitSpec, save_schema_json, write_gold_csv,
+                             write_records_csv)
+from erbound.matching import PairColumns
 from erbound.pipeline import train_pipeline
-from erbound.records import TEXT
+from erbound.records import TEXT, Record
 
 from conftest import count_calls, random_records, random_words
 
@@ -87,12 +91,44 @@ def test_train_pipeline_scores_no_pair_alone(monkeypatch, mixed_schema):
     rng = np.random.default_rng(21)
     records = random_records(rng, mixed_schema, 200, words=random_words(rng, 100))
     gold = GoldTruth({r.record_id: f"e{k % 50}" for k, r in enumerate(records)})
+    table = PairColumns(records, mixed_schema)
     per_pair = count_calls(monkeypatch, matching.score_pair)
     distances = count_calls(monkeypatch, matching._batch_levenshtein)
-    outcome = train_pipeline(records, gold, mixed_schema, SplitSpec(60, 60, seed=21))
+    outcome = train_pipeline(table, gold, SplitSpec(60, 60, seed=21))
     assert per_pair == []
     text = [f for f, feat in enumerate(mixed_schema.features) if feat.kind == TEXT]
-    held = sum(len({(f, frozenset((x, y))) for a, b, _ in pairs for f in text
-                    for x in a.values[f] for y in b.values[f] if x != y})
+    held = sum(len({(f, frozenset((x, y))) for i, j, _ in zip(*pairs) for f in text
+                    for x in records[i].values[f] for y in records[j].values[f] if x != y})
                for pairs in (outcome.split.train_pairs, outcome.split.validation_pairs))
     assert 0 < sum(len(args[2]) for args in distances) <= held
+
+
+def test_commands_build_no_record(monkeypatch, tmp_path, mixed_schema):
+    """`train`, `sweep` and `resolve` on a small mixed set keep their
+    records in the record table alone: no `Record` is constructed."""
+    rng = np.random.default_rng(24)
+    records = random_records(rng, mixed_schema, 120, max_values=3, missing_rate=0.3,
+                             words=random_words(rng, 50))
+    write_records_csv(tmp_path / "records.csv", PairColumns(records, mixed_schema))
+    write_gold_csv(tmp_path / "gold.csv",
+                   GoldTruth({r.record_id: f"e{k % 40}" for k, r in enumerate(records)}))
+    save_schema_json(tmp_path / "schema.json", mixed_schema)
+    built = []
+    init = Record.__init__
+    monkeypatch.setattr(Record, "__init__",
+                        lambda self, *args, **kw: built.append(args) or init(self, *args, **kw))
+    run = tmp_path / "run"
+    common = ["--model", str(run / "model.json"), "--records", str(run / "test_records.csv"),
+              "--validation-stats", str(run / "validation_stats.json")]
+    codes = [main(argv) for argv in (
+        ["train", "--out", str(run), "--records", str(tmp_path / "records.csv"),
+         "--gold", str(tmp_path / "gold.csv"), "--schema", str(tmp_path / "schema.json"),
+         "--n-train-pairs", "30", "--n-validation-pairs", "30"],
+        ["sweep", "--out", str(tmp_path / "sweep"), *common,
+         "--gold", str(run / "test_gold.csv"), "--write-clusterings"],
+        ["resolve", "--out", str(tmp_path / "resolve"), *common],
+    )]
+    assert codes[:2] == [0, 0] and codes[2] in (0, 4)
+    assert built == []
+    PairColumns(records, mixed_schema)[0]  # the counter sees a decoded record
+    assert len(built) == 1

@@ -1,3 +1,4 @@
+import copy
 import json
 import tracemalloc
 from dataclasses import replace
@@ -43,8 +44,8 @@ from erbound.reference import (
     pairwise_scores,
 )
 
-from conftest import (all_pairs, count_calls, random_model, random_record, random_records,
-                      random_words)
+from conftest import (all_pairs, count_calls, labeled_table, random_model, random_record,
+                      random_records, random_words)
 
 
 def oracle_levenshtein(s, t):
@@ -102,25 +103,25 @@ class TestFeaturize:
     def test_shared_phone_slot(self, mixed_schema, canonical_trio):
         r1, r2, _ = canonical_trio
         x = featurize_pair(r1, r2, mixed_schema)
-        assert x[mixed_schema.index("phone")] == 1.0
+        assert x[mixed_schema.names.index("phone")] == 1.0
 
     def test_identity_pair(self, mixed_schema, canonical_trio):
         _, _, r3 = canonical_trio
         x = featurize_pair(r3, r3, mixed_schema)
         n = len(mixed_schema)
-        assert x[mixed_schema.index("name1")] == 0.0
-        assert x[mixed_schema.index("name2")] == 0.0
+        assert x[mixed_schema.names.index("name1")] == 0.0
+        assert x[mixed_schema.names.index("name2")] == 0.0
         # phone and age are missing on both sides
-        assert x[n + mixed_schema.index("phone")] == 1.0
-        assert x[n + mixed_schema.index("age")] == 1.0
-        assert x[mixed_schema.index("phone")] == 0.0
+        assert x[n + mixed_schema.names.index("phone")] == 1.0
+        assert x[n + mixed_schema.names.index("age")] == 1.0
+        assert x[mixed_schema.names.index("phone")] == 0.0
 
     def test_missing_side_sets_indicator(self, mixed_schema, canonical_trio):
         r1, _, r3 = canonical_trio
         x = featurize_pair(r1, r3, mixed_schema)
         n = len(mixed_schema)
-        assert x[mixed_schema.index("phone")] == 0.0
-        assert x[n + mixed_schema.index("phone")] == 1.0
+        assert x[mixed_schema.names.index("phone")] == 0.0
+        assert x[n + mixed_schema.names.index("phone")] == 1.0
 
     def test_closest_match_over_value_sets(self):
         schema = FeatureSchema((Feature("v", NUMERIC), Feature("s", TEXT)))
@@ -140,11 +141,11 @@ class TestFeaturize:
             xba = featurize_pair(b, a, mixed_schema)
             assert np.array_equal(xab, xba)
             assert len(xab) == 2 * n
-            cat = mixed_schema.index("phone")
+            cat = mixed_schema.names.index("phone")
             assert xab[cat] in (0.0, 1.0)
             for t in ("name1", "name2"):
-                assert 0.0 <= xab[mixed_schema.index(t)] <= 1.0
-            assert xab[mixed_schema.index("age")] >= 0.0
+                assert 0.0 <= xab[mixed_schema.names.index(t)] <= 1.0
+            assert xab[mixed_schema.names.index("age")] >= 0.0
             assert set(xab[n:]) <= {0.0, 1.0}
 
     def test_schema_mismatch(self, mixed_schema):
@@ -186,7 +187,7 @@ def _overlapping_numeric_pairs(n=100, seed=0):
 class TestTraining:
     def test_separable_reaches_perfect_accuracy(self, mixed_schema):
         pairs = _separable_pairs(mixed_schema)
-        model = train_match_model(pairs, mixed_schema)
+        model = train_match_model(*labeled_table(pairs, mixed_schema))
         correct = sum(
             (score_pair(model, a, b) >= 0.5) == bool(label) for a, b, label in pairs
         )
@@ -195,7 +196,7 @@ class TestTraining:
     def test_single_label_rejected(self, mixed_schema):
         pairs = [p for p in _separable_pairs(mixed_schema) if p[2] == 1]
         with pytest.raises(DegenerateDataError):
-            train_match_model(pairs, mixed_schema)
+            train_match_model(*labeled_table(pairs, mixed_schema))
 
     def test_non_finite_feature_rejected(self, mixed_schema):
         pairs = _separable_pairs(mixed_schema, n=10)
@@ -203,14 +204,14 @@ class TestTraining:
         bad = replace(a, values=a.values[:3] + (frozenset({float("nan")}),))
         pairs[0] = (bad, b, label)
         with pytest.raises(DataError):
-            train_match_model(pairs, mixed_schema)
+            train_match_model(*labeled_table(pairs, mixed_schema))
 
     def test_bad_label_rejected(self, mixed_schema):
         pairs = _separable_pairs(mixed_schema, n=10)
         a, b, _ = pairs[0]
         pairs[0] = (a, b, 2)
         with pytest.raises(DataError):
-            train_match_model(pairs, mixed_schema)
+            train_match_model(*labeled_table(pairs, mixed_schema))
 
     def test_features_are_the_per_pair_features(self, mixed_schema):
         """The gather's training features are `reference.featurize_pair`'s
@@ -218,7 +219,7 @@ class TestTraining:
         rng = np.random.default_rng(8)
         records = random_records(rng, mixed_schema, 120, max_values=3, missing_rate=0.3)
         pairs = [(records[2 * k], records[2 * k + 1], k % 2) for k in range(60)]
-        model = train_match_model(pairs, mixed_schema, TrainConfig(epochs=5))
+        model = train_match_model(*labeled_table(pairs, mixed_schema), TrainConfig(epochs=5))
         X = np.stack([featurize_pair(a, b, mixed_schema) for a, b, _ in pairs])
         stds = X.std(axis=0)
         assert np.array_equal(model.feature_means, X.mean(axis=0))
@@ -227,7 +228,7 @@ class TestTraining:
     def test_gradient_near_zero_at_convergence(self):
         schema, pairs = _overlapping_numeric_pairs(n=100)
         config = TrainConfig(epochs=20000, l2=0.01)
-        model = train_match_model(pairs, schema, config)
+        model = train_match_model(*labeled_table(pairs, schema), config)
         X = np.stack([featurize_pair(a, b, schema) for a, b, _ in pairs])
         Z = (X - model.feature_means) / model.feature_scales
         y = np.array([l for _, _, l in pairs], dtype=float)
@@ -265,13 +266,15 @@ class TestTraining:
         from erbound.dataset import SplitSpec, generate_synthetic, split_dataset, synthetic_schema
 
         records, gold = generate_synthetic(seed=12)
-        split = split_dataset(records, gold, SplitSpec(100, 100, seed=12))
-        model = train_match_model(split.train_pairs, synthetic_schema(10))
+        table = PairColumns(records, synthetic_schema(10))
+        split = split_dataset(table, gold, SplitSpec(100, 100, seed=12))
+        model = train_match_model(table, split.train_pairs)
+        rows, cols, labels = split.validation_pairs
         correct = sum(
-            (score_pair(model, a, b) >= 0.5) == bool(label)
-            for a, b, label in split.validation_pairs
+            (score_pair(model, table[i], table[j]) >= 0.5) == bool(label)
+            for i, j, label in zip(rows, cols, labels)
         )
-        assert correct / len(split.validation_pairs) > 0.95
+        assert correct / len(labels) > 0.95
 
 
 class TestScore:
@@ -338,7 +341,7 @@ class TestBaseMatch:
             a = random_record(rng, mixed_schema, "a")
             b = random_record(rng, mixed_schema, "b")
             if not base_match(model, a, b):
-                assert not base_match(model.with_threshold(0.8), a, b)
+                assert not base_match(replace(model, threshold=0.8), a, b)
 
     def test_composite_input_rejected(self, mixed_schema, canonical_trio):
         rng = np.random.default_rng(6)
@@ -442,7 +445,7 @@ class TestBulkScores:
         distinct = len(set().union(*(r.values[0] for r in records)))
         assert 10 * len(held) < distinct * (distinct - 1) // 2  # the list is sparse
         model = random_model(rng, mixed_schema)
-        assert np.allclose(score_pairs(model, pairs),
+        assert np.allclose(score_pairs(model, columns, rows, cols),
                            [pair_score(model, a, b) for a, b in pairs], rtol=0.0, atol=1e-12)
 
     def test_one_vectorized_pass(self, monkeypatch, mixed_schema):
@@ -481,7 +484,8 @@ class TestBulkScores:
         gather = PairColumns.slots
         monkeypatch.setattr(PairColumns, "slots",
                             lambda self, *args: blocks.append(args) or gather(self, *args))
-        condensed_pairwise_scores(random_model(rng, mixed_schema), records, 0.0)
+        condensed_pairwise_scores(random_model(rng, mixed_schema),
+                                  PairColumns(records, mixed_schema), 0.0)
         assert scalar == [[], []]
         assert 1 <= len(dp) <= len(blocks) < len(records) - 1
 
@@ -511,7 +515,7 @@ class TestEdges:
         dense = all_pairs(model, records)
         if floor == "above-every-score":
             floor = float(np.nextafter(dense.scores.max(), 2.0))
-        edges = condensed_pairwise_scores(model, records, floor)
+        edges = condensed_pairwise_scores(model, PairColumns(records, schema), floor)
         kept = dense.scores >= floor
         assert edges.n == len(records) and edges.total_pairs == len(kept)
         for name in ("rows", "cols", "scores"):
@@ -527,11 +531,11 @@ class TestEdges:
         pairs = [(a, b, int(gold.labels[a.record_id] == gold.labels[b.record_id]))
                  for a, b in zip(records[::7], records[1::7])]
         pairs += [(a, b, 0) for a, b in zip(records[::11], records[600::11])]
-        model = train_match_model(pairs, synthetic_schema(10))
-        n = len(records)
+        model = train_match_model(*labeled_table(pairs, synthetic_schema(10)))
+        n, table = len(records), PairColumns(records, synthetic_schema(10))
         tracemalloc.start()
         try:
-            edges = condensed_pairwise_scores(model, records, 0.9)
+            edges = condensed_pairwise_scores(model, table, 0.9)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -554,8 +558,10 @@ class TestEdges:
         assert not PairColumns(*mixed_case(10)(rng, mixed_schema)[::-1]).complete
         slots = columns.slots(*np.triu_indices(len(records), 1))
         model = random_model(rng, synthetic_schema(10))
-        assert np.array_equal(_scorer(model, complete=True)(slots.copy()),
-                              _scorer(model, complete=False)(slots.copy()))
+        incomplete = copy.copy(columns)
+        incomplete.complete = False
+        assert np.array_equal(_scorer(model, columns)(slots.copy()),
+                              _scorer(model, incomplete)(slots.copy()))
 
     @pytest.mark.parametrize("floor", [0.02, 2.0], ids=["edges", "cache-only"])
     def test_memory_budget(self, monkeypatch, mixed_schema, floor):
@@ -566,12 +572,12 @@ class TestEdges:
 
         rng = np.random.default_rng(22)
         records = random_records(rng, mixed_schema, 40, words=random_words(rng, 30))
-        model = random_model(rng, mixed_schema)
+        model, table = random_model(rng, mixed_schema), PairColumns(records, mixed_schema)
         monkeypatch.setattr(matching, "MEMORY_BUDGET", 64)
         with pytest.raises(ConfigError, match="40 records .* --threshold or --grid-start"):
-            condensed_pairwise_scores(model, records, floor)
+            condensed_pairwise_scores(model, table, floor)
         monkeypatch.setattr(matching, "MEMORY_BUDGET", 1 << 30)
-        assert len(condensed_pairwise_scores(model, records, floor).scores) == \
+        assert len(condensed_pairwise_scores(model, table, floor).scores) == \
             int((all_pairs(model, records).scores >= floor).sum())
 
 
@@ -603,6 +609,6 @@ class TestModelIO:
         rng = np.random.default_rng(18)
         model = random_model(rng, mixed_schema)
         with pytest.raises(ValueError):
-            model.with_threshold(1.0)
+            replace(model, threshold=1.0)
         with pytest.raises(ValueError):
-            model.with_threshold(0.0)
+            replace(model, threshold=0.0)

@@ -1,9 +1,12 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
 from erbound.bounds import ValidationStats, compute_bound_report
 from erbound.dataset import SplitSpec, generate_synthetic, synthetic_schema
 from erbound.errors import ConfigError
+from erbound.matching import PairColumns
 from erbound.pipeline import (
     degradation_experiment,
     select_best_row,
@@ -23,15 +26,15 @@ from conftest import all_pairs, resolve_at
 @pytest.fixture(scope="module")
 def small_run():
     records, gold = generate_synthetic(n_entities=20, records_per_entity=5, seed=21)
-    schema = synthetic_schema(10)
-    outcome = train_pipeline(records, gold, schema, SplitSpec(40, 60, seed=21))
+    outcome = train_pipeline(PairColumns(records, synthetic_schema(10)), gold,
+                             SplitSpec(40, 60, seed=21))
     return records, gold, outcome
 
 
 class TestTrainPipeline:
     def test_split_sizes_and_scores(self, small_run):
         _, _, outcome = small_run
-        assert len(outcome.split.train_pairs) == 40
+        assert len(outcome.split.train_pairs.labels) == 40
         assert len(outcome.validation) == 60
         assert all(0.0 <= p.score <= 1.0 for p in outcome.validation)
 
@@ -43,9 +46,9 @@ class TestTrainPipeline:
 
     def test_validation_required(self):
         records, gold = generate_synthetic(n_entities=6, records_per_entity=3, seed=2)
-        schema = synthetic_schema(10)
         with pytest.raises(ConfigError):
-            train_pipeline(records, gold, schema, SplitSpec(10, 0, seed=2))
+            train_pipeline(PairColumns(records, synthetic_schema(10)), gold,
+                           SplitSpec(10, 0, seed=2))
 
 
 class TestSweep:
@@ -57,7 +60,7 @@ class TestSweep:
         grid = [0.3, 0.6, 0.9]
         result = sweep_thresholds(outcome.model, test_records, scores, labels,
                                   grid, gold=test_gold)
-        condensed = all_pairs(outcome.model, test_records)
+        condensed = all_pairs(outcome.model, list(test_records))
         kept = condensed.scores >= min(grid)
         for name in ("rows", "cols", "scores"):
             assert np.array_equal(getattr(result.edges, name), getattr(condensed, name)[kept])
@@ -132,7 +135,7 @@ class TestSweep:
         _, _, outcome = small_run
         scores, labels = outcome.validation_arrays()
         with pytest.raises(ConfigError, match="needs at least 2 test records"):
-            sweep_thresholds(outcome.model, outcome.split.test_records[:1],
+            sweep_thresholds(outcome.model, outcome.split.test_records.take([0]),
                              scores, labels, [0.5])
 
 
@@ -168,11 +171,11 @@ class TestSelection:
 class TestResolveAt:
     def test_matches_predicate_resolver(self, small_run):
         _, _, outcome = small_run
-        test_records = outcome.split.test_records[:40]
+        test_records = list(outcome.split.test_records)[:40]
         fast = resolve_at(test_records, all_pairs(outcome.model, test_records), 0.7)
         slow = resolve_connected_components(
             test_records,
-            lambda a, b: base_match(outcome.model.with_threshold(0.7), a, b))
+            lambda a, b: base_match(replace(outcome.model, threshold=0.7), a, b))
         assert fast.partition() == slow.partition()
 
 
@@ -181,7 +184,7 @@ class TestQualitativeCurves:
         """Somewhere on the grid both true metrics are near-perfect and the
         bound curves sit close beneath them."""
         records, gold = generate_synthetic(seed=33)
-        outcome = train_pipeline(records, gold, synthetic_schema(10),
+        outcome = train_pipeline(PairColumns(records, synthetic_schema(10)), gold,
                                  SplitSpec(80, 100, seed=33))
         scores, labels = outcome.validation_arrays()
         result = sweep_thresholds(outcome.model, outcome.split.test_records,

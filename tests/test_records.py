@@ -102,7 +102,7 @@ class TestBaseRecord:
 
     def test_missing_feature_is_empty_set(self, mixed_schema, canonical_trio):
         _, _, r3 = canonical_trio
-        assert r3.values[mixed_schema.index("phone")] == frozenset()
+        assert r3.values[mixed_schema.names.index("phone")] == frozenset()
 
     def test_duplicate_values_collapse(self, mixed_schema):
         rec = base_record(mixed_schema, "x", {"name1": ["John", " john "]})

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from erbound.errors import DataError
+from erbound.matching import PairColumns
 from erbound.records import base_record
 from erbound.reference import (
     base_match,
@@ -205,7 +206,8 @@ class TestComponentsByThreshold:
             monkeypatch.setattr(module, "components_from_condensed", counted, raising=False)
         rng = np.random.default_rng(19)
         records = random_records(rng, mixed_schema, 30)
-        result = sweep_thresholds(random_model(rng, mixed_schema), records,
+        result = sweep_thresholds(random_model(rng, mixed_schema),
+                                  PairColumns(records, mixed_schema),
                                   rng.random(20), np.arange(20) % 2,
                                   np.linspace(0.05, 0.95, 19))
         assert len(result.rows) == 19
@@ -218,7 +220,7 @@ class TestRSwoosh:
         base = {r.record_id: r for r in canonical_trio}
 
         def phones_match(a, b):
-            pi = mixed_schema.index("phone")
+            pi = mixed_schema.names.index("phone")
             return a == b or bool(a.values[pi] & b.values[pi])
 
         def wrap(o1, o2):
@@ -254,7 +256,7 @@ class TestConnectedComponents:
         r3 = base_record(mixed_schema, "r3", {"age": [3.0]})
 
         def near(a, b):  # r1~r2 and r2~r3 but not r1~r3
-            ai = mixed_schema.index("age")
+            ai = mixed_schema.names.index("age")
             x, y = next(iter(a.values[ai])), next(iter(b.values[ai]))
             return abs(x - y) <= 1.0
 
