@@ -50,6 +50,6 @@ from .records import (
     Record,
     base_record,
 )
-from .resolver import Clustering, resolve_from_condensed
+from .resolver import resolve_from_condensed
 
 __version__ = "0.1.0"

@@ -80,6 +80,8 @@ def _merge_config(args: argparse.Namespace, argv: list[str],
             continue
         action = actions[dest]
         if isinstance(action, argparse._StoreTrueAction):
+            if value.lower() not in ("1", "0", "true", "false", "yes", "no"):
+                raise ErboundError(f"config key {key!r}: {value!r} is not 1/0/true/false/yes/no")
             parsed = value.lower() in ("1", "true", "yes")
         elif action.type is not None:
             try:
@@ -184,15 +186,14 @@ def load_validation_stats(path) -> tuple[np.ndarray, np.ndarray]:
         if doc.get("format_version") != STATS_FORMAT_VERSION:
             raise DataError(f"{path}: unsupported stats format_version "
                             f"{doc.get('format_version')!r}")
-        raw = [p["score"] for p in doc["pairs"]]
+        scores = [p["score"] for p in doc["pairs"]]
         labels = [p["label"] for p in doc["pairs"]]
-        scores = np.array(raw, dtype=float)
     except KeyError as exc:
         raise DataError(f"{path}: validation stats have no field {exc}") from exc
     except (TypeError, ValueError, IndexError) as exc:
         raise DataError(f"{path}: malformed validation stats: {exc}") from exc
-    # a JSON true or false is no number, though Python reads it as 1 or 0
-    bad = [s for s, v in zip(raw, scores) if isinstance(s, bool) or not 0.0 <= v <= 1.0]
+    # a JSON string or boolean is no number, though numpy reads "0.5" and true as one
+    bad = [s for s in scores if type(s) not in (int, float) or not 0.0 <= s <= 1.0]
     if bad:
         raise DataError(f"{path}: validation stats field 'score' must be a number in [0, 1], "
                         f"got {bad[0]!r}")
@@ -204,7 +205,7 @@ def load_validation_stats(path) -> tuple[np.ndarray, np.ndarray]:
     if not 0 < positives < len(labels):
         raise DataError(f"{path}: validation pairs must include both labels "
                         f"(got {positives} positives of {len(labels)})")
-    return scores, np.array(labels, dtype=int)
+    return np.array(scores, dtype=float), np.array(labels, dtype=int)
 
 
 def cmd_train(args) -> int:
@@ -283,8 +284,9 @@ def cmd_sweep(args) -> int:
     (out / "best.json").write_text(json.dumps(best_doc, indent=2, sort_keys=True) + "\n")
     if args.write_clusterings:
         for row, labels in zip(result.rows, result.labels):
+            cluster_ids = resolver.resolve_from_condensed(records.ids, labels)
             resolver.write_clustering_csv(out / f"clustering_{row.threshold:.6f}.csv",
-                                          resolver.resolve_from_condensed(records.ids, labels))
+                                          records.ids, cluster_ids)
     _write_effective_config(out, "sweep", args)
     if result.best is None:
         print("sweep finished; no threshold produced a defined bound")
@@ -329,13 +331,13 @@ def cmd_resolve(args) -> int:
     result = pipeline.sweep_thresholds(model, records, val_scores, val_labels, [threshold],
                                        c_t_override=args.ct, confidence=args.confidence)
     row = result.rows[0]
-    clustering = resolver.resolve_from_condensed(records.ids, result.labels[0])
+    cluster_ids = resolver.resolve_from_condensed(records.ids, result.labels[0])
     out = _out_dir(args)
-    resolver.write_clustering_csv(out / "clustering.csv", clustering)
+    resolver.write_clustering_csv(out / "clustering.csv", records.ids, cluster_ids)
     (out / "bound_report.json").write_text(
         json.dumps(_bound_report_doc(row, args.confidence), indent=2, sort_keys=True) + "\n")
     _write_effective_config(out, "resolve", args)
-    print(f"resolved {len(records)} records into {len(clustering.clusters)} clusters "
+    print(f"resolved {len(records)} records into {len(set(cluster_ids))} clusters "
           f"at threshold {_fmt(threshold)}")
     gates = [
         ("precision_lb", args.min_precision_lb, row.precision_lb),

@@ -74,8 +74,8 @@ def generate_synthetic(n_entities: int = 100, records_per_entity: int = 10,
     """
     if n_entities < 1 or records_per_entity < 1 or dims < 1:
         raise ConfigError("entity, record, and dimension counts must be positive")
-    if noise_sigma < 0:
-        raise ConfigError("noise_sigma must be nonnegative")
+    if not 0 <= noise_sigma < np.inf:
+        raise ConfigError("noise_sigma must be nonnegative and finite")
     rng = np.random.default_rng(seed)
     schema = synthetic_schema(dims)
     latents = rng.uniform(size=(n_entities, dims))

@@ -217,12 +217,12 @@ class TrainConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if self.learning_rate <= 0:
-            raise ValueError("learning_rate must be positive")
+        if not 0 < self.learning_rate < np.inf:
+            raise ValueError("learning_rate must be positive and finite")
         if self.epochs < 1:
             raise ValueError("epochs must be >= 1")
-        if self.l2 < 0:
-            raise ValueError("l2 must be nonnegative")
+        if not 0 <= self.l2 < np.inf:
+            raise ValueError("l2 must be nonnegative and finite")
 
 
 @dataclass(frozen=True, eq=False)
@@ -276,19 +276,30 @@ class MatchModel:
         if d.get("format_version") != MODEL_FORMAT_VERSION:
             raise DataError(f"unsupported model format_version {d.get('format_version')!r}")
         try:
+            standardization = d["standardization"]
             return cls(
                 schema=FeatureSchema.from_dict(d["schema"]),
-                weights=np.array(d["weights"], dtype=float),
-                bias=float(d["bias"]),
-                threshold=float(d["threshold"]),
-                feature_means=np.array(d["standardization"]["mean"], dtype=float),
-                feature_scales=np.array(d["standardization"]["scale"], dtype=float),
+                weights=[_number(w, "weights") for w in d["weights"]],
+                bias=_number(d["bias"], "bias"),
+                threshold=_number(d["threshold"], "threshold"),
+                feature_means=[_number(m, "standardization.mean")
+                               for m in standardization["mean"]],
+                feature_scales=[_number(s, "standardization.scale")
+                                for s in standardization["scale"]],
                 config=TrainConfig(**d["config"]),
             )
         except KeyError as exc:
             raise DataError(f"model document has no field {exc}") from exc
         except (TypeError, ValueError, IndexError) as exc:
             raise DataError(f"malformed model document: {exc}") from exc
+
+
+def _number(value, name: str) -> float:
+    """A JSON number as a float. A JSON string or boolean is no number,
+    though `float` reads "0.5" and true as one."""
+    if type(value) not in (int, float):
+        raise DataError(f"model field {name!r} must be a JSON number, got {value!r}")
+    return float(value)
 
 
 def save_model(path, model: MatchModel) -> None:

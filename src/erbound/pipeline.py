@@ -25,7 +25,7 @@ from .bounds import ValidationStats, compute_bound_report, f1_lower_bound, wilso
 from .dataset import (GoldTruth, LabeledPairs, Split, SplitSpec, generate_synthetic,
                       split_dataset, synthetic_schema)
 from .errors import ConfigError, DegenerateDataError, UninformativeMatcherError
-from .matching import (Edges, MatchModel, PairColumns, TrainConfig,
+from .matching import (MatchModel, PairColumns, TrainConfig,
                        condensed_pairwise_scores, score_pairs, train_match_model)
 from .resolver import components_by_threshold
 
@@ -101,16 +101,14 @@ class SweepRow:
 
 @dataclass(frozen=True)
 class SweepResult:
-    """Rows, the selected row, the test-pair edges every row was computed
-    from (every pair scoring at or above the lowest threshold), so a caller
-    can resolve at any threshold in the grid's range without scoring the
-    pairs again, and each row's component label per test record."""
+    """Rows, the selected row, and each row's component label per test
+    record, so a caller resolves at any grid threshold without scoring or
+    labelling again."""
 
     rows: list[SweepRow]
     best: SweepRow | None
     select_metric: str
     recall_floor: float | None
-    edges: Edges = field(repr=False, compare=False)
     labels: list[np.ndarray] = field(repr=False, compare=False)
 
 
@@ -208,7 +206,7 @@ def sweep_thresholds(model: MatchModel, test_records: PairColumns,
                 "the resolver violated edge-removal monotonicity"
             )
     return SweepResult(rows, select_best_row(rows, select_metric, recall_floor),
-                       select_metric, recall_floor, edges, row_labels)
+                       select_metric, recall_floor, row_labels)
 
 
 @dataclass(frozen=True)

@@ -15,10 +15,10 @@ production path to. No production module imports this one.
 
 With the max-over-constituents match rule and set-union merge, the fixpoint
 equals the connected components of the direct-match graph, which is what
-`resolver.components_from_condensed` labels from the scored edge list and
-`resolver.resolve_from_condensed` turns into a clustering. The dict score
-table takes every pair's score from the edge list at floor 0, which every
-score clears.
+`resolver.components_from_condensed` labels from the scored edge list. Both
+resolvers here return that partition of the record ids as a frozenset of
+frozensets. The dict score table takes every pair's score from the edge
+list at floor 0, which every score clears.
 """
 
 from collections import deque
@@ -33,7 +33,6 @@ from .dataset import Pair
 from .errors import DataError, SchemaError
 from .matching import MatchModel, PairColumns, condensed_pairwise_scores, sigmoid
 from .records import CATEGORICAL, NUMERIC, FeatureSchema, Record
-from .resolver import Clustering
 
 
 def levenshtein(s: str, t: str) -> int:
@@ -150,7 +149,7 @@ def _check_base_inputs(records: Sequence[Record]) -> None:
 
 def resolve_rswoosh(records: Sequence[Record],
                     match: Callable[[Record, Record], bool],
-                    merge: Callable[[Record, Record], Record]) -> Clustering:
+                    merge: Callable[[Record, Record], Record]) -> frozenset[frozenset[str]]:
     """Iterative match/merge fixpoint (R-Swoosh).
 
     Maintains a resolved set; each pending record is compared against it,
@@ -171,7 +170,7 @@ def resolve_rswoosh(records: Sequence[Record],
         else:
             other = resolved.pop(partner)
             pending.append(merge(rec, other))
-    return Clustering.from_groups(rec.base_ids for rec in resolved)
+    return frozenset(rec.base_ids for rec in resolved)
 
 
 def candidate_pairs(records: Sequence[Record]) -> Iterator[tuple[int, int]]:
@@ -180,7 +179,8 @@ def candidate_pairs(records: Sequence[Record]) -> Iterator[tuple[int, int]]:
 
 
 def resolve_connected_components(records: Sequence[Record],
-                                 base_match: Callable[[Record, Record], bool]) -> Clustering:
+                                 base_match: Callable[[Record, Record], bool],
+                                 ) -> frozenset[frozenset[str]]:
     """Cluster base records as connected components of the direct-match
     graph, asking the predicate about every pair and collecting each
     component by graph search. Deterministic for any edge order."""
@@ -190,21 +190,21 @@ def resolve_connected_components(records: Sequence[Record],
         if base_match(records[i], records[j]):
             neighbours[i].add(j)
             neighbours[j].add(i)
-    unseen, groups = set(neighbours), []
+    unseen, groups = set(neighbours), set()
     while unseen:
         component, frontier = set(), {min(unseen)}
         while frontier:
             component |= frontier
             frontier = set().union(*(neighbours[k] for k in frontier)) - component
         unseen -= component
-        groups.append([records[k].record_id for k in component])
-    return Clustering.from_groups(groups)
+        groups.add(frozenset(records[k].record_id for k in component))
+    return frozenset(groups)
 
 
-def intra_cluster_pairs(clustering: Clustering) -> frozenset[Pair]:
+def intra_cluster_pairs(partition: Iterable[Iterable[str]]) -> frozenset[Pair]:
     """Every unordered pair of ids that share a cluster."""
     pairs = set()
-    for members in clustering.clusters.values():
+    for members in partition:
         pairs.update(combinations(sorted(members), 2))
     return frozenset(pairs)
 

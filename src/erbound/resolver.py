@@ -8,54 +8,14 @@ keeps them: only pairs at or above some floor, never all n(n-1)/2. This
 is the partition the match/merge fixpoint reaches with the
 max-over-constituents match rule and set-union merge; the slow engines
 that show it live in `erbound.reference`. A sweep merges each score band
-into the labels of the band above.
+into the labels of the band above. The labels stay the resolution up to
+the output file, which names each record's cluster by its smallest id.
 """
 
 import csv
-from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Sequence
 
 import numpy as np
-
-from .errors import DataError
-
-
-@dataclass(frozen=True)
-class Clustering:
-    """A partition of base-record ids, keyed by the smallest member id of
-    each cluster."""
-
-    clusters: dict[str, frozenset[str]]
-
-    def __post_init__(self):
-        seen: set[str] = set()
-        for label, members in self.clusters.items():
-            if not members:
-                raise DataError("empty cluster")
-            if label != min(members):
-                raise DataError(f"cluster label {label!r} is not its smallest member")
-            if members & seen:
-                raise DataError("clusters overlap")
-            seen |= members
-
-    @property
-    def ids(self) -> frozenset[str]:
-        return frozenset().union(*self.clusters.values()) if self.clusters else frozenset()
-
-    def partition(self) -> frozenset[frozenset[str]]:
-        return frozenset(self.clusters.values())
-
-    def labels(self) -> dict[str, str]:
-        return {i: label for label, members in self.clusters.items() for i in members}
-
-    @classmethod
-    def from_groups(cls, groups: Iterable[Iterable[str]]) -> "Clustering":
-        """Label each group of ids by its smallest member."""
-        clusters = {}
-        for group in groups:
-            members = frozenset(group)
-            clusters[min(members, default="")] = members
-        return cls(clusters)
 
 
 def _merge(labels: np.ndarray, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
@@ -114,23 +74,24 @@ def components_by_threshold(n: int, scores: np.ndarray, thresholds: Sequence[flo
         yield from [(float(ts[k]), labels, int(hi))] * repeats[k]
 
 
-def resolve_from_condensed(ids: Sequence[str], labels: np.ndarray) -> Clustering:
-    """The resolution whose component labels, one per record id, a sweep or
-    `components_from_condensed` computed from the records' scored edges;
-    identical to `reference.resolve_connected_components` with the
-    thresholded matcher the scores came from."""
-    groups: dict[int, list[str]] = {}
-    for rid, label in zip(ids, labels.tolist()):
-        groups.setdefault(label, []).append(rid)
-    return Clustering.from_groups(groups.values())
+def resolve_from_condensed(ids: Sequence[str], labels: np.ndarray) -> list[str]:
+    """Each record's cluster id from the component labels, one per record
+    id, that a sweep or `components_from_condensed` computed: the smallest
+    id among the records sharing its label. A label is the smallest index,
+    which is the smallest id only when the ids come sorted. The partition
+    is `reference.resolve_connected_components`'s with the thresholded
+    matcher the scores came from."""
+    labels = labels.tolist()
+    smallest: dict[int, str] = {}
+    for rid, label in zip(ids, labels):
+        if label not in smallest or rid < smallest[label]:
+            smallest[label] = rid
+    return [smallest[label] for label in labels]
 
 
-def write_clustering_csv(path, clustering: Clustering) -> None:
-    """CSV rows `id,cluster_id`, sorted by id; cluster ids are the
-    canonical smallest-member labels."""
-    labels = clustering.labels()
+def write_clustering_csv(path, ids: Sequence[str], cluster_ids: Sequence[str]) -> None:
+    """CSV rows `id,cluster_id`, sorted by id."""
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["id", "cluster_id"])
-        for rid in sorted(labels):
-            writer.writerow([rid, labels[rid]])
+        writer.writerows(sorted(zip(ids, cluster_ids)))

@@ -1,3 +1,5 @@
+import csv
+
 import numpy as np
 import pytest
 
@@ -12,6 +14,7 @@ from erbound.records import (
     FeatureSchema,
     base_record,
 )
+from erbound.reference import matcher_from_scores, pairwise_scores, resolve_connected_components
 from erbound.resolver import components_from_condensed, resolve_from_condensed
 
 
@@ -119,6 +122,28 @@ def all_pairs(model, records):
 
 def resolve_at(records, edges, threshold):
     """The production resolution of the `Record` list at a threshold,
-    labelled outright from their edges."""
-    return resolve_from_condensed([r.record_id for r in records], components_from_condensed(
+    labelled outright from their edges: the partition of their ids into
+    blocks that share a cluster id."""
+    ids = [r.record_id for r in records]
+    cluster_ids = resolve_from_condensed(ids, components_from_condensed(
         len(records), edges.scores, threshold, edges.rows, edges.cols))
+    blocks = {}
+    for rid, cluster in zip(ids, cluster_ids):
+        blocks.setdefault(cluster, set()).add(rid)
+    return frozenset(map(frozenset, blocks.values()))
+
+
+def oracle_resolution(model, records, threshold):
+    """The reference resolution of the `Record` list at a threshold: graph
+    search over the predicate of their dict score table."""
+    return resolve_connected_components(
+        records, matcher_from_scores(pairwise_scores(model, records), threshold))
+
+
+def assert_clustering_file(path, partition):
+    """The `id,cluster_id` file names every id of the partition once, sorted
+    by id, with the smallest id of its block as its cluster id."""
+    with open(path, newline="") as fh:
+        rows = list(csv.reader(fh))
+    assert rows[0] == ["id", "cluster_id"]
+    assert rows[1:] == sorted([rid, min(block)] for block in partition for rid in block)

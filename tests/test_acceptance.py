@@ -63,10 +63,11 @@ def test_c01_direct_match_containment(mixed_schema):
     violations = 0
     for _ in range(1000):
         records, scored, wrap = random_instance(rng, mixed_schema, 50)
-        labels = resolve_rswoosh(records, wrap, merge_records).labels()
+        block = {rid: members for members in resolve_rswoosh(records, wrap, merge_records)
+                 for rid in members}
         for i, a in enumerate(records):
             for b in records[i + 1:]:
-                if scored(a, b) and labels[a.record_id] != labels[b.record_id]:
+                if scored(a, b) and block[a.record_id] != block[b.record_id]:
                     violations += 1
     assert violations == 0
 
@@ -77,8 +78,8 @@ def test_c02_engine_equivalence(mixed_schema):
     mismatches = 0
     for _ in range(1000):
         records, scored, wrap = random_instance(rng, mixed_schema, 30)
-        via_rswoosh = resolve_rswoosh(records, wrap, merge_records).partition()
-        via_components = resolve_connected_components(records, scored).partition()
+        via_rswoosh = resolve_rswoosh(records, wrap, merge_records)
+        via_components = resolve_connected_components(records, scored)
         if via_rswoosh != via_components:
             mismatches += 1
     assert mismatches == 0
@@ -90,11 +91,11 @@ def test_c03_permutation_determinism(mixed_schema):
     mismatches = 0
     for _ in range(100):
         records, _, wrap = random_instance(rng, mixed_schema, 30)
-        reference = resolve_rswoosh(records, wrap, merge_records).partition()
+        reference = resolve_rswoosh(records, wrap, merge_records)
         for _ in range(20):
             shuffled = list(records)
             rng.shuffle(shuffled)
-            if resolve_rswoosh(shuffled, wrap, merge_records).partition() != reference:
+            if resolve_rswoosh(shuffled, wrap, merge_records) != reference:
                 mismatches += 1
     assert mismatches == 0
 

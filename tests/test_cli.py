@@ -16,7 +16,8 @@ from erbound.cli import EXIT_DATA, EXIT_GATE, EXIT_OK, SWEEP_COLUMNS, _fmt, main
 from erbound.dataset import GoldTruth, save_schema_json, write_gold_csv, write_records_csv
 from erbound.matching import PairColumns
 
-from conftest import all_pairs, count_calls, random_records, random_words, resolve_at
+from conftest import (assert_clustering_file, count_calls, oracle_resolution, random_records,
+                      random_words)
 
 
 NOT_UTF8 = b"id,label\n" + b"\xc1\xff\xfe" * 1000
@@ -168,12 +169,9 @@ class TestSweep:
         files = sorted(out.glob("clustering_*.csv"))
         assert [f.name for f in files] == ["clustering_0.500000.csv", "clustering_0.900000.csv"]
         model = matching.load_model(run / "model.json")
-        records = erbound.load_records_csv(run / "test_records.csv", model.schema)
-        edges = all_pairs(model, records)
+        records = list(erbound.load_records_csv(run / "test_records.csv", model.schema))
         for path, threshold in zip(files, (0.5, 0.9)):
-            resolver.write_clustering_csv(tmp_path / "expected.csv",
-                                          resolve_at(records, edges, threshold))
-            assert path.read_bytes() == (tmp_path / "expected.csv").read_bytes()
+            assert_clustering_file(path, oracle_resolution(model, records, threshold))
 
     def test_bad_grid(self, trained, tmp_path, capsys):
         data, run = trained
@@ -279,7 +277,8 @@ class TestResolve:
 
     def test_clustering_equals_resolution_from_every_pair(self, trained, tmp_path):
         """`resolve` writes the clustering of its one-point sweep's labels;
-        it equals the clustering labelled outright from every pair's score."""
+        its partition and cluster ids are those of the reference resolver,
+        which asks the thresholded score of every pair."""
         _, run = trained
         out = tmp_path / "res"
         assert main([
@@ -289,11 +288,10 @@ class TestResolve:
             "--threshold", "0.5", "--out", str(out),
         ]) == EXIT_OK
         model = matching.load_model(run / "model.json")
-        records = erbound.load_records_csv(run / "test_records.csv", model.schema)
-        expected = resolve_at(records, all_pairs(model, records), 0.5)
-        assert len(expected.clusters) < len(records)
-        resolver.write_clustering_csv(tmp_path / "expected.csv", expected)
-        assert (out / "clustering.csv").read_bytes() == (tmp_path / "expected.csv").read_bytes()
+        records = list(erbound.load_records_csv(run / "test_records.csv", model.schema))
+        expected = oracle_resolution(model, records, 0.5)
+        assert len(expected) < len(records)
+        assert_clustering_file(out / "clustering.csv", expected)
 
     def test_clustering_stable_across_reruns(self, trained, tmp_path):
         _, run = trained
@@ -406,6 +404,29 @@ class TestRangeChecks:
         assert flag in capsys.readouterr().err
         assert not (out / output).exists()
 
+    @pytest.mark.parametrize("command,flag,value,field", [
+        ("train", "--learning-rate", "nan", "learning_rate"),
+        ("train", "--learning-rate", "inf", "learning_rate"),
+        ("train", "--l2", "inf", "l2"),
+        ("train", "--l2", "nan", "l2"),
+        ("generate", "--noise-sigma", "nan", "noise_sigma"),
+        ("generate", "--noise-sigma", "inf", "noise_sigma"),
+    ])
+    def test_non_finite_setting_rejected(self, trained, tmp_path, capsys,
+                                         command, flag, value, field):
+        """A NaN or infinite setting is named, not trained on (which gave
+        all-zero weights) or blamed on the data it would produce."""
+        data, _ = trained
+        out = tmp_path / "out"
+        if command == "train":
+            code = run_train(data, out, extra=(flag, value))
+        else:
+            code = run_generate(out, extra=(flag, value))
+        assert code == EXIT_DATA
+        err = capsys.readouterr().err
+        assert field in err and "finite" in err and "feature" not in err
+        assert not out.exists()
+
     def test_recall_floor_endpoints_accepted(self, trained, tmp_path):
         _, run = trained
         for floor in ("0", "1"):
@@ -455,6 +476,10 @@ class TestMalformedInputs:
     @pytest.mark.parametrize("field,value,shown", [
         ("weights", "heavy", "'heavy'"),
         ("threshold", 1.5, "threshold must lie"),
+        # a JSON string or boolean is no number, though `float` reads one
+        ("weights", "0.25", "field 'weights' must be a JSON number, got '0.25'"),
+        ("threshold", "0.5", "field 'threshold' must be a JSON number, got '0.5'"),
+        ("bias", True, "field 'bias' must be a JSON number, got True"),
     ])
     def test_model_value_wrong_type_or_range(self, trained, tmp_path, capsys,
                                              field, value, shown):
@@ -526,17 +551,18 @@ class TestMalformedInputs:
         assert str(bad) in err and "'label'" in err and repr(label) in err
         assert not (tmp_path / "out" / "clustering.csv").exists()
 
-    @pytest.mark.parametrize("field", ["score", "label"])
-    def test_stats_boolean_rejected(self, trained, tmp_path, capsys, field):
-        """A JSON `true` is not read as 1."""
+    @pytest.mark.parametrize("field,value", [("score", True), ("label", True), ("score", "0.87")],
+                             ids=["score", "label", "score-string"])
+    def test_stats_boolean_rejected(self, trained, tmp_path, capsys, field, value):
+        """A JSON `true` is not read as 1, nor a JSON string as a number."""
         _, run = trained
         doc = json.loads((run / "validation_stats.json").read_text())
-        doc["pairs"][3][field] = True
+        doc["pairs"][3][field] = value
         bad = tmp_path / "validation_stats.json"
         bad.write_text(json.dumps(doc))
         assert self.resolve(run, tmp_path, stats=bad) == EXIT_DATA
         err = capsys.readouterr().err
-        assert str(bad) in err and f"'{field}'" in err and "got True" in err
+        assert str(bad) in err and f"'{field}'" in err and f"got {value!r}" in err
         assert not (tmp_path / "out" / "clustering.csv").exists()
 
     @pytest.mark.parametrize("keep,shown", [
@@ -639,6 +665,26 @@ class TestConfigFile:
         assert main(["generate", "--config", str(cfg),
                      "--out", str(tmp_path / "x")]) == EXIT_DATA
         assert "unknown config key" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("value,code,written", [
+        ("ture", EXIT_DATA, False), ("2", EXIT_DATA, False), ("", EXIT_DATA, False),
+        ("YES", EXIT_OK, True), ("1", EXIT_OK, True), ("False", EXIT_OK, False),
+        ("no", EXIT_OK, False),
+    ])
+    def test_boolean_values(self, trained, tmp_path, capsys, value, code, written):
+        """A boolean key takes 1/0/true/false/yes/no in any case; a typo is
+        an error, not False."""
+        _, run = trained
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(f"write_clusterings={value}\n")
+        out = tmp_path / "out"
+        assert main(["sweep", "--config", str(cfg), "--model", str(run / "model.json"),
+                     "--records", str(run / "test_records.csv"),
+                     "--validation-stats", str(run / "validation_stats.json"),
+                     "--grid-steps", "2", "--out", str(out)]) == code
+        assert any(out.glob("clustering_*.csv")) == written
+        if code == EXIT_DATA:
+            assert "config key 'write_clusterings'" in capsys.readouterr().err
 
     def test_malformed_line_rejected(self, tmp_path):
         cfg = tmp_path / "run.cfg"

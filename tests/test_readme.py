@@ -15,7 +15,8 @@ def first_python_block(heading: str) -> str:
 def test_library_usage_runs():
     namespace = {}
     exec(first_python_block("Library usage"), namespace)
-    records = namespace["split"].test_records
-    clustering = namespace["clustering"]
-    assert clustering.ids == {r.record_id for r in records}
-    assert len(clustering.clusters) < len(records)
+    ids = namespace["split"].test_records.ids
+    cluster_ids = namespace["cluster_ids"]
+    assert len(cluster_ids) == len(ids)
+    assert set(cluster_ids) <= set(ids)
+    assert len(set(cluster_ids)) < len(ids)

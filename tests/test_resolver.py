@@ -16,9 +16,9 @@ from erbound.reference import (
     resolve_rswoosh,
 )
 from erbound.resolver import (
-    Clustering,
     components_by_threshold,
     components_from_condensed,
+    resolve_from_condensed,
     write_clustering_csv,
 )
 
@@ -85,7 +85,7 @@ def smallest_member_labels(records, scores, threshold):
         return scores[pair_index(n, index[a.record_id], index[b.record_id])] >= threshold
 
     labels = np.full(n, -1)
-    for members in resolve_connected_components(records, match).clusters.values():
+    for members in resolve_connected_components(records, match):
         ks = [index[i] for i in members]
         labels[ks] = min(ks)
     return labels
@@ -227,16 +227,14 @@ class TestRSwoosh:
             return any(phones_match(base[i], base[j])
                        for i, j in product(sorted(o1.base_ids), sorted(o2.base_ids)))
 
-        clustering = resolve_rswoosh([r1, r2, r3], wrap, merge_records)
-        assert clustering.partition() == frozenset({
+        assert resolve_rswoosh([r1, r2, r3], wrap, merge_records) == frozenset({
             frozenset({"r1", "r2"}), frozenset({"r3"}),
         })
 
     def test_no_matches_yields_singletons(self, mixed_schema):
         rng = np.random.default_rng(0)
         records = random_records(rng, mixed_schema, 7)
-        clustering = resolve_rswoosh(records, lambda a, b: False, merge_records)
-        assert len(clustering.clusters) == 7
+        assert len(resolve_rswoosh(records, lambda a, b: False, merge_records)) == 7
 
     def test_duplicate_ids_rejected(self, mixed_schema):
         a = base_record(mixed_schema, "a", {})
@@ -260,14 +258,13 @@ class TestConnectedComponents:
             x, y = next(iter(a.values[ai])), next(iter(b.values[ai]))
             return abs(x - y) <= 1.0
 
-        clustering = resolve_connected_components([r1, r2, r3], near)
-        assert clustering.partition() == frozenset({frozenset({"r1", "r2", "r3"})})
+        assert resolve_connected_components([r1, r2, r3], near) == \
+            frozenset({frozenset({"r1", "r2", "r3"})})
 
     def test_empty_match_graph(self, mixed_schema):
         rng = np.random.default_rng(2)
         records = random_records(rng, mixed_schema, 6)
-        clustering = resolve_connected_components(records, lambda a, b: False)
-        assert len(clustering.clusters) == 6
+        assert len(resolve_connected_components(records, lambda a, b: False)) == 6
 
     def test_against_boolean_matrix_transitive_closure(self, mixed_schema):
         rng = np.random.default_rng(3)
@@ -292,8 +289,7 @@ class TestConnectedComponents:
                 frozenset(records[j].record_id for j in np.nonzero(closure[i])[0])
                 for i in range(n)
             )
-            clustering = resolve_connected_components(records, match)
-            assert clustering.partition() == expected
+            assert resolve_connected_components(records, match) == expected
 
     def test_candidate_pairs_exhaustive(self, mixed_schema):
         rng = np.random.default_rng(4)
@@ -309,9 +305,8 @@ class TestEquivalenceAndDeterminism:
             model = random_model(rng, mixed_schema)
             records = random_records(rng, mixed_schema, n)
             match, merge, scored = wrapper_and_merge(model, records)
-            a = resolve_rswoosh(records, match, merge)
-            b = resolve_connected_components(records, scored)
-            assert a.partition() == b.partition()
+            assert resolve_rswoosh(records, match, merge) == \
+                resolve_connected_components(records, scored)
 
     def test_rswoosh_permutation_invariant(self, mixed_schema):
         rng = np.random.default_rng(6)
@@ -319,11 +314,11 @@ class TestEquivalenceAndDeterminism:
             model = random_model(rng, mixed_schema)
             records = random_records(rng, mixed_schema, 10)
             match, merge, _ = wrapper_and_merge(model, records)
-            reference = resolve_rswoosh(records, match, merge).partition()
+            reference = resolve_rswoosh(records, match, merge)
             for _ in range(5):
                 shuffled = list(records)
                 rng.shuffle(shuffled)
-                assert resolve_rswoosh(shuffled, match, merge).partition() == reference
+                assert resolve_rswoosh(shuffled, match, merge) == reference
 
     def test_direct_matches_stay_within_clusters(self, mixed_schema):
         rng = np.random.default_rng(7)
@@ -331,11 +326,12 @@ class TestEquivalenceAndDeterminism:
             model = random_model(rng, mixed_schema)
             records = random_records(rng, mixed_schema, 10)
             match, merge, scored = wrapper_and_merge(model, records)
-            labels = resolve_rswoosh(records, match, merge).labels()
+            block = {rid: members for members in resolve_rswoosh(records, match, merge)
+                     for rid in members}
             for i, a in enumerate(records):
                 for b in records[i + 1:]:
                     if scored(a, b):
-                        assert labels[a.record_id] == labels[b.record_id]
+                        assert block[a.record_id] == block[b.record_id]
 
     def test_condensed_resolution_matches_predicate_resolution(self, mixed_schema):
         rng = np.random.default_rng(8)
@@ -345,30 +341,45 @@ class TestEquivalenceAndDeterminism:
             via_scores = resolve_at(records, all_pairs(model, records), model.threshold)
             via_predicate = resolve_connected_components(
                 records, lambda a, b: base_match(model, a, b))
-            assert via_scores.partition() == via_predicate.partition()
+            assert via_scores == via_predicate
 
 
 class TestClusteringType:
-    def test_invariants_enforced(self):
-        with pytest.raises(DataError, match="smallest member"):
-            Clustering({"b": frozenset({"a", "b"})})
-        with pytest.raises(DataError, match="empty"):
-            Clustering({"a": frozenset()})
-        with pytest.raises(DataError, match="overlap"):
-            Clustering({"a": frozenset({"a", "b"}), "b": frozenset({"b", "c"})})
-        with pytest.raises(DataError, match="empty"):
-            Clustering.from_groups([["a"], []])
+    """A resolution is a partition of the record ids: the oracles return
+    one, and the program names each record's block by its smallest id."""
 
-    def test_labels_and_ids(self):
-        clustering = Clustering.from_groups([["r2", "r1"], ["r3"]])
-        assert clustering.labels() == {"r1": "r1", "r2": "r1", "r3": "r3"}
-        assert clustering.ids == frozenset({"r1", "r2", "r3"})
+    def test_oracle_partitions_cover_the_ids_once(self, mixed_schema):
+        rng = np.random.default_rng(20)
+        for _ in range(40):
+            model = random_model(rng, mixed_schema)
+            records = random_records(rng, mixed_schema, int(rng.integers(1, 13)))
+            match, merge, scored = wrapper_and_merge(model, records)
+            for partition in (resolve_rswoosh(records, match, merge),
+                              resolve_connected_components(records, scored)):
+                blocks = list(partition)
+                assert all(blocks)
+                assert sum(map(len, blocks)) == len(set().union(*blocks))  # disjoint
+                assert set().union(*blocks) == {r.record_id for r in records}
+
+    def test_cluster_id_is_the_smallest_id_not_the_smallest_index(self):
+        rng = np.random.default_rng(21)
+        told_apart = 0
+        for _ in range(30):
+            n = int(rng.integers(2, 40))
+            ids = [f"r{k:03d}" for k in rng.permutation(n)]
+            rows, cols = np.triu_indices(n, 1)
+            labels = components_from_condensed(n, rng.random(len(rows)), 0.97, rows, cols)
+            expected = [min(ids[j] for j in range(n) if labels[j] == labels[k])
+                        for k in range(n)]
+            assert resolve_from_condensed(ids, labels) == expected
+            told_apart += expected != [ids[label] for label in labels]
+        assert told_apart > 10  # so `ids[labels]` fails here
 
     def test_csv_output_canonical_and_stable(self, tmp_path):
-        clustering = Clustering.from_groups([["r2", "r1"], ["r3"]])
+        ids, cluster_ids = ["r3", "r1", "r2"], ["r3", "r1", "r1"]
         p1, p2 = tmp_path / "c1.csv", tmp_path / "c2.csv"
-        write_clustering_csv(p1, clustering)
-        write_clustering_csv(p2, clustering)
+        write_clustering_csv(p1, ids, cluster_ids)
+        write_clustering_csv(p2, ids, cluster_ids)
         assert p1.read_bytes() == p2.read_bytes()
         assert p1.read_text().splitlines() == [
             "id,cluster_id", "r1,r1", "r2,r1", "r3,r3",
