@@ -2,14 +2,11 @@
 precision, recall, and F1, computed from a small labeled validation set."""
 
 from .bounds import (
-    BoundIntervals,
-    BoundReport,
     ValidationStats,
     compute_bound_report,
     estimate_test_class_balance,
     f1_lower_bound,
     precision_lower_bound,
-    propagate_bound_interval,
     rebalance_precision,
     recall_lower_bound,
     wilson_interval,

@@ -14,7 +14,8 @@ precision the same TPR/FPR ratio yields at the test set's positive-pair
 prevalence C_T. Uncertainty in the validation rates propagates through
 Wilson score intervals; since the rebalance map is monotone increasing in
 the validation precision, evaluating the bound at the interval endpoints
-gives exact interval bounds.
+gives exact interval bounds. `compute_bound_report` returns the numbers
+of one sweep row as a dict keyed by the row's field names.
 """
 
 import math
@@ -212,73 +213,44 @@ def estimate_test_class_balance(predicted_match_rate: float,
     return min(1.0 - _PREVALENCE_EPS, max(_PREVALENCE_EPS, estimate))
 
 
-@dataclass(frozen=True)
-class BoundIntervals:
-    """Per-bound (low, high) confidence intervals."""
-
-    precision: tuple[float, float]
-    recall: tuple[float, float]
-    f1: tuple[float, float]
-
-
-def propagate_bound_interval(stats: ValidationStats, tm_pairs: int, r_pairs: int,
-                             c_t: float, confidence: float = 0.95) -> BoundIntervals:
-    """Intervals for the three bounds from Wilson intervals on the
-    validation rates.
-
-    The precision bound is monotone increasing in the validation precision,
-    so evaluating it at the Wilson endpoints yields exact endpoints; the
-    recall bound is the validation recall, so its Wilson interval carries
-    over directly; F1 endpoints come from composing the other two.
-    """
-    p_low, p_high = wilson_interval(stats.n_true_match, stats.n_predicted_match, confidence)
-    r_low, r_high = wilson_interval(stats.n_true_match, stats.n_positive, confidence)
-    pb_low = precision_lower_bound(tm_pairs, r_pairs, p_low, stats.c_v, c_t)
-    pb_high = precision_lower_bound(tm_pairs, r_pairs, p_high, stats.c_v, c_t)
-    return BoundIntervals(
-        precision=(pb_low, pb_high),
-        recall=(r_low, r_high),
-        f1=(f1_lower_bound(pb_low, r_low), f1_lower_bound(pb_high, r_high)),
-    )
-
-
-@dataclass(frozen=True)
-class BoundReport:
-    """Everything a quality gate needs: the counts, the class-balance
-    estimate, the three lower bounds, and their intervals."""
-
-    r_pairs: int
-    tm_pairs: int
-    c_t_estimate: float
-    precision_lb: float
-    recall_lb: float
-    f1_lb: float
-    intervals: BoundIntervals
-
-
 def compute_bound_report(stats: ValidationStats, tm_pairs: int, r_pairs: int,
                          total_test_pairs: int, c_t: float | None = None,
-                         confidence: float = 0.95) -> BoundReport:
-    """Assemble the full bound report for one resolution.
+                         confidence: float = 0.95) -> dict[str, float | None]:
+    """The bound fields of one resolution's sweep row: the class-balance
+    estimate `c_t`, the three lower bounds `precision_lb`, `recall_lb` and
+    `f1_lb`, and each bound's interval ends `<bound>_lo` and `<bound>_hi`.
 
     `total_test_pairs` is the number of unordered test record pairs, used
     to turn |T_M| into the predicted match rate the class-balance estimator
-    consumes. Raises DegenerateDataError when the validation set has no
-    predicted matches at this threshold (precision undefined).
+    consumes; a given `c_t` replaces the estimate. The recall fields are
+    always defined. `c_t` and the precision and F1 fields are None where
+    the bound is undefined: the validation set has no predicted matches at
+    this threshold, or, with no `c_t` given, validation TPR does not exceed
+    FPR. Inconsistent counts raise.
+
+    The precision bound is monotone increasing in the validation precision,
+    so evaluating it at the Wilson endpoints yields exact interval ends; the
+    recall bound is the validation recall, so its Wilson interval carries
+    over directly; the F1 ends compose the other two.
     """
     if total_test_pairs <= 0:
         raise DataError("test set must contain at least one record pair")
-    if tm_pairs > total_test_pairs:
-        raise ValueError("tm_pairs exceeds the number of test pairs")
-    c_t_est = estimate_test_class_balance(tm_pairs / total_test_pairs, stats, override=c_t)
-    p_lb = precision_lower_bound(tm_pairs, r_pairs, stats.precision_v, stats.c_v, c_t_est)
-    r_lb = recall_lower_bound(stats)
-    return BoundReport(
-        r_pairs=r_pairs,
-        tm_pairs=tm_pairs,
-        c_t_estimate=c_t_est,
-        precision_lb=p_lb,
-        recall_lb=r_lb,
-        f1_lb=f1_lower_bound(p_lb, r_lb),
-        intervals=propagate_bound_interval(stats, tm_pairs, r_pairs, c_t_est, confidence),
-    )
+    if not 0 <= tm_pairs <= min(r_pairs, total_test_pairs):
+        raise ValueError(f"tm_pairs ({tm_pairs}) must lie in [0, min(r_pairs={r_pairs}, "
+                         f"total_test_pairs={total_test_pairs})]")
+    recall = (recall_lower_bound(stats),
+              *wilson_interval(stats.n_true_match, stats.n_positive, confidence))
+    precision = f1 = (None, None, None)
+    if c_t is not None or stats.tpr_v > stats.fpr_v:  # else C_T cannot be estimated
+        c_t = estimate_test_class_balance(tm_pairs / total_test_pairs, stats, override=c_t)
+    if stats.n_predicted_match == 0:  # validation precision undefined
+        c_t = None
+    elif c_t is not None:
+        ends = wilson_interval(stats.n_true_match, stats.n_predicted_match, confidence)
+        precision = tuple(precision_lower_bound(tm_pairs, r_pairs, p_v, stats.c_v, c_t)
+                          for p_v in (stats.precision_v, *ends))
+        f1 = tuple(map(f1_lower_bound, precision, recall))
+    report = {"c_t": c_t}
+    for name, values in (("precision_lb", precision), ("recall_lb", recall), ("f1_lb", f1)):
+        report.update(zip((name, f"{name}_lo", f"{name}_hi"), values))
+    return report

@@ -149,29 +149,32 @@ def cmd_generate(args) -> int:
     return EXIT_OK
 
 
-def _stats_payload(outcome: pipeline.TrainOutcome, threshold: float,
+def _stats_payload(outcome: pipeline.TrainOutcome, ids: list[str], threshold: float,
                    confidence: float) -> dict:
+    """The validation stats file: each validation pair, its records named
+    by the table's `ids` in sorted order, and the confusion at `threshold`."""
     stats = outcome.stats_at(threshold)
+    rows, cols, labels = outcome.split.validation_pairs
+    defined = stats.n_predicted_match > 0  # else validation precision is undefined
     summary = {
         **stats.to_dict(),
         "c_v": stats.c_v,
         "recall_v": stats.recall_v,
         "wilson_recall": list(bounds.wilson_interval(
             stats.n_true_match, stats.n_positive, confidence)),
-        "precision_v": None,
-        "wilson_precision": None,
+        "precision_v": stats.precision_v if defined else None,
+        "wilson_precision": list(bounds.wilson_interval(
+            stats.n_true_match, stats.n_predicted_match, confidence)) if defined else None,
     }
-    if stats.n_predicted_match > 0:
-        summary["precision_v"] = stats.precision_v
-        summary["wilson_precision"] = list(bounds.wilson_interval(
-            stats.n_true_match, stats.n_predicted_match, confidence))
     return {
         "format_version": STATS_FORMAT_VERSION,
         "threshold": threshold,
         "confidence": confidence,
         "pairs": [
-            {"id_a": p.id_a, "id_b": p.id_b, "label": p.label, "score": p.score}
-            for p in outcome.validation
+            {"id_a": min(ids[i], ids[j]), "id_b": max(ids[i], ids[j]),
+             "label": label, "score": score}
+            for i, j, label, score in zip(rows.tolist(), cols.tolist(), labels.tolist(),
+                                          outcome.validation_scores.tolist())
         ],
         "stats": summary,
     }
@@ -224,7 +227,7 @@ def cmd_train(args) -> int:
     outcome = pipeline.train_pipeline(records, gold, spec, config, threshold=args.threshold)
     out = _out_dir(args)
     matching.save_model(out / "model.json", outcome.model)
-    payload = _stats_payload(outcome, args.threshold, args.confidence)
+    payload = _stats_payload(outcome, records.ids, args.threshold, args.confidence)
     (out / "validation_stats.json").write_text(
         json.dumps(payload, indent=2, sort_keys=True) + "\n")
     dataset.write_records_csv(out / "test_records.csv", outcome.split.test_records)

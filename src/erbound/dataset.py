@@ -111,8 +111,8 @@ def _csv_rows(path) -> Iterator[list[str]]:
 
 def load_records_csv(path, schema: FeatureSchema) -> PairColumns:
     """Read base records into a record table; the header must contain `id`
-    plus exactly the schema's feature names (any column order). Each
-    distinct cell of a feature is split and canonicalized once."""
+    plus exactly the schema's feature names, each once, in any column
+    order. Each distinct cell of a feature is split and canonicalized once."""
     rows = _csv_rows(path)
     header = next(rows)
     if "id" not in header:
@@ -123,6 +123,9 @@ def load_records_csv(path, schema: FeatureSchema) -> PairColumns:
             f"{path}: header {sorted(header)} does not match schema "
             f"columns {sorted(expected)}"
         )
+    repeated = [name for k, name in enumerate(header) if name in header[:k]]
+    if repeated:
+        raise DataError(f"{path}: header repeats column {repeated[0]!r}")
     body = list(rows)
     id_col = header.index("id")
     ids: dict[str, None] = {}

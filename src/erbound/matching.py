@@ -286,20 +286,23 @@ class MatchModel:
                                for m in standardization["mean"]],
                 feature_scales=[_number(s, "standardization.scale")
                                 for s in standardization["scale"]],
-                config=TrainConfig(**d["config"]),
+                config=TrainConfig(**{k: _number(v, f"config.{k}", k in ("epochs", "seed"))
+                                      for k, v in d["config"].items()}),
             )
         except KeyError as exc:
             raise DataError(f"model document has no field {exc}") from exc
-        except (TypeError, ValueError, IndexError) as exc:
+        except (TypeError, ValueError, IndexError, AttributeError) as exc:
             raise DataError(f"malformed model document: {exc}") from exc
 
 
-def _number(value, name: str) -> float:
-    """A JSON number as a float. A JSON string or boolean is no number,
-    though `float` reads "0.5" and true as one."""
-    if type(value) not in (int, float):
-        raise DataError(f"model field {name!r} must be a JSON number, got {value!r}")
-    return float(value)
+def _number(value, name: str, integer: bool = False) -> float | int:
+    """A JSON number as a float, or with `integer` a JSON integer as an int.
+    A JSON string or boolean is no number, though `float` reads "0.5" and
+    true as one."""
+    if type(value) not in ((int,) if integer else (int, float)):
+        kind = "integer" if integer else "number"
+        raise DataError(f"model field {name!r} must be a JSON {kind}, got {value!r}")
+    return value if integer else float(value)
 
 
 def save_model(path, model: MatchModel) -> None:

@@ -6,10 +6,10 @@ edge list, then passes down the grid once: it labels every test record
 with its connected component at the top threshold and merges each lower
 score band into the labels of the band above. Each threshold counts |R|
 (and, with gold, true hits) as pairs sharing a label, recomputes the
-validation confusion, and assembles the bound report.
-Rows where the validation set has no predicted matches, or where the
-matcher is uninformative for class-balance estimation, carry no
-precision/F1 bound.
+validation confusion from the validation scores and labels, and takes the
+row's bound fields from `compute_bound_report`. Rows where the validation
+set has no predicted matches, or where the matcher is uninformative for
+class-balance estimation, carry no precision/F1 bound.
 
 `sweep_thresholds` is the only code that turns scores and a threshold into
 counts, bounds and true metrics: `resolve` is a one-point sweep, and the
@@ -21,33 +21,26 @@ from typing import Sequence
 
 import numpy as np
 
-from .bounds import ValidationStats, compute_bound_report, f1_lower_bound, wilson_interval
+from .bounds import ValidationStats, compute_bound_report, f1_lower_bound
 from .dataset import (GoldTruth, LabeledPairs, Split, SplitSpec, generate_synthetic,
                       split_dataset, synthetic_schema)
-from .errors import ConfigError, DegenerateDataError, UninformativeMatcherError
+from .errors import ConfigError, DegenerateDataError
 from .matching import (MatchModel, PairColumns, TrainConfig,
                        condensed_pairwise_scores, score_pairs, train_match_model)
 from .resolver import components_by_threshold
 
 
 @dataclass(frozen=True)
-class ScoredPair:
-    id_a: str
-    id_b: str
-    label: int
-    score: float
-
-
-@dataclass(frozen=True)
 class TrainOutcome:
+    """The trained model, the split, and the score of each validation pair
+    of `split.validation_pairs`."""
+
     model: MatchModel
     split: Split
-    validation: list[ScoredPair]
+    validation_scores: np.ndarray
 
     def validation_arrays(self) -> tuple[np.ndarray, np.ndarray]:
-        scores = np.array([p.score for p in self.validation])
-        labels = np.array([p.label for p in self.validation])
-        return scores, labels
+        return self.validation_scores, self.split.validation_pairs.labels
 
     def stats_at(self, threshold: float) -> ValidationStats:
         scores, labels = self.validation_arrays()
@@ -55,13 +48,10 @@ class TrainOutcome:
 
 
 def score_labeled_pairs(model: MatchModel, table: PairColumns,
-                        pairs: LabeledPairs) -> list[ScoredPair]:
-    """Score (rows, cols, labels) index pairs of a record table in one
-    gather; each result carries the pair's ids in sorted order."""
-    rows, cols, labels = pairs
-    scores = score_pairs(model, table, rows, cols).tolist()
-    return [ScoredPair(*sorted((table.ids[i], table.ids[j])), label, score)
-            for i, j, label, score in zip(rows.tolist(), cols.tolist(), labels.tolist(), scores)]
+                        pairs: LabeledPairs) -> np.ndarray:
+    """The scores of (rows, cols, labels) index pairs of a record table,
+    in pair order, from one gather."""
+    return score_pairs(model, table, pairs.rows, pairs.cols)
 
 
 def train_pipeline(table: PairColumns, gold: GoldTruth, split_spec: SplitSpec,
@@ -171,23 +161,8 @@ def sweep_thresholds(model: MatchModel, test_records: PairColumns,
         r_pairs = _pairs_within(labels)
         row = {"threshold": t, "r_pairs": r_pairs, "tm_pairs": tm_pairs}
         stats = ValidationStats.from_scores(val_scores, val_labels, t)
-        rec_lo, rec_hi = wilson_interval(stats.n_true_match, stats.n_positive, confidence)
-        row.update(recall_lb=stats.recall_v, recall_lb_lo=rec_lo, recall_lb_hi=rec_hi)
-        try:
-            report = compute_bound_report(stats, tm_pairs, r_pairs, edges.total_pairs,
-                                          c_t=c_t_override, confidence=confidence)
-        except (DegenerateDataError, UninformativeMatcherError):
-            pass  # no precision or F1 bound at this threshold
-        else:
-            row.update(
-                c_t=report.c_t_estimate,
-                precision_lb=report.precision_lb,
-                precision_lb_lo=report.intervals.precision[0],
-                precision_lb_hi=report.intervals.precision[1],
-                f1_lb=report.f1_lb,
-                f1_lb_lo=report.intervals.f1[0],
-                f1_lb_hi=report.intervals.f1[1],
-            )
+        row.update(compute_bound_report(stats, tm_pairs, r_pairs, edges.total_pairs,
+                                        c_t=c_t_override, confidence=confidence))
         if gold is not None:
             hits = _pairs_within(entity * n + labels[labeled])
             precision = hits / r_pairs if r_pairs else 1.0

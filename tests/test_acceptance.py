@@ -148,7 +148,7 @@ def test_c06_recall_bound_exactness():
             compute_bound_report(stats, tm, r, total)
             for tm, r, total in [(5, 9, 300), (2000, 2600, 450_000), (0, 0, 10)]
         ]
-        assert all(rep.recall_lb == stats.recall_v for rep in reports)
+        assert all(rep["recall_lb"] == stats.recall_v for rep in reports)
 
 
 @criterion(7, "bound interval lows hold in >=90% of 50 pipelines x 20 thresholds")
@@ -162,10 +162,9 @@ def test_c07_statistical_validity():
         table = PairColumns(records, schema)
         split = split_dataset(table, gold, SplitSpec(80, 100, seed=seed))
         model = train_match_model(table, split.train_pairs)
-        val = score_labeled_pairs(model, table, split.validation_pairs)
-        scores = np.array([p.score for p in val])
-        labels = np.array([p.label for p in val])
-        result = sweep_thresholds(model, split.test_records, scores, labels,
+        scores = score_labeled_pairs(model, table, split.validation_pairs)
+        result = sweep_thresholds(model, split.test_records, scores,
+                                  split.validation_pairs.labels,
                                   grid, gold=split.test_gold)
         for row in result.rows:
             if row.precision_lb_lo is None:

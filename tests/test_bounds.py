@@ -10,12 +10,11 @@ from erbound.bounds import (
     estimate_test_class_balance,
     f1_lower_bound,
     precision_lower_bound,
-    propagate_bound_interval,
     rebalance_precision,
     recall_lower_bound,
     wilson_interval,
 )
-from erbound.errors import DegenerateDataError, UninformativeMatcherError
+from erbound.errors import DataError, DegenerateDataError, UninformativeMatcherError
 
 
 def oracle_wilson(successes, trials, z):
@@ -247,7 +246,7 @@ class TestRecallLowerBound:
             compute_bound_report(stats, tm, r, total, c_t=0.01)
             for tm, r, total in [(10, 15, 1000), (4000, 9000, 100000)]
         ]
-        assert reports[0].recall_lb == reports[1].recall_lb == stats.recall_v
+        assert reports[0]["recall_lb"] == reports[1]["recall_lb"] == stats.recall_v
 
 
 class TestF1LowerBound:
@@ -294,11 +293,18 @@ class TestClassBalanceEstimate:
             estimate_test_class_balance(0.2, stats)
 
 
+def intervals(stats, tm, r, c_t, confidence=0.95):
+    """The (low, high) interval of each bound, through the report with a
+    given C_T (so the test-pair total plays no part)."""
+    report = compute_bound_report(stats, tm, r, 10**9, c_t=c_t, confidence=confidence)
+    return [(report[f"{name}_lo"], report[f"{name}_hi"])
+            for name in ("precision_lb", "recall_lb", "f1_lb")]
+
+
 class TestIntervalPropagation:
     def test_tiny_confidence_collapses_width(self):
         stats = make_stats(100, 50, 40, 36)
-        ivs = propagate_bound_interval(stats, 50, 80, 0.05, confidence=1e-12)
-        for low, high in (ivs.precision, ivs.recall, ivs.f1):
+        for low, high in intervals(stats, 50, 80, 0.05, confidence=1e-12):
             assert high - low < 1e-9
 
     def test_monotone_in_validation_precision(self):
@@ -313,46 +319,77 @@ class TestIntervalPropagation:
             r = tm + int(rng.integers(0, 50))
             if r == 0:
                 continue
-            ivs = propagate_bound_interval(stats, tm, r, c_t)
-            assert ivs.precision[0] <= ivs.precision[1]
-            assert ivs.recall[0] <= ivs.recall[1]
-            assert ivs.f1[0] <= ivs.f1[1]
+            precision, recall, f1 = intervals(stats, tm, r, c_t)
+            assert precision[0] <= precision[1]
+            assert recall[0] <= recall[1]
+            assert f1[0] <= f1[1]
             point = precision_lower_bound(tm, r, stats.precision_v, stats.c_v, c_t)
-            assert ivs.precision[0] <= point + 1e-12
-            assert point <= ivs.precision[1] + 1e-12
+            assert precision[0] <= point + 1e-12
+            assert point <= precision[1] + 1e-12
 
     def test_width_grows_as_validation_shrinks(self):
         # same rates, smaller sample: wider interval on every bound
         big = make_stats(400, 200, 200, 180)
         small = make_stats(40, 20, 20, 18)
-        ivs_big = propagate_bound_interval(big, 500, 600, 0.02)
-        ivs_small = propagate_bound_interval(small, 500, 600, 0.02)
-        for b, s in zip((ivs_big.precision, ivs_big.recall, ivs_big.f1),
-                        (ivs_small.precision, ivs_small.recall, ivs_small.f1)):
+        for b, s in zip(intervals(big, 500, 600, 0.02), intervals(small, 500, 600, 0.02)):
             assert (s[1] - s[0]) > (b[1] - b[0])
+
+
+FIELDS = ("c_t", "precision_lb", "precision_lb_lo", "precision_lb_hi", "recall_lb",
+          "recall_lb_lo", "recall_lb_hi", "f1_lb", "f1_lb_lo", "f1_lb_hi")
+UNDEFINED = ("c_t", "precision_lb", "precision_lb_lo", "precision_lb_hi",
+             "f1_lb", "f1_lb_lo", "f1_lb_hi")
 
 
 class TestBoundReport:
     def test_report_composition(self):
         stats = make_stats(200, 100, 95, 90)
         report = compute_bound_report(stats, 400, 500, 10_000)
-        assert report.tm_pairs <= report.r_pairs
-        assert 0.0 <= report.precision_lb <= 1.0
-        assert report.recall_lb == stats.recall_v
-        assert report.intervals.precision[0] <= report.precision_lb \
-            <= report.intervals.precision[1] + 1e-12
-        assert report.intervals.recall[0] <= report.recall_lb \
-            <= report.intervals.recall[1]
+        assert tuple(report) == FIELDS
+        assert 0.0 <= report["precision_lb"] <= 1.0
+        assert report["recall_lb"] == stats.recall_v
+        assert report["precision_lb_lo"] <= report["precision_lb"] \
+            <= report["precision_lb_hi"] + 1e-12
+        assert report["recall_lb_lo"] <= report["recall_lb"] <= report["recall_lb_hi"]
+        assert (report["recall_lb_lo"], report["recall_lb_hi"]) == wilson_interval(90, 100, 0.95)
         expected_ct = estimate_test_class_balance(400 / 10_000, stats)
-        assert report.c_t_estimate == expected_ct
-        assert report.f1_lb == f1_lower_bound(report.precision_lb, report.recall_lb)
+        assert report["c_t"] == expected_ct
+        assert report["precision_lb"] == precision_lower_bound(400, 500, stats.precision_v,
+                                                               stats.c_v, expected_ct)
+        assert report["f1_lb"] == f1_lower_bound(report["precision_lb"], report["recall_lb"])
 
     def test_fixed_ct_override(self):
         stats = make_stats(200, 100, 95, 90)
         report = compute_bound_report(stats, 400, 500, 10_000, c_t=0.03)
-        assert report.c_t_estimate == 0.03
+        assert report["c_t"] == 0.03
+        with pytest.raises(ValueError):
+            compute_bound_report(stats, 400, 500, 10_000, c_t=1.5)
 
-    def test_undefined_precision_raises(self):
-        stats = make_stats(100, 50, 0, 0)
-        with pytest.raises((DegenerateDataError, UninformativeMatcherError)):
-            compute_bound_report(stats, 0, 10, 1000)
+    @pytest.mark.parametrize("stats,c_t", [
+        (make_stats(100, 50, 0, 0), None),     # no predicted match
+        (make_stats(100, 50, 0, 0), 0.05),     # no predicted match, C_T given
+        (make_stats(200, 100, 100, 50), None),  # TPR 0.5 == FPR 0.5
+        (make_stats(200, 100, 120, 50), None),  # TPR 0.5 < FPR 0.7
+    ], ids=["no-match", "no-match-ct", "tpr-equals-fpr", "tpr-below-fpr"])
+    def test_undefined_bound_is_none(self, stats, c_t):
+        report = compute_bound_report(stats, 0, 10, 1000, c_t=c_t)
+        assert tuple(report) == FIELDS
+        assert [report[k] for k in UNDEFINED] == [None] * len(UNDEFINED)
+        assert report["recall_lb"] == stats.recall_v
+        assert (report["recall_lb_lo"], report["recall_lb_hi"]) == \
+            wilson_interval(stats.n_true_match, stats.n_positive, 0.95)
+
+    def test_uninformative_matcher_bounded_with_given_ct(self):
+        stats = make_stats(200, 100, 100, 50)
+        report = compute_bound_report(stats, 5, 10, 1000, c_t=0.01)
+        assert report["c_t"] == 0.01
+        assert report["precision_lb"] == precision_lower_bound(5, 10, 0.5, 0.5, 0.01)
+
+    @pytest.mark.parametrize("tm,r,total,error", [
+        (11, 10, 1000, ValueError), (5, 10, 4, ValueError), (-1, 10, 1000, ValueError),
+        (0, 0, 0, DataError),
+    ], ids=["tm-above-r", "tm-above-total", "negative-tm", "no-test-pairs"])
+    def test_inconsistent_counts_raise(self, tm, r, total, error):
+        for stats in (make_stats(200, 100, 95, 90), make_stats(100, 50, 0, 0)):
+            with pytest.raises(error):
+                compute_bound_report(stats, tm, r, total)

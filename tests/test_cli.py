@@ -343,6 +343,26 @@ class TestResolve:
         assert "f1_lb=undefined" in capsys.readouterr().err
         assert (gated / "bound_report.json").exists()
 
+    def test_uninformative_matcher_warns(self, trained, tmp_path, capsys):
+        """With every validation label flipped, negatives outscore positives:
+        the bound is undefined and the warning names TPR <= FPR."""
+        _, run = trained
+        doc = json.loads((run / "validation_stats.json").read_text())
+        for pair in doc["pairs"]:
+            pair["label"] = 1 - pair["label"]
+        flipped = tmp_path / "validation_stats.json"
+        flipped.write_text(json.dumps(doc))
+        out = tmp_path / "res"
+        assert main(["resolve", "--model", str(run / "model.json"),
+                     "--records", str(run / "test_records.csv"),
+                     "--validation-stats", str(flipped), "--out", str(out)]) == EXIT_OK
+        err = capsys.readouterr().err
+        assert "precision and F1 bounds undefined at threshold 0.5" in err
+        assert "TPR does not exceed FPR" in err
+        report = json.loads((out / "bound_report.json").read_text())
+        assert report["precision_lower_bound"] is None
+        assert report["recall_lower_bound"] is not None
+
     def test_report_equals_sweep_row(self, trained, tmp_path):
         _, run = trained
         inputs = ["--model", str(run / "model.json"),
@@ -480,6 +500,14 @@ class TestMalformedInputs:
         ("weights", "0.25", "field 'weights' must be a JSON number, got '0.25'"),
         ("threshold", "0.5", "field 'threshold' must be a JSON number, got '0.5'"),
         ("bias", True, "field 'bias' must be a JSON number, got True"),
+        # the stored training config follows the same rule; epochs and seed are integers
+        ("config.learning_rate", True,
+         "field 'config.learning_rate' must be a JSON number, got True"),
+        ("config.l2", "0.01", "field 'config.l2' must be a JSON number, got '0.01'"),
+        ("config.epochs", 2.5, "field 'config.epochs' must be a JSON integer, got 2.5"),
+        ("config.epochs", True, "field 'config.epochs' must be a JSON integer, got True"),
+        ("config.seed", "x", "field 'config.seed' must be a JSON integer, got 'x'"),
+        ("config", [1], "malformed model document"),
     ])
     def test_model_value_wrong_type_or_range(self, trained, tmp_path, capsys,
                                              field, value, shown):
@@ -487,6 +515,8 @@ class TestMalformedInputs:
         doc = json.loads((run / "model.json").read_text())
         if field == "weights":
             doc["weights"][0] = value
+        elif field.startswith("config."):
+            doc["config"][field.removeprefix("config.")] = value
         else:
             doc[field] = value
         bad = tmp_path / "model.json"

@@ -1,4 +1,5 @@
 import csv
+import re
 
 import numpy as np
 import pytest
@@ -131,10 +132,16 @@ class TestRecordsCsv:
         with pytest.raises(DataError, match="id"):
             load_records_csv(path, mixed_schema)
 
-    def test_header_schema_mismatch(self, tmp_path, mixed_schema):
+    @pytest.mark.parametrize("header,row,message", [
+        ("id,name1,height", "r1,a,2", "does not match schema"),
+        # the same set of names, one repeated: the repeat would be ignored
+        ("id,name1,name2,phone,age,name1", "r1,a,b,,,999", "repeats column 'name1'"),
+        ("id,name1,name2,phone,age,id", "r1,a,b,,,r2", "repeats column 'id'"),
+    ], ids=["missing-feature", "repeated-feature", "repeated-id"])
+    def test_header_schema_mismatch(self, tmp_path, mixed_schema, header, row, message):
         path = tmp_path / "records.csv"
-        path.write_text("id,name1,height\nr1,a,2\n")
-        with pytest.raises(DataError):
+        path.write_text(f"{header}\n{row}\n")
+        with pytest.raises(DataError, match=f"^{re.escape(str(path))}: .*{message}"):
             load_records_csv(path, mixed_schema)
 
     def test_kind_violation_reports_row(self, tmp_path, mixed_schema):

@@ -58,6 +58,16 @@ def test_imports_only_stdlib_numpy_and_erbound():
     assert offenders == [], f"imports outside the stdlib, numpy and erbound: {offenders}"
 
 
+def test_sources_parse_as_python_3_10():
+    """`requires-python >= 3.10`: every module parses under `ast`'s 3.10
+    feature version, which refuses newer grammar such as `except*`. This
+    checks the grammar only, not a run under Python 3.10."""
+    modules = sorted(PACKAGE.glob("*.py"))
+    assert modules, f"no modules under {PACKAGE}"
+    for path in modules:
+        ast.parse(path.read_text(), filename=path.name, feature_version=(3, 10))
+
+
 def test_import_forms_are_recognized():
     for source in ("from .reference import pair_metrics", "from . import reference",
                    "import erbound.reference", "from erbound import reference",

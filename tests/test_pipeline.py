@@ -3,7 +3,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from erbound.bounds import ValidationStats, compute_bound_report
+from erbound.bounds import ValidationStats, compute_bound_report, f1_lower_bound, wilson_interval
 from erbound.dataset import SplitSpec, generate_synthetic, synthetic_schema
 from erbound.errors import ConfigError
 from erbound.matching import PairColumns
@@ -36,8 +36,10 @@ class TestTrainPipeline:
     def test_split_sizes_and_scores(self, small_run):
         _, _, outcome = small_run
         assert len(outcome.split.train_pairs.labels) == 40
-        assert len(outcome.validation) == 60
-        assert all(0.0 <= p.score <= 1.0 for p in outcome.validation)
+        scores, labels = outcome.validation_arrays()
+        assert scores.shape == labels.shape == (60,)
+        assert ((0.0 <= scores) & (scores <= 1.0)).all()
+        assert labels is outcome.split.validation_pairs.labels
 
     def test_stats_at_threshold(self, small_run):
         _, _, outcome = small_run
@@ -75,13 +77,9 @@ class TestSweep:
             assert row.true_recall == expected.recall
             stats = ValidationStats.from_scores(scores, labels, row.threshold)
             assert row.recall_lb == stats.recall_v
-            if row.precision_lb is not None:
-                report = compute_bound_report(stats, row.tm_pairs, row.r_pairs,
-                                              len(condensed.scores))
-                assert row.precision_lb == report.precision_lb
-                assert row.c_t == report.c_t_estimate
-                assert (row.precision_lb_lo, row.precision_lb_hi) == \
-                    report.intervals.precision
+            report = compute_bound_report(stats, row.tm_pairs, row.r_pairs,
+                                          len(condensed.scores))
+            assert {k: getattr(row, k) for k in report} == report
 
     def test_monotone_counts(self, small_run):
         _, _, outcome = small_run
@@ -105,6 +103,28 @@ class TestSweep:
         assert row.c_t is None
         assert row.f1_lb is None
         assert row.recall_lb == 0.0  # recall side stays defined
+
+    def test_uninformative_matcher_row(self, small_run):
+        """Validation negatives outscoring positives (TPR 0.5 < FPR 2/3 at
+        0.5): the row keeps its counts and recall fields and has no C_T,
+        precision or F1 bound, unless C_T is given."""
+        _, _, outcome = small_run
+        test_records = outcome.split.test_records
+        scores, labels = np.array([0.9, 0.8, 0.3, 0.6, 0.2]), np.array([0, 0, 0, 1, 1])
+        row = sweep_thresholds(outcome.model, test_records, scores, labels, [0.5]).rows[0]
+        informative = sweep_thresholds(outcome.model, test_records,
+                                       *outcome.validation_arrays(), [0.5]).rows[0]
+        assert (row.r_pairs, row.tm_pairs) == (informative.r_pairs, informative.tm_pairs)
+        assert row.tm_pairs > 0
+        assert (row.recall_lb, row.recall_lb_lo, row.recall_lb_hi) == \
+            (0.5, *wilson_interval(1, 2, 0.95))
+        assert [row.c_t, row.precision_lb, row.precision_lb_lo, row.precision_lb_hi,
+                row.f1_lb, row.f1_lb_lo, row.f1_lb_hi] == [None] * 7
+        given = sweep_thresholds(outcome.model, test_records, scores, labels, [0.5],
+                                 c_t_override=0.02).rows[0]
+        assert given.c_t == 0.02
+        assert 0.0 < given.precision_lb_lo <= given.precision_lb <= given.precision_lb_hi
+        assert given.f1_lb == f1_lower_bound(given.precision_lb, 0.5)
 
     def test_fixed_ct_override(self, small_run):
         _, _, outcome = small_run
