@@ -47,7 +47,7 @@ _REQUIRED = {
 
 def _read_config_file(path: str) -> dict[str, str]:
     try:
-        text = Path(path).read_text(encoding="utf-8")
+        text = Path(path).read_text(encoding="utf-8-sig")
     except UnicodeDecodeError as exc:
         raise DataError(f"{path}: not UTF-8 text: {exc}") from exc
     values = {}
@@ -126,9 +126,18 @@ def _check_ranges(args) -> None:
             continue
         where = "in [0, 1]" if closed else "strictly inside (0, 1)"
         raise ErboundError(f"--{dest.replace('_', '-')} must lie {where}, got {value}")
-    if args.command == "sweep" and not (
-            0.0 < args.grid_start <= args.grid_stop < 1.0 and args.grid_steps >= 1):
+    if args.command != "sweep":
+        return
+    if not (0.0 < args.grid_start <= args.grid_stop < 1.0 and args.grid_steps >= 1):
         raise ErboundError("threshold grid must lie inside (0, 1) with steps >= 1")
+    grid = _grid(args).tolist()
+    if args.write_clusterings and len({f"{t:.6f}" for t in grid}) < len(set(grid)):
+        raise ErboundError(f"--grid-steps {args.grid_steps} gives distinct thresholds that "
+                           "share a clustering file name, which has 6 decimals")
+
+
+def _grid(args) -> np.ndarray:
+    return np.linspace(args.grid_start, args.grid_stop, args.grid_steps)
 
 
 def cmd_generate(args) -> int:
@@ -254,49 +263,43 @@ def cmd_sweep(args) -> int:
     model = matching.load_model(args.model)
     records = _load_test_records(args, model)
     val_scores, val_labels = load_validation_stats(args.validation_stats)
-    gold = None
-    if args.gold:
-        gold = dataset.load_gold(args.gold, valid_ids=records.ids)
-    grid = np.linspace(args.grid_start, args.grid_stop, args.grid_steps)
-    result = pipeline.sweep_thresholds(
-        model, records, val_scores, val_labels, grid,
-        gold=gold, c_t_override=args.ct, confidence=args.confidence,
-        select_metric=args.select_metric, recall_floor=args.recall_floor,
-    )
+    gold = dataset.load_gold(args.gold, valid_ids=records.ids) if args.gold else None
+    sweep = pipeline.sweep_thresholds(model, records, val_scores, val_labels, _grid(args),
+                                      gold=gold, c_t_override=args.ct,
+                                      confidence=args.confidence)
     out = _out_dir(args)
+    rows = []
+    for row, labels in sweep:
+        if args.write_clusterings:
+            resolver.write_clustering_csv(out / f"clustering_{row.threshold:.6f}.csv", records.ids,
+                                          resolver.resolve_from_condensed(records.ids, labels))
+        rows.append(row)
+    metric = args.select_metric
+    best = pipeline.select_best_row(rows, metric, args.recall_floor)
     with open(out / "sweep.csv", "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(SWEEP_COLUMNS)
-        for row in result.rows:
+        for row in reversed(rows):  # the sweep yields the highest threshold first
             writer.writerow(_fmt(v) for v in astuple(row))
-        fh.write(f"# select_metric={result.select_metric}\n")
-        if result.recall_floor is not None:
-            fh.write(f"# recall_floor={_fmt(result.recall_floor)}\n")
-        if result.best is not None:
-            fh.write(f"# best_threshold={_fmt(result.best.threshold)}\n")
-            fh.write(f"# best_{result.select_metric}="
-                     f"{_fmt(getattr(result.best, result.select_metric))}\n")
-    best_doc = None
-    if result.best is not None:
-        best_doc = {
-            "threshold": result.best.threshold,
-            "select_metric": result.select_metric,
-            "value": getattr(result.best, result.select_metric),
-            "recall_floor": result.recall_floor,
-        }
+        fh.write(f"# select_metric={metric}\n")
+        if args.recall_floor is not None:
+            fh.write(f"# recall_floor={_fmt(args.recall_floor)}\n")
+        if best is not None:
+            fh.write(f"# best_threshold={_fmt(best.threshold)}\n")
+            fh.write(f"# best_{metric}={_fmt(getattr(best, metric))}\n")
+    best_doc = None if best is None else {
+        "threshold": best.threshold,
+        "select_metric": metric,
+        "value": getattr(best, metric),
+        "recall_floor": args.recall_floor,
+    }
     (out / "best.json").write_text(json.dumps(best_doc, indent=2, sort_keys=True) + "\n")
-    if args.write_clusterings:
-        for row, labels in zip(result.rows, result.labels):
-            cluster_ids = resolver.resolve_from_condensed(records.ids, labels)
-            resolver.write_clustering_csv(out / f"clustering_{row.threshold:.6f}.csv",
-                                          records.ids, cluster_ids)
     _write_effective_config(out, "sweep", args)
-    if result.best is None:
+    if best is None:
         print("sweep finished; no threshold produced a defined bound")
     else:
-        print(f"sweep finished; best {result.select_metric}="
-              f"{_fmt(getattr(result.best, result.select_metric))} "
-              f"at threshold {_fmt(result.best.threshold)}")
+        print(f"sweep finished; best {metric}={_fmt(getattr(best, metric))} "
+              f"at threshold {_fmt(best.threshold)}")
     return EXIT_OK
 
 
@@ -331,10 +334,10 @@ def cmd_resolve(args) -> int:
     records = _load_test_records(args, model)
     val_scores, val_labels = load_validation_stats(args.validation_stats)
     threshold = model.threshold if args.threshold is None else args.threshold
-    result = pipeline.sweep_thresholds(model, records, val_scores, val_labels, [threshold],
-                                       c_t_override=args.ct, confidence=args.confidence)
-    row = result.rows[0]
-    cluster_ids = resolver.resolve_from_condensed(records.ids, result.labels[0])
+    row, labels = next(pipeline.sweep_thresholds(model, records, val_scores, val_labels,
+                                                 [threshold], c_t_override=args.ct,
+                                                 confidence=args.confidence))
+    cluster_ids = resolver.resolve_from_condensed(records.ids, labels)
     out = _out_dir(args)
     resolver.write_clustering_csv(out / "clustering.csv", records.ids, cluster_ids)
     (out / "bound_report.json").write_text(

@@ -96,10 +96,10 @@ def generate_synthetic(n_entities: int = 100, records_per_entity: int = 10,
 
 
 def _csv_rows(path) -> Iterator[list[str]]:
-    """Yield the rows of a UTF-8 CSV file, header first. An empty file or
-    bytes that are not UTF-8 raise DataError naming the file."""
+    """Yield the rows of a UTF-8 CSV file, header first, past any byte-order
+    mark. An empty file or bytes that are not UTF-8 raise DataError naming it."""
     try:
-        with open(path, newline="", encoding="utf-8") as fh:
+        with open(path, newline="", encoding="utf-8-sig") as fh:
             reader = csv.reader(fh)
             yield next(reader)
             yield from reader

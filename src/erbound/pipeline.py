@@ -9,7 +9,8 @@ score band into the labels of the band above. Each threshold counts |R|
 validation confusion from the validation scores and labels, and takes the
 row's bound fields from `compute_bound_report`. Rows where the validation
 set has no predicted matches, or where the matcher is uninformative for
-class-balance estimation, carry no precision/F1 bound.
+class-balance estimation, carry no precision/F1 bound. Rows are yielded
+with their labels and kept only by the caller, whatever the grid's length.
 
 `sweep_thresholds` is the only code that turns scores and a threshold into
 counts, bounds and true metrics: `resolve` is a one-point sweep, and the
@@ -17,7 +18,7 @@ snowball experiment reads every number it reports from sweep rows.
 """
 
 from dataclasses import dataclass, field
-from typing import Sequence
+from typing import Iterator, Sequence
 
 import numpy as np
 
@@ -89,19 +90,6 @@ class SweepRow:
     true_f1: float | None = None
 
 
-@dataclass(frozen=True)
-class SweepResult:
-    """Rows, the selected row, and each row's component label per test
-    record, so a caller resolves at any grid threshold without scoring or
-    labelling again."""
-
-    rows: list[SweepRow]
-    best: SweepRow | None
-    select_metric: str
-    recall_floor: float | None
-    labels: list[np.ndarray] = field(repr=False, compare=False)
-
-
 SELECT_METRICS = ("precision_lb", "recall_lb", "f1_lb")
 
 
@@ -134,14 +122,14 @@ def sweep_thresholds(model: MatchModel, test_records: PairColumns,
                      thresholds: Sequence[float], *,
                      gold: GoldTruth | None = None,
                      c_t_override: float | None = None,
-                     confidence: float = 0.95,
-                     select_metric: str = "f1_lb",
-                     recall_floor: float | None = None) -> SweepResult:
+                     confidence: float = 0.95) -> Iterator[tuple[SweepRow, np.ndarray]]:
     """Evaluate bounds (and true metrics with `gold`) across a threshold
-    grid on the test records. Each threshold must lie strictly inside
-    (0, 1); a repeated threshold gives one row per repeat. The test pairs
-    are scored once, keeping only those at or above the lowest threshold;
-    |T_M| at each threshold is the count of kept scores that clear it."""
+    grid on the test records, yielding each threshold's row and component
+    labels, highest threshold first. Each threshold must lie strictly inside
+    (0, 1); a repeated threshold gives one row per repeat. The checks and
+    the scoring pass, which keeps only the test pairs at or above the lowest
+    threshold, run before this returns; |T_M| at each threshold is the count
+    of kept scores that clear it."""
     bad = [float(t) for t in thresholds if not 0.0 < t < 1.0]
     if bad or not len(thresholds):
         raise ConfigError(f"thresholds must lie strictly inside (0, 1), got {bad or 'none'}")
@@ -155,33 +143,29 @@ def sweep_thresholds(model: MatchModel, test_records: PairColumns,
                            return_inverse=True)[1]
         truth_total = _pairs_within(entity)
 
-    rows, row_labels = [], []
-    for t, labels, tm_pairs in components_by_threshold(n, edges.scores, thresholds,
-                                                       edges.rows, edges.cols):
-        r_pairs = _pairs_within(labels)
-        row = {"threshold": t, "r_pairs": r_pairs, "tm_pairs": tm_pairs}
-        stats = ValidationStats.from_scores(val_scores, val_labels, t)
-        row.update(compute_bound_report(stats, tm_pairs, r_pairs, edges.total_pairs,
-                                        c_t=c_t_override, confidence=confidence))
-        if gold is not None:
-            hits = _pairs_within(entity * n + labels[labeled])
-            precision = hits / r_pairs if r_pairs else 1.0
-            recall = hits / truth_total if truth_total else 1.0
-            row.update(true_precision=precision, true_recall=recall,
-                       true_f1=f1_lower_bound(precision, recall))
-        rows.append(SweepRow(**row))
-        row_labels.append(labels)
-    rows.reverse()
-    row_labels.reverse()
-
-    for prev, cur in zip(rows, rows[1:]):
-        if cur.r_pairs > prev.r_pairs or cur.tm_pairs > prev.tm_pairs:
-            raise AssertionError(
-                "pair counts increased with the threshold; "
-                "the resolver violated edge-removal monotonicity"
-            )
-    return SweepResult(rows, select_best_row(rows, select_metric, recall_floor),
-                       select_metric, recall_floor, row_labels)
+    def rows() -> Iterator[tuple[SweepRow, np.ndarray]]:
+        r_above = tm_above = 0  # the counts of the row yielded before
+        for t, labels, tm_pairs in components_by_threshold(n, edges.scores, thresholds,
+                                                           edges.rows, edges.cols):
+            r_pairs = _pairs_within(labels)
+            if r_pairs < r_above or tm_pairs < tm_above:
+                raise AssertionError(
+                    "pair counts increased with the threshold; "
+                    "the resolver violated edge-removal monotonicity"
+                )
+            row = {"threshold": t, "r_pairs": r_pairs, "tm_pairs": tm_pairs}
+            stats = ValidationStats.from_scores(val_scores, val_labels, t)
+            row.update(compute_bound_report(stats, tm_pairs, r_pairs, edges.total_pairs,
+                                            c_t=c_t_override, confidence=confidence))
+            if gold is not None:
+                hits = _pairs_within(entity * n + labels[labeled])
+                precision = hits / r_pairs if r_pairs else 1.0
+                recall = hits / truth_total if truth_total else 1.0
+                row.update(true_precision=precision, true_recall=recall,
+                           true_f1=f1_lower_bound(precision, recall))
+            r_above, tm_above = r_pairs, tm_pairs
+            yield SweepRow(**row), labels
+    return rows()
 
 
 @dataclass(frozen=True)
@@ -198,47 +182,45 @@ class DegradationResult:
     sweep_rows: list[SweepRow] = field(repr=False, default_factory=list)
 
 
-def degradation_experiment(seed: int = 7, *, dims: int = 10, noise_sigma: float = 0.02,
-                           records_per_entity: int = 10, small_entities: int = 10,
-                           large_entities: int = 100,
-                           grid: Sequence[float] | None = None) -> DegradationResult:
+def degradation_experiment(seed: int = 7) -> DegradationResult:
     """Tune a threshold for true F1 on a small labeled dataset, measure true
     precision of that threshold on a fresh small and a fresh 10x dataset,
-    then re-tune on the large dataset's estimated F1 lower bound.
+    then re-tune on the large dataset's estimated F1 lower bound. The sets
+    hold 10, 10 and 100 entities of `generate_synthetic`'s default records.
 
     Every number comes from `sweep_thresholds` rows: a gold sweep over the
     labeled pool picks the original threshold (best true F1, ties to the
     lower threshold), a one-point gold sweep measures the small set, and
     one gold sweep of the large set gives both the bound-selected threshold
     and the true precision at either threshold. The returned rows are the
-    large set's."""
-    if grid is None:
-        grid = np.linspace(0.02, 0.98, 49)
+    large set's, in threshold order."""
+    grid = np.linspace(0.02, 0.98, 49)
 
     def synthetic(n_entities: int, data_seed: int) -> tuple[PairColumns, GoldTruth]:
-        records, gold = generate_synthetic(n_entities, records_per_entity, dims,
-                                           noise_sigma, data_seed)
-        return PairColumns(records, synthetic_schema(dims)), gold
+        records, gold = generate_synthetic(n_entities, seed=data_seed)
+        return PairColumns(records, synthetic_schema(10)), gold
 
-    labeled, labeled_gold = synthetic(small_entities, seed)
+    labeled, labeled_gold = synthetic(10, seed)
     outcome = train_pipeline(labeled, labeled_gold,
                              SplitSpec(n_train_pairs=100, n_validation_pairs=100, seed=seed))
     val_scores, val_labels = outcome.validation_arrays()
 
-    def gold_sweep(records, gold, thresholds):
-        return sweep_thresholds(outcome.model, records, val_scores, val_labels,
-                                thresholds, gold=gold)
+    def gold_sweep(records, gold, thresholds) -> list[SweepRow]:
+        sweep = sweep_thresholds(outcome.model, records, val_scores, val_labels,
+                                 thresholds, gold=gold)
+        return [row for row, _ in sweep][::-1]
 
     # rows come in threshold order and max keeps the first of tied rows
-    t_orig = max(gold_sweep(labeled, labeled_gold, grid).rows,
+    t_orig = max(gold_sweep(labeled, labeled_gold, grid),
                  key=lambda row: row.true_f1).threshold
 
-    small, small_gold = synthetic(small_entities, seed + 1)
-    large, large_gold = synthetic(large_entities, seed + 2)
-    p_small = gold_sweep(small, small_gold, [t_orig]).rows[0].true_precision
-    sweep = gold_sweep(large, large_gold, grid)
-    if sweep.best is None:
+    small, small_gold = synthetic(10, seed + 1)
+    large, large_gold = synthetic(100, seed + 2)
+    p_small = gold_sweep(small, small_gold, [t_orig])[0].true_precision
+    rows = gold_sweep(large, large_gold, grid)
+    best = select_best_row(rows)
+    if best is None:
         raise DegenerateDataError("no threshold produced a defined F1 lower bound")
-    p_large = next(row.true_precision for row in sweep.rows if row.threshold == t_orig)
-    return DegradationResult(t_orig, p_small, p_large, sweep.best.threshold,
-                             sweep.best.true_precision, sweep.rows)
+    p_large = next(row.true_precision for row in rows if row.threshold == t_orig)
+    return DegradationResult(t_orig, p_small, p_large, best.threshold,
+                             best.true_precision, rows)

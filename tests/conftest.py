@@ -101,6 +101,12 @@ def count_calls(monkeypatch, original):
     return calls
 
 
+def sweep_rows(sweep):
+    """The rows of a `sweep_thresholds` iterator in ascending threshold
+    order; the sweep yields them, with their labels, highest first."""
+    return [row for row, _ in sweep][::-1]
+
+
 def labeled_table(pairs, schema):
     """The record table of the (a, b, label) record triples and their
     (rows, cols, labels) index pairs into it, as training takes them."""

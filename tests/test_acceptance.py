@@ -26,7 +26,7 @@ from erbound.reference import (
     resolve_rswoosh,
 )
 
-from conftest import random_model, random_records
+from conftest import random_model, random_records, sweep_rows
 
 
 def criterion(num, name):
@@ -163,10 +163,10 @@ def test_c07_statistical_validity():
         split = split_dataset(table, gold, SplitSpec(80, 100, seed=seed))
         model = train_match_model(table, split.train_pairs)
         scores = score_labeled_pairs(model, table, split.validation_pairs)
-        result = sweep_thresholds(model, split.test_records, scores,
-                                  split.validation_pairs.labels,
-                                  grid, gold=split.test_gold)
-        for row in result.rows:
+        sweep = sweep_thresholds(model, split.test_records, scores,
+                                 split.validation_pairs.labels,
+                                 grid, gold=split.test_gold)
+        for row, _ in sweep:
             if row.precision_lb_lo is None:
                 continue
             evaluations += 1
@@ -233,9 +233,9 @@ def test_c12_monotone_sweep():
         outcome = train_pipeline(PairColumns(records, synthetic_schema(10)), gold,
                                  SplitSpec(40, 60, seed=seed))
         scores, labels = outcome.validation_arrays()
-        result = sweep_thresholds(outcome.model, outcome.split.test_records,
-                                  scores, labels, np.linspace(0.05, 0.95, 25))
-        r = [row.r_pairs for row in result.rows]
-        tm = [row.tm_pairs for row in result.rows]
+        rows = sweep_rows(sweep_thresholds(outcome.model, outcome.split.test_records,
+                                           scores, labels, np.linspace(0.05, 0.95, 25)))
+        r = [row.r_pairs for row in rows]
+        tm = [row.tm_pairs for row in rows]
         assert r == sorted(r, reverse=True)
         assert tm == sorted(tm, reverse=True)

@@ -175,14 +175,24 @@ class TestSweep:
 
     def test_bad_grid(self, trained, tmp_path, capsys):
         data, run = trained
-        code = main([
-            "sweep", "--model", str(run / "model.json"),
-            "--records", str(run / "test_records.csv"),
-            "--validation-stats", str(run / "validation_stats.json"),
-            "--grid-start", "0", "--grid-stop", "1.2",
-            "--out", str(tmp_path / "x"),
-        ])
+        sweep = ["sweep", "--model", str(run / "model.json"),
+                 "--records", str(run / "test_records.csv"),
+                 "--validation-stats", str(run / "validation_stats.json")]
+        code = main([*sweep, "--grid-start", "0", "--grid-stop", "1.2",
+                     "--out", str(tmp_path / "x")])
         assert code == EXIT_DATA
+        # distinct thresholds whose clustering files would share a name;
+        # equal thresholds share one file and stay allowed
+        close = ["--grid-start", "0.5", "--grid-stop", "0.5000004", "--grid-steps", "3"]
+        assert main([*sweep, *close, "--write-clusterings",
+                     "--out", str(tmp_path / "y")]) == EXIT_DATA
+        assert "--grid-steps 3" in capsys.readouterr().err
+        assert not (tmp_path / "y").exists()
+        assert main([*sweep, *close, "--out", str(tmp_path / "z")]) == EXIT_OK
+        assert main([*sweep, "--grid-start", "0.5", "--grid-stop", "0.5", "--grid-steps", "3",
+                     "--write-clusterings", "--out", str(tmp_path / "w")]) == EXIT_OK
+        assert [f.name for f in (tmp_path / "w").glob("clustering_*.csv")] == \
+            ["clustering_0.500000.csv"]
 
 
 class TestScoreOnce:
@@ -688,6 +698,12 @@ class TestConfigFile:
         effective = (out / "generate.effective.cfg").read_text()
         assert "n_entities=7" in effective
         assert "seed=9" in effective  # explicit flag beats the file
+        # a file saved with a UTF-8 byte-order mark reads the same
+        cfg.write_bytes(b"\xef\xbb\xbf" + cfg.read_bytes())
+        assert main(["generate", "--config", str(cfg), "--out", str(tmp_path / "bom"),
+                     "--seed", "9"]) == EXIT_OK
+        assert (tmp_path / "bom" / "generate.effective.cfg").read_text() == \
+            effective.replace(str(out), str(tmp_path / "bom"))
 
     def test_unknown_key_rejected(self, tmp_path, capsys):
         cfg = tmp_path / "run.cfg"

@@ -163,6 +163,9 @@ class TestRecordsCsv:
         path = tmp_path / "records.csv"
         write_records_csv(path, PairColumns(records, mixed_schema))
         assert list(load_records_csv(path, mixed_schema)) == records
+        # as a spreadsheet exports it, behind a UTF-8 byte-order mark
+        path.write_bytes(b"\xef\xbb\xbf" + path.read_bytes())
+        assert list(load_records_csv(path, mixed_schema)) == records
 
     @pytest.mark.parametrize("seed", range(8))
     def test_loader_matches_its_oracle(self, tmp_path, mixed_schema, seed):
@@ -193,6 +196,8 @@ class TestGold:
         path.write_text("id,label\na,1\nb,1\nc,2\n")
         gold = load_gold(path)
         assert gold.truth_pairs() == frozenset({("a", "b")})
+        path.write_bytes(b"\xef\xbb\xbf" + path.read_bytes())  # a UTF-8 byte-order mark
+        assert load_gold(path) == gold
 
     def test_all_distinct(self, tmp_path):
         path = tmp_path / "gold.csv"

@@ -124,11 +124,11 @@ class TestCountBasedMetrics:
             ids = [r.record_id for r in records] + ["x1", "x2"]
             gold = GoldTruth({i: f"e{rng.integers(0, 4)}" for i in ids if rng.random() < 0.8})
             truth = frozenset(p for p in gold.truth_pairs() if "x1" not in p and "x2" not in p)
-            result = sweep_thresholds(model, PairColumns(records, mixed_schema),
-                                      val_scores, val_labels,
-                                      rng.uniform(0.05, 0.95, size=3), gold=gold)
+            sweep = sweep_thresholds(model, PairColumns(records, mixed_schema),
+                                     val_scores, val_labels,
+                                     rng.uniform(0.05, 0.95, size=3), gold=gold)
             edges = all_pairs(model, records)
-            for row in result.rows:
+            for row, _ in sweep:
                 c = resolve_at(records, edges, row.threshold)
                 slow = pair_metrics(intra_cluster_pairs(c), truth)
                 assert row.r_pairs == len(intra_cluster_pairs(c))

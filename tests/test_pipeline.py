@@ -1,3 +1,4 @@
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -21,7 +22,7 @@ from erbound.reference import (
 )
 from erbound.resolver import components_from_condensed
 
-from conftest import all_pairs, resolve_at
+from conftest import all_pairs, resolve_at, sweep_rows
 
 
 @pytest.fixture(scope="module")
@@ -61,11 +62,11 @@ class TestSweep:
         test_records = outcome.split.test_records
         test_gold = outcome.split.test_gold
         grid = [0.3, 0.6, 0.9]
-        result = sweep_thresholds(outcome.model, test_records, scores, labels,
-                                  grid, gold=test_gold)
+        sweep = sweep_thresholds(outcome.model, test_records, scores, labels,
+                                 grid, gold=test_gold)
         condensed = all_pairs(outcome.model, list(test_records))
         truth = test_gold.truth_pairs()
-        for row, row_labels in zip(result.rows, result.labels):
+        for row, row_labels in sweep:
             assert np.array_equal(row_labels, components_from_condensed(
                 len(test_records), condensed.scores, row.threshold, condensed.rows,
                 condensed.cols))
@@ -85,10 +86,10 @@ class TestSweep:
         _, _, outcome = small_run
         scores, labels = outcome.validation_arrays()
         grid = np.linspace(0.05, 0.95, 15)
-        result = sweep_thresholds(outcome.model, outcome.split.test_records,
-                                  scores, labels, grid)
-        r = [row.r_pairs for row in result.rows]
-        tm = [row.tm_pairs for row in result.rows]
+        rows = sweep_rows(sweep_thresholds(outcome.model, outcome.split.test_records,
+                                           scores, labels, grid))
+        r = [row.r_pairs for row in rows]
+        tm = [row.tm_pairs for row in rows]
         assert r == sorted(r, reverse=True)
         assert tm == sorted(tm, reverse=True)
 
@@ -96,9 +97,8 @@ class TestSweep:
         _, _, outcome = small_run
         scores, labels = outcome.validation_arrays()
         top = float(min(0.999, scores.max() + 1e-6))
-        result = sweep_thresholds(outcome.model, outcome.split.test_records,
-                                  scores, labels, [top])
-        row = result.rows[0]
+        row, _ = next(sweep_thresholds(outcome.model, outcome.split.test_records,
+                                       scores, labels, [top]))
         assert row.precision_lb is None
         assert row.c_t is None
         assert row.f1_lb is None
@@ -111,17 +111,17 @@ class TestSweep:
         _, _, outcome = small_run
         test_records = outcome.split.test_records
         scores, labels = np.array([0.9, 0.8, 0.3, 0.6, 0.2]), np.array([0, 0, 0, 1, 1])
-        row = sweep_thresholds(outcome.model, test_records, scores, labels, [0.5]).rows[0]
-        informative = sweep_thresholds(outcome.model, test_records,
-                                       *outcome.validation_arrays(), [0.5]).rows[0]
+        row, _ = next(sweep_thresholds(outcome.model, test_records, scores, labels, [0.5]))
+        informative, _ = next(sweep_thresholds(outcome.model, test_records,
+                                               *outcome.validation_arrays(), [0.5]))
         assert (row.r_pairs, row.tm_pairs) == (informative.r_pairs, informative.tm_pairs)
         assert row.tm_pairs > 0
         assert (row.recall_lb, row.recall_lb_lo, row.recall_lb_hi) == \
             (0.5, *wilson_interval(1, 2, 0.95))
         assert [row.c_t, row.precision_lb, row.precision_lb_lo, row.precision_lb_hi,
                 row.f1_lb, row.f1_lb_lo, row.f1_lb_hi] == [None] * 7
-        given = sweep_thresholds(outcome.model, test_records, scores, labels, [0.5],
-                                 c_t_override=0.02).rows[0]
+        given, _ = next(sweep_thresholds(outcome.model, test_records, scores, labels, [0.5],
+                                         c_t_override=0.02))
         assert given.c_t == 0.02
         assert 0.0 < given.precision_lb_lo <= given.precision_lb <= given.precision_lb_hi
         assert given.f1_lb == f1_lower_bound(given.precision_lb, 0.5)
@@ -129,17 +129,17 @@ class TestSweep:
     def test_fixed_ct_override(self, small_run):
         _, _, outcome = small_run
         scores, labels = outcome.validation_arrays()
-        result = sweep_thresholds(outcome.model, outcome.split.test_records,
-                                  scores, labels, [0.5], c_t_override=0.02)
-        assert result.rows[0].c_t == 0.02
+        row, _ = next(sweep_thresholds(outcome.model, outcome.split.test_records,
+                                       scores, labels, [0.5], c_t_override=0.02))
+        assert row.c_t == 0.02
 
     def test_repeated_threshold_gives_a_row_each(self, small_run):
         _, _, outcome = small_run
         scores, labels = outcome.validation_arrays()
-        result = sweep_thresholds(outcome.model, outcome.split.test_records,
-                                  scores, labels, [0.6, 0.3, 0.6])
-        assert [row.threshold for row in result.rows] == [0.3, 0.6, 0.6]
-        assert result.rows[1] == result.rows[2]
+        rows = sweep_rows(sweep_thresholds(outcome.model, outcome.split.test_records,
+                                           scores, labels, [0.6, 0.3, 0.6]))
+        assert [row.threshold for row in rows] == [0.3, 0.6, 0.6]
+        assert rows[1] == rows[2]
 
     @pytest.mark.parametrize("thresholds,message", [
         ([], "got none"), ([float("nan")], r"got \[nan\]"),
@@ -151,6 +151,26 @@ class TestSweep:
         with pytest.raises(ConfigError, match=message):
             sweep_thresholds(outcome.model, outcome.split.test_records,
                              scores, labels, thresholds)
+
+    def test_memory_does_not_grow_with_the_grid(self):
+        """A caller that keeps neither rows nor labels holds one label array
+        at a time: 2,000 grid points over 176 test records peak below 1 MB
+        (a label array per row would hold 2.8 MB)."""
+        records, gold = generate_synthetic(60, 6, noise_sigma=0.05, seed=5)
+        outcome = train_pipeline(PairColumns(records, synthetic_schema(10)), gold,
+                                 SplitSpec(60, 60, seed=5))
+        test_records = outcome.split.test_records
+        assert len(test_records) == 176
+        tracemalloc.start()
+        try:
+            sweep = sweep_thresholds(outcome.model, test_records,
+                                     *outcome.validation_arrays(), np.linspace(0.05, 0.95, 2000))
+            n_rows = sum(1 for _ in sweep)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert n_rows == 2000
+        assert peak < 1_000_000, f"sweep peaked at {peak} bytes"
 
     def test_needs_two_records(self, small_run):
         _, _, outcome = small_run
@@ -208,11 +228,11 @@ class TestQualitativeCurves:
         outcome = train_pipeline(PairColumns(records, synthetic_schema(10)), gold,
                                  SplitSpec(80, 100, seed=33))
         scores, labels = outcome.validation_arrays()
-        result = sweep_thresholds(outcome.model, outcome.split.test_records,
-                                  scores, labels, np.linspace(0.05, 0.95, 19),
-                                  gold=outcome.split.test_gold)
+        sweep = sweep_thresholds(outcome.model, outcome.split.test_records,
+                                 scores, labels, np.linspace(0.05, 0.95, 19),
+                                 gold=outcome.split.test_gold)
         good = [
-            row for row in result.rows
+            row for row, _ in sweep
             if row.true_precision >= 0.99 and row.true_recall >= 0.99
             and row.f1_lb is not None and row.f1_lb >= 0.9
             and abs(row.true_f1 - row.f1_lb) <= 0.1
@@ -224,10 +244,9 @@ class TestQualitativeCurves:
         true recall hits zero; the recall bound never consults the test set."""
         _, _, outcome = small_run
         scores, labels = outcome.validation_arrays()
-        result = sweep_thresholds(outcome.model, outcome.split.test_records,
-                                  scores, labels, [0.99999],
-                                  gold=outcome.split.test_gold)
-        row = result.rows[0]
+        row, _ = next(sweep_thresholds(outcome.model, outcome.split.test_records,
+                                       scores, labels, [0.99999],
+                                       gold=outcome.split.test_gold))
         assert row.r_pairs == 0 and row.tm_pairs == 0
         assert row.true_recall == 0.0
         stats = outcome.stats_at(0.99999)

@@ -1,4 +1,4 @@
-"""The README's library example runs as written."""
+"""The README's Python examples run as written."""
 
 import re
 from pathlib import Path
@@ -20,3 +20,12 @@ def test_library_usage_runs():
     assert len(cluster_ids) == len(ids)
     assert set(cluster_ids) <= set(ids)
     assert len(set(cluster_ids)) < len(ids)
+
+
+def test_every_python_block_runs():
+    """Every ```python block of the README, the snowball experiment's too,
+    runs against the current API."""
+    blocks = re.findall(r"```python\n(.*?)```", README.read_text(), re.S)
+    assert len(blocks) >= 2
+    for block in blocks:
+        exec(block, {})

@@ -206,11 +206,11 @@ class TestComponentsByThreshold:
             monkeypatch.setattr(module, "components_from_condensed", counted, raising=False)
         rng = np.random.default_rng(19)
         records = random_records(rng, mixed_schema, 30)
-        result = sweep_thresholds(random_model(rng, mixed_schema),
-                                  PairColumns(records, mixed_schema),
-                                  rng.random(20), np.arange(20) % 2,
-                                  np.linspace(0.05, 0.95, 19))
-        assert len(result.rows) == 19
+        sweep = sweep_thresholds(random_model(rng, mixed_schema),
+                                 PairColumns(records, mixed_schema),
+                                 rng.random(20), np.arange(20) % 2,
+                                 np.linspace(0.05, 0.95, 19))
+        assert len(list(sweep)) == 19
         assert calls == [0.95]
 
 
