@@ -28,7 +28,6 @@ from .errors import (
     DegenerateDataError,
     ErboundError,
     SchemaError,
-    UninformativeMatcherError,
 )
 from .matching import (
     MatchModel,

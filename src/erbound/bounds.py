@@ -15,7 +15,9 @@ prevalence C_T. Uncertainty in the validation rates propagates through
 Wilson score intervals; since the rebalance map is monotone increasing in
 the validation precision, evaluating the bound at the interval endpoints
 gives exact interval bounds. `compute_bound_report` returns the numbers
-of one sweep row as a dict keyed by the row's field names.
+of one sweep row as a dict keyed by the row's field names. An undefined
+number is None where it is computed: `precision_v` with no predicted
+match, and the C_T estimate where validation TPR does not exceed FPR.
 """
 
 import math
@@ -25,7 +27,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import DataError, DegenerateDataError, UninformativeMatcherError
+from .errors import DataError, DegenerateDataError
 
 # prevalence estimates are clipped away from the open-interval endpoints
 _PREVALENCE_EPS = 1e-9
@@ -157,9 +159,10 @@ class ValidationStats:
         return self.n_positive / self.n_pairs
 
     @property
-    def precision_v(self) -> float:
+    def precision_v(self) -> float | None:
+        """Validation precision; None when no pair is predicted a match."""
         if self.n_predicted_match == 0:
-            raise DegenerateDataError("no predicted matches; validation precision undefined")
+            return None
         return self.n_true_match / self.n_predicted_match
 
     @property
@@ -167,20 +170,8 @@ class ValidationStats:
         return self.n_true_match / self.n_positive
 
     @property
-    def tpr_v(self) -> float:
-        return self.recall_v
-
-    @property
     def fpr_v(self) -> float:
         return (self.n_predicted_match - self.n_true_match) / (self.n_pairs - self.n_positive)
-
-    def to_dict(self) -> dict:
-        return {
-            "n_pairs": self.n_pairs,
-            "n_positive": self.n_positive,
-            "n_predicted_match": self.n_predicted_match,
-            "n_true_match": self.n_true_match,
-        }
 
 
 def recall_lower_bound(stats: ValidationStats) -> float:
@@ -191,24 +182,17 @@ def recall_lower_bound(stats: ValidationStats) -> float:
 
 
 def estimate_test_class_balance(predicted_match_rate: float,
-                                stats: ValidationStats,
-                                override: float | None = None) -> float:
+                                stats: ValidationStats) -> float | None:
     """Adjusted-count estimate of the fraction of test pairs that are true
-    matches: (rate - FPR) / (TPR - FPR), clipped into (0, 1).
-
-    A caller who knows the prevalence can pass `override`, which is
-    returned unchanged after a range check.
+    matches: (rate - FPR) / (TPR - FPR), clipped into (0, 1). None where
+    validation TPR does not exceed FPR: the matcher is then uninformative
+    and the estimate undefined.
     """
-    if override is not None:
-        _check_prevalence(override, "class-balance override")
-        return override
     if not 0.0 <= predicted_match_rate <= 1.0:
         raise ValueError("predicted_match_rate must lie in [0, 1]")
-    tpr, fpr = stats.tpr_v, stats.fpr_v
+    tpr, fpr = stats.recall_v, stats.fpr_v
     if tpr <= fpr:
-        raise UninformativeMatcherError(
-            f"validation TPR ({tpr:.4f}) does not exceed FPR ({fpr:.4f})"
-        )
+        return None
     estimate = (predicted_match_rate - fpr) / (tpr - fpr)
     return min(1.0 - _PREVALENCE_EPS, max(_PREVALENCE_EPS, estimate))
 
@@ -241,9 +225,11 @@ def compute_bound_report(stats: ValidationStats, tm_pairs: int, r_pairs: int,
     recall = (recall_lower_bound(stats),
               *wilson_interval(stats.n_true_match, stats.n_positive, confidence))
     precision = f1 = (None, None, None)
-    if c_t is not None or stats.tpr_v > stats.fpr_v:  # else C_T cannot be estimated
-        c_t = estimate_test_class_balance(tm_pairs / total_test_pairs, stats, override=c_t)
-    if stats.n_predicted_match == 0:  # validation precision undefined
+    if c_t is None:
+        c_t = estimate_test_class_balance(tm_pairs / total_test_pairs, stats)
+    else:
+        _check_prevalence(c_t, "class-balance override")
+    if stats.precision_v is None:
         c_t = None
     elif c_t is not None:
         ends = wilson_interval(stats.n_true_match, stats.n_predicted_match, confidence)

@@ -13,7 +13,7 @@ import argparse
 import csv
 import json
 import sys
-from dataclasses import astuple
+from dataclasses import asdict, fields
 from pathlib import Path
 
 import numpy as np
@@ -118,10 +118,12 @@ def _out_dir(args) -> Path:
 
 def _check_ranges(args) -> None:
     """Range-check the command's probability and grid flags before any work
-    is done. Only --recall-floor may take the endpoints 0 and 1."""
-    for dest in ("threshold", "confidence", "ct", "recall_floor"):
+    is done. Only --recall-floor and the gate floors may take the endpoints
+    0 and 1."""
+    for dest in ("threshold", "confidence", "ct", "recall_floor",
+                 "min_precision_lb", "min_recall_lb", "min_f1_lb"):
         value = getattr(args, dest, None)
-        closed = dest == "recall_floor"
+        closed = dest not in ("threshold", "confidence", "ct")
         if value is None or (0.0 <= value <= 1.0 if closed else 0.0 < value < 1.0):
             continue
         where = "in [0, 1]" if closed else "strictly inside (0, 1)"
@@ -158,22 +160,21 @@ def cmd_generate(args) -> int:
     return EXIT_OK
 
 
-def _stats_payload(outcome: pipeline.TrainOutcome, ids: list[str], threshold: float,
-                   confidence: float) -> dict:
+def _stats_payload(split: dataset.Split, scores: np.ndarray, ids: list[str],
+                   threshold: float, confidence: float) -> dict:
     """The validation stats file: each validation pair, its records named
     by the table's `ids` in sorted order, and the confusion at `threshold`."""
-    stats = outcome.stats_at(threshold)
-    rows, cols, labels = outcome.split.validation_pairs
-    defined = stats.n_predicted_match > 0  # else validation precision is undefined
+    rows, cols, labels = split.validation_pairs
+    stats = bounds.ValidationStats.from_scores(scores, labels, threshold)
     summary = {
-        **stats.to_dict(),
+        **asdict(stats),
         "c_v": stats.c_v,
         "recall_v": stats.recall_v,
         "wilson_recall": list(bounds.wilson_interval(
             stats.n_true_match, stats.n_positive, confidence)),
-        "precision_v": stats.precision_v if defined else None,
-        "wilson_precision": list(bounds.wilson_interval(
-            stats.n_true_match, stats.n_predicted_match, confidence)) if defined else None,
+        "precision_v": stats.precision_v,
+        "wilson_precision": None if stats.precision_v is None else list(
+            bounds.wilson_interval(stats.n_true_match, stats.n_predicted_match, confidence)),
     }
     return {
         "format_version": STATS_FORMAT_VERSION,
@@ -183,7 +184,7 @@ def _stats_payload(outcome: pipeline.TrainOutcome, ids: list[str], threshold: fl
             {"id_a": min(ids[i], ids[j]), "id_b": max(ids[i], ids[j]),
              "label": label, "score": score}
             for i, j, label, score in zip(rows.tolist(), cols.tolist(), labels.tolist(),
-                                          outcome.validation_scores.tolist())
+                                          scores.tolist())
         ],
         "stats": summary,
     }
@@ -233,22 +234,23 @@ def cmd_train(args) -> int:
     )
     config = matching.TrainConfig(learning_rate=args.learning_rate,
                                   epochs=args.epochs, l2=args.l2, seed=args.seed)
-    outcome = pipeline.train_pipeline(records, gold, spec, config, threshold=args.threshold)
+    model, split, scores = pipeline.train_pipeline(records, gold, spec, config,
+                                                   threshold=args.threshold)
     out = _out_dir(args)
-    matching.save_model(out / "model.json", outcome.model)
-    payload = _stats_payload(outcome, records.ids, args.threshold, args.confidence)
+    matching.save_model(out / "model.json", model)
+    payload = _stats_payload(split, scores, records.ids, args.threshold, args.confidence)
     (out / "validation_stats.json").write_text(
         json.dumps(payload, indent=2, sort_keys=True) + "\n")
-    dataset.write_records_csv(out / "test_records.csv", outcome.split.test_records)
-    dataset.write_gold_csv(out / "test_gold.csv", outcome.split.test_gold)
+    dataset.write_records_csv(out / "test_records.csv", split.test_records)
+    dataset.write_gold_csv(out / "test_gold.csv", split.test_gold)
     _write_effective_config(out, "train", args)
 
     s = payload["stats"]
     prec = "undefined" if s["precision_v"] is None else "%.4f" % s["precision_v"]
-    print(f"trained on {len(outcome.split.train_pairs.labels)} pairs; "
+    print(f"trained on {len(split.train_pairs.labels)} pairs; "
           f"validation n={s['n_pairs']} c_v={s['c_v']:.3f} "
           f"precision_v={prec} recall_v={s['recall_v']:.4f}")
-    print(f"test set: {len(outcome.split.test_records)} records")
+    print(f"test set: {len(split.test_records)} records")
     return EXIT_OK
 
 
@@ -280,7 +282,7 @@ def cmd_sweep(args) -> int:
         writer = csv.writer(fh)
         writer.writerow(SWEEP_COLUMNS)
         for row in reversed(rows):  # the sweep yields the highest threshold first
-            writer.writerow(_fmt(v) for v in astuple(row))
+            writer.writerow(_fmt(getattr(row, f.name)) for f in fields(row))
         fh.write(f"# select_metric={metric}\n")
         if args.recall_floor is not None:
             fh.write(f"# recall_floor={_fmt(args.recall_floor)}\n")

@@ -19,8 +19,3 @@ class DegenerateDataError(DataError):
 
 class ConfigError(ErboundError):
     """Invalid or infeasible run configuration."""
-
-
-class UninformativeMatcherError(ErboundError):
-    """Validation TPR does not exceed FPR, so the class balance of the
-    test pairs cannot be estimated from predicted match rates."""

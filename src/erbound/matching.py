@@ -12,13 +12,13 @@ feature column once. Every pair is featurized by one gather on it,
 Training, validation (`score_pairs`) and test pairs all go through it, and
 every score comes from one formula. The test pairs are gathered in blocks
 of rows, and of each block only the pairs scoring at or above a floor are
-kept, as an edge list (`Edges`) from which the resolver and the bounds read
-every threshold at or above it; the n(n-1)/2 scores of all pairs are never
-held at once. The text edit distances a gather needs are computed in one
-vectorized Levenshtein DP over the value pairs not yet known, and cached as
-sorted keys. The per-pair definition the gather reproduces is
-`erbound.reference.featurize_pair`, kept there with the scalar edit
-distance as their oracles.
+kept, as (rows, cols, scores) edge arrays from which the resolver and the
+bounds read every threshold at or above it; the n(n-1)/2 scores of all
+pairs are never held at once. The text edit distances a gather needs are
+computed in one vectorized Levenshtein DP over the value pairs not yet
+known, and cached as sorted keys. The per-pair definition the gather
+reproduces is `erbound.reference.featurize_pair`, kept there with the
+scalar edit distance as their oracles.
 """
 
 import copy
@@ -435,27 +435,11 @@ def score_pair(model: MatchModel, a: Record, b: Record) -> float:
     return float(score_pairs(model, PairColumns([a, b], model.schema), [0], [1])[0])
 
 
-@dataclass(frozen=True, eq=False)
-class Edges:
-    """Scored pairs of n records: pair k is (rows[k], cols[k]), rows[k] <
-    cols[k], with score scores[k], in condensed order (by row, then column).
-    A scorer keeps the pairs at or above a floor and drops the rest."""
-
-    n: int
-    rows: np.ndarray
-    cols: np.ndarray
-    scores: np.ndarray
-
-    @property
-    def total_pairs(self) -> int:
-        """The number of unordered pairs of the n records, kept or not."""
-        return self.n * (self.n - 1) // 2
-
-
 def condensed_pairwise_scores(model: MatchModel, records: PairColumns,
-                              floor: float) -> Edges:
-    """The edges of all unordered pairs of a record table that score at or
-    above `floor`, in condensed order.
+                              floor: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The edges (rows, cols, scores) of all unordered pairs of a record
+    table that score at or above `floor`: pair k is the records rows[k] <
+    cols[k], scoring scores[k], in condensed order (by row, then column).
 
     Each gather is a block of rows i..i+r-1 against the columns i+1..n-1, a
     view of the coded array, with r chosen so that the gather's temporary
@@ -487,5 +471,4 @@ def condensed_pairwise_scores(model: MatchModel, records: PairColumns,
                 f"{MEMORY_BUDGET} bytes of edges and edit distances; a higher "
                 f"--threshold or --grid-start keeps fewer pairs")
         i += r
-    rows, cols, scores = (np.concatenate(part) for part in zip(*parts))
-    return Edges(n, rows, cols, scores)
+    return tuple(np.concatenate(part) for part in zip(*parts))

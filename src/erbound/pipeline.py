@@ -1,16 +1,15 @@
 """End-to-end wiring: train on a split, sweep thresholds, resolve and bound.
 
 A sweep scores every test pair once (scores do not depend on the
-threshold) and keeps the pairs at or above the lowest grid threshold as an
-edge list, then passes down the grid once: it labels every test record
-with its connected component at the top threshold and merges each lower
-score band into the labels of the band above. Each threshold counts |R|
-(and, with gold, true hits) as pairs sharing a label, recomputes the
-validation confusion from the validation scores and labels, and takes the
-row's bound fields from `compute_bound_report`. Rows where the validation
-set has no predicted matches, or where the matcher is uninformative for
-class-balance estimation, carry no precision/F1 bound. Rows are yielded
-with their labels and kept only by the caller, whatever the grid's length.
+threshold) and keeps the pairs at or above the lowest grid threshold as
+(rows, cols, scores) edge arrays, then passes down the grid once: it labels
+every test record with its connected component at the top threshold and
+merges each lower score band into the labels of the band above. Each
+threshold counts |R| (and, with gold, true hits) as pairs sharing a label,
+recomputes the validation confusion from the validation scores and labels,
+and takes the row's bound fields from `compute_bound_report`, which leaves
+the precision/F1 bound None where it is undefined. Rows are yielded with
+their labels and kept only by the caller, whatever the grid's length.
 
 `sweep_thresholds` is the only code that turns scores and a threshold into
 counts, bounds and true metrics: `resolve` is a one-point sweep, and the
@@ -31,23 +30,6 @@ from .matching import (MatchModel, PairColumns, TrainConfig,
 from .resolver import components_by_threshold
 
 
-@dataclass(frozen=True)
-class TrainOutcome:
-    """The trained model, the split, and the score of each validation pair
-    of `split.validation_pairs`."""
-
-    model: MatchModel
-    split: Split
-    validation_scores: np.ndarray
-
-    def validation_arrays(self) -> tuple[np.ndarray, np.ndarray]:
-        return self.validation_scores, self.split.validation_pairs.labels
-
-    def stats_at(self, threshold: float) -> ValidationStats:
-        scores, labels = self.validation_arrays()
-        return ValidationStats.from_scores(scores, labels, threshold)
-
-
 def score_labeled_pairs(model: MatchModel, table: PairColumns,
                         pairs: LabeledPairs) -> np.ndarray:
     """The scores of (rows, cols, labels) index pairs of a record table,
@@ -57,14 +39,15 @@ def score_labeled_pairs(model: MatchModel, table: PairColumns,
 
 def train_pipeline(table: PairColumns, gold: GoldTruth, split_spec: SplitSpec,
                    config: TrainConfig | None = None,
-                   threshold: float = 0.5) -> TrainOutcome:
+                   threshold: float = 0.5) -> tuple[MatchModel, Split, np.ndarray]:
     """Split the labeled pool, train the match model on the train pairs,
-    and score the validation pairs once for later per-threshold stats."""
+    and score the validation pairs once: the model, the split, and the
+    scores of `split.validation_pairs` in pair order."""
     split = split_dataset(table, gold, split_spec)
     if len(split.validation_pairs.labels) < 2:
         raise ConfigError("validation split needs at least 2 labeled pairs")
     model = train_match_model(table, split.train_pairs, config, threshold=threshold)
-    return TrainOutcome(model, split, score_labeled_pairs(model, table, split.validation_pairs))
+    return model, split, score_labeled_pairs(model, table, split.validation_pairs)
 
 
 @dataclass(frozen=True)
@@ -126,27 +109,28 @@ def sweep_thresholds(model: MatchModel, test_records: PairColumns,
     """Evaluate bounds (and true metrics with `gold`) across a threshold
     grid on the test records, yielding each threshold's row and component
     labels, highest threshold first. Each threshold must lie strictly inside
-    (0, 1); a repeated threshold gives one row per repeat. The checks and
-    the scoring pass, which keeps only the test pairs at or above the lowest
-    threshold, run before this returns; |T_M| at each threshold is the count
-    of kept scores that clear it."""
+    (0, 1); a repeated threshold gives one row per repeat. The checks of
+    the thresholds and of the validation arrays, and the scoring pass, which
+    keeps only the test pairs at or above the lowest threshold, run before
+    this returns; |T_M| at each threshold is the count of kept scores that
+    clear it."""
     bad = [float(t) for t in thresholds if not 0.0 < t < 1.0]
     if bad or not len(thresholds):
         raise ConfigError(f"thresholds must lie strictly inside (0, 1), got {bad or 'none'}")
     n = len(test_records)
     if n < 2:
         raise ConfigError("needs at least 2 test records")
-    edges = condensed_pairwise_scores(model, test_records, float(min(thresholds)))
+    ValidationStats.from_scores(val_scores, val_labels, thresholds[0])  # checks the arrays
+    rows, cols, scores = condensed_pairwise_scores(model, test_records, float(min(thresholds)))
     if gold is not None:
         labeled = [k for k, rid in enumerate(test_records.ids) if rid in gold.labels]
         entity = np.unique([gold.labels[test_records.ids[k]] for k in labeled],
                            return_inverse=True)[1]
         truth_total = _pairs_within(entity)
 
-    def rows() -> Iterator[tuple[SweepRow, np.ndarray]]:
+    def swept() -> Iterator[tuple[SweepRow, np.ndarray]]:
         r_above = tm_above = 0  # the counts of the row yielded before
-        for t, labels, tm_pairs in components_by_threshold(n, edges.scores, thresholds,
-                                                           edges.rows, edges.cols):
+        for t, labels, tm_pairs in components_by_threshold(n, scores, thresholds, rows, cols):
             r_pairs = _pairs_within(labels)
             if r_pairs < r_above or tm_pairs < tm_above:
                 raise AssertionError(
@@ -155,7 +139,7 @@ def sweep_thresholds(model: MatchModel, test_records: PairColumns,
                 )
             row = {"threshold": t, "r_pairs": r_pairs, "tm_pairs": tm_pairs}
             stats = ValidationStats.from_scores(val_scores, val_labels, t)
-            row.update(compute_bound_report(stats, tm_pairs, r_pairs, edges.total_pairs,
+            row.update(compute_bound_report(stats, tm_pairs, r_pairs, n * (n - 1) // 2,
                                             c_t=c_t_override, confidence=confidence))
             if gold is not None:
                 hits = _pairs_within(entity * n + labels[labeled])
@@ -165,7 +149,7 @@ def sweep_thresholds(model: MatchModel, test_records: PairColumns,
                            true_f1=f1_lower_bound(precision, recall))
             r_above, tm_above = r_pairs, tm_pairs
             yield SweepRow(**row), labels
-    return rows()
+    return swept()
 
 
 @dataclass(frozen=True)
@@ -201,12 +185,11 @@ def degradation_experiment(seed: int = 7) -> DegradationResult:
         return PairColumns(records, synthetic_schema(10)), gold
 
     labeled, labeled_gold = synthetic(10, seed)
-    outcome = train_pipeline(labeled, labeled_gold,
-                             SplitSpec(n_train_pairs=100, n_validation_pairs=100, seed=seed))
-    val_scores, val_labels = outcome.validation_arrays()
+    model, split, val_scores = train_pipeline(
+        labeled, labeled_gold, SplitSpec(n_train_pairs=100, n_validation_pairs=100, seed=seed))
 
     def gold_sweep(records, gold, thresholds) -> list[SweepRow]:
-        sweep = sweep_thresholds(outcome.model, records, val_scores, val_labels,
+        sweep = sweep_thresholds(model, records, val_scores, split.validation_pairs.labels,
                                  thresholds, gold=gold)
         return [row for row, _ in sweep][::-1]
 

@@ -119,7 +119,7 @@ def pairwise_scores(model: MatchModel,
     table = PairColumns(records, model.schema)
     if len(set(table.ids)) != len(table):
         raise DataError("duplicate record ids")
-    condensed = iter(condensed_pairwise_scores(model, table, 0.0).scores.tolist())
+    condensed = iter(condensed_pairwise_scores(model, table, 0.0)[2].tolist())
     return {(a, b) if a < b else (b, a): next(condensed)
             for a, b in combinations(table.ids, 2)}
 

@@ -65,7 +65,8 @@ def components_by_threshold(n: int, scores: np.ndarray, thresholds: Sequence[flo
     counts = np.bincount(band + 1, minlength=len(ts) + 1)
     # above[k]: scores >= ts[k]; edges sorted by band, highest first
     above = np.append(np.cumsum(counts[::-1])[::-1][1:], 0)
-    order = np.argsort(-band)
+    order = np.argsort(band)[::-1]  # merge order within a band leaves the labels
+    del band
     rows, cols = rows[order], cols[order]
     for k in range(len(ts) - 1, -1, -1):
         lo, hi = above[k + 1], above[k]

@@ -117,12 +117,12 @@ def labeled_table(pairs, schema):
 
 
 def all_pairs(model, records):
-    """The production edges at floor 0, which every score clears: every
-    pair of the `Record` list, checked to come in condensed order, so
-    `.scores` is the dense condensed score array."""
+    """The production edges (rows, cols, scores) at floor 0, which every
+    score clears: every pair of the `Record` list, checked to come in
+    condensed order, so `scores` is the dense condensed score array."""
     edges = condensed_pairwise_scores(model, PairColumns(records, model.schema), 0.0)
     rows, cols = np.triu_indices(len(records), 1)
-    assert np.array_equal(edges.rows, rows) and np.array_equal(edges.cols, cols)
+    assert np.array_equal(edges[0], rows) and np.array_equal(edges[1], cols)
     return edges
 
 
@@ -131,8 +131,9 @@ def resolve_at(records, edges, threshold):
     labelled outright from their edges: the partition of their ids into
     blocks that share a cluster id."""
     ids = [r.record_id for r in records]
+    rows, cols, scores = edges
     cluster_ids = resolve_from_condensed(ids, components_from_condensed(
-        len(records), edges.scores, threshold, edges.rows, edges.cols))
+        len(records), scores, threshold, rows, cols))
     blocks = {}
     for rid, cluster in zip(ids, cluster_ids):
         blocks.setdefault(cluster, set()).add(rid)

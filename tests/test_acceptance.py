@@ -136,13 +136,13 @@ def test_c05_rebalance_example_with_simulation():
 
 @criterion(6, "recall bound is the validation recall, bit for bit, for any test set")
 def test_c06_recall_bound_exactness():
-    from erbound.bounds import compute_bound_report, recall_lower_bound
+    from erbound.bounds import ValidationStats, compute_bound_report, recall_lower_bound
 
     records, gold = generate_synthetic(n_entities=30, records_per_entity=5, seed=106)
-    outcome = train_pipeline(PairColumns(records, synthetic_schema(10)), gold,
-                             SplitSpec(40, 60, seed=106))
+    _, split, scores = train_pipeline(PairColumns(records, synthetic_schema(10)), gold,
+                                      SplitSpec(40, 60, seed=106))
     for threshold in (0.3, 0.5, 0.7):
-        stats = outcome.stats_at(threshold)
+        stats = ValidationStats.from_scores(scores, split.validation_pairs.labels, threshold)
         assert recall_lower_bound(stats) == stats.recall_v
         reports = [
             compute_bound_report(stats, tm, r, total)
@@ -230,11 +230,11 @@ def test_c12_monotone_sweep():
     for seed in (7, 12, 31):
         records, gold = generate_synthetic(n_entities=40, records_per_entity=5,
                                            seed=seed)
-        outcome = train_pipeline(PairColumns(records, synthetic_schema(10)), gold,
-                                 SplitSpec(40, 60, seed=seed))
-        scores, labels = outcome.validation_arrays()
-        rows = sweep_rows(sweep_thresholds(outcome.model, outcome.split.test_records,
-                                           scores, labels, np.linspace(0.05, 0.95, 25)))
+        model, split, scores = train_pipeline(PairColumns(records, synthetic_schema(10)), gold,
+                                              SplitSpec(40, 60, seed=seed))
+        rows = sweep_rows(sweep_thresholds(model, split.test_records, scores,
+                                           split.validation_pairs.labels,
+                                           np.linspace(0.05, 0.95, 25)))
         r = [row.r_pairs for row in rows]
         tm = [row.tm_pairs for row in rows]
         assert r == sorted(r, reverse=True)

@@ -14,7 +14,7 @@ from erbound.bounds import (
     recall_lower_bound,
     wilson_interval,
 )
-from erbound.errors import DataError, DegenerateDataError, UninformativeMatcherError
+from erbound.errors import DataError, DegenerateDataError
 
 
 def oracle_wilson(successes, trials, z):
@@ -191,8 +191,7 @@ class TestValidationStats:
 
     def test_precision_undefined_without_predictions(self):
         stats = ValidationStats.from_scores([0.1, 0.2], [1, 0], 0.9)
-        with pytest.raises(DegenerateDataError):
-            stats.precision_v
+        assert stats.precision_v is None
 
     def test_count_invariants(self):
         with pytest.raises(ValueError):
@@ -201,11 +200,6 @@ class TestValidationStats:
             make_stats(10, 8, 9, 4)   # five false positives, two negatives
         with pytest.raises(ValueError):
             make_stats(10, 4, 11, 4)  # predictions exceed the pair count
-
-    def test_to_dict(self):
-        assert make_stats(100, 40, 40, 36).to_dict() == {
-            "n_pairs": 100, "n_positive": 40, "n_predicted_match": 40, "n_true_match": 36,
-        }
 
     @pytest.mark.parametrize("label", [2, -1, 0.7])
     def test_labels_must_be_zero_or_one(self, label):
@@ -264,7 +258,7 @@ class TestF1LowerBound:
 class TestClassBalanceEstimate:
     def test_confusion_matrix_algebra(self):
         stats = make_stats(200, 100, 100, 90)  # tpr 0.9, fpr 0.1
-        assert stats.tpr_v == pytest.approx(0.9)
+        assert stats.recall_v == pytest.approx(0.9)
         assert stats.fpr_v == pytest.approx(0.1)
         assert estimate_test_class_balance(0.2, stats) == pytest.approx(0.125)
 
@@ -281,16 +275,9 @@ class TestClassBalanceEstimate:
         stats = make_stats(200, 100, 100, 90)
         assert estimate_test_class_balance(0.1, stats) == pytest.approx(0.0, abs=1e-8)
 
-    def test_override_passthrough(self):
-        stats = make_stats(200, 100, 100, 90)
-        assert estimate_test_class_balance(0.9, stats, override=0.01) == 0.01
-        with pytest.raises(ValueError):
-            estimate_test_class_balance(0.9, stats, override=1.5)
-
     def test_uninformative_matcher(self):
         stats = make_stats(200, 100, 100, 50)  # tpr 0.5 == fpr 0.5
-        with pytest.raises(UninformativeMatcherError):
-            estimate_test_class_balance(0.2, stats)
+        assert estimate_test_class_balance(0.2, stats) is None
 
 
 def intervals(stats, tm, r, c_t, confidence=0.95):

@@ -88,6 +88,10 @@ class TestTrain:
         assert doc["stats"]["precision_v"] > 0.9
         assert doc["stats"]["recall_v"] > 0.9
         assert len(doc["pairs"]) == 60
+        stats = doc["stats"]
+        assert stats["n_pairs"] == 60
+        assert stats["n_positive"] == sum(p["label"] for p in doc["pairs"])
+        assert stats["n_predicted_match"] >= stats["n_true_match"] > 0
 
     def test_stats_json_round_trips_bit_identically(self, trained):
         _, run = trained
@@ -418,6 +422,9 @@ class TestRangeChecks:
         ("resolve", "--confidence", "1.5", "clustering.csv"),
         ("resolve", "--ct", "1.5", "clustering.csv"),
         ("resolve", "--ct", "0", "clustering.csv"),
+        ("resolve", "--min-f1-lb", "nan", "clustering.csv"),
+        ("resolve", "--min-precision-lb", "-1", "clustering.csv"),
+        ("resolve", "--min-recall-lb", "1.5", "clustering.csv"),
     ])
     def test_probability_flag_out_of_range(self, trained, tmp_path, capsys,
                                            command, flag, value, output):
@@ -455,6 +462,19 @@ class TestRangeChecks:
         assert code == EXIT_DATA
         err = capsys.readouterr().err
         assert field in err and "finite" in err and "feature" not in err
+        assert not out.exists()
+
+    def test_gate_floor_from_config_file_checked(self, trained, tmp_path, capsys):
+        """A NaN floor passed every gate; read from a config file it is
+        rejected like the flag, before anything is written."""
+        _, run = trained
+        cfg, out = tmp_path / "gate.cfg", tmp_path / "out"
+        cfg.write_text("min-f1-lb=nan\n")
+        assert main(["resolve", "--config", str(cfg), "--model", str(run / "model.json"),
+                     "--records", str(run / "test_records.csv"),
+                     "--validation-stats", str(run / "validation_stats.json"),
+                     "--out", str(out)]) == EXIT_DATA
+        assert "--min-f1-lb must lie in [0, 1], got nan" in capsys.readouterr().err
         assert not out.exists()
 
     def test_recall_floor_endpoints_accepted(self, trained, tmp_path):

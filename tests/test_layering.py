@@ -104,12 +104,12 @@ def test_train_pipeline_scores_no_pair_alone(monkeypatch, mixed_schema):
     table = PairColumns(records, mixed_schema)
     per_pair = count_calls(monkeypatch, matching.score_pair)
     distances = count_calls(monkeypatch, matching._batch_levenshtein)
-    outcome = train_pipeline(table, gold, SplitSpec(60, 60, seed=21))
+    _, split, _ = train_pipeline(table, gold, SplitSpec(60, 60, seed=21))
     assert per_pair == []
     text = [f for f, feat in enumerate(mixed_schema.features) if feat.kind == TEXT]
     held = sum(len({(f, frozenset((x, y))) for i, j, _ in zip(*pairs) for f in text
                     for x in records[i].values[f] for y in records[j].values[f] if x != y})
-               for pairs in (outcome.split.train_pairs, outcome.split.validation_pairs))
+               for pairs in (split.train_pairs, split.validation_pairs))
     assert 0 < sum(len(args[2]) for args in distances) <= held
 
 

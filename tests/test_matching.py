@@ -409,7 +409,7 @@ class TestBulkScores:
         model = random_model(rng, schema)
         n = len(records)
         pairs = [(a, b) for i, a in enumerate(records) for b in records[i + 1:]]
-        scores = all_pairs(model, records).scores
+        scores = all_pairs(model, records)[2]
         assert scores.shape == (len(pairs),)
         assert np.allclose(scores, [pair_score(model, a, b) for a, b in pairs],
                            rtol=0.0, atol=1e-12)
@@ -463,7 +463,7 @@ class TestBulkScores:
 
         calls = count_calls(monkeypatch, matching._batch_levenshtein)
         monkeypatch.setattr(matching, "score_pair", forbidden)
-        scores = all_pairs(model, records).scores
+        scores = all_pairs(model, records)[2]
         assert np.allclose(scores, expected, rtol=0.0, atol=1e-12)
         distinct = [len(set().union(*(r.values[f] for r in records))) for f in (0, 1)]
         assert max(distinct) < len(records)  # names repeat
@@ -514,12 +514,12 @@ class TestEdges:
         model = random_model(rng, schema)
         dense = all_pairs(model, records)
         if floor == "above-every-score":
-            floor = float(np.nextafter(dense.scores.max(), 2.0))
+            floor = float(np.nextafter(dense[2].max(), 2.0))
         edges = condensed_pairwise_scores(model, PairColumns(records, schema), floor)
-        kept = dense.scores >= floor
-        assert edges.n == len(records) and edges.total_pairs == len(kept)
-        for name in ("rows", "cols", "scores"):
-            assert np.array_equal(getattr(edges, name), getattr(dense, name)[kept])
+        kept = dense[2] >= floor
+        assert len(edges) == 3
+        for got, want in zip(edges, dense):
+            assert np.array_equal(got, want[kept])
 
     def test_scoring_holds_no_array_of_every_pair(self):
         """1,200 numeric records at floor 0.9 peak below the 8 n(n-1)/2
@@ -541,10 +541,10 @@ class TestEdges:
             tracemalloc.stop()
         assert peak < 8 * n * (n - 1) // 2
         dense = all_pairs(model, records)
-        kept = dense.scores >= 0.9
+        kept = dense[2] >= 0.9
         assert 0 < kept.sum() < len(kept) // 50
-        for name in ("rows", "cols", "scores"):
-            assert np.array_equal(getattr(edges, name), getattr(dense, name)[kept])
+        for got, want in zip(edges, dense):
+            assert np.array_equal(got, want[kept])
 
     def test_complete_columns_skip_the_missing_term(self, mixed_schema):
         """Where no record lacks a feature, the scorer leaves out the missing
@@ -577,8 +577,8 @@ class TestEdges:
         with pytest.raises(ConfigError, match="40 records .* --threshold or --grid-start"):
             condensed_pairwise_scores(model, table, floor)
         monkeypatch.setattr(matching, "MEMORY_BUDGET", 1 << 30)
-        assert len(condensed_pairwise_scores(model, table, floor).scores) == \
-            int((all_pairs(model, records).scores >= floor).sum())
+        assert len(condensed_pairwise_scores(model, table, floor)[2]) == \
+            int((all_pairs(model, records)[2] >= floor).sum())
 
 
 class TestModelIO:

@@ -146,7 +146,7 @@ class TestDirectMatchCount:
             scored = matcher_from_scores(table, model.threshold)
             clustering = resolve_connected_components(records, scored)
             # |T_M| as the CLI counts it: condensed scores at the threshold
-            counted = int((all_pairs(model, records).scores >= model.threshold).sum())
+            counted = int((all_pairs(model, records)[2] >= model.threshold).sum())
             exhaustive = sum(
                 base_match(model, a, b)
                 for i, a in enumerate(records) for b in records[i + 1:]

@@ -4,6 +4,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from erbound import matching
 from erbound.bounds import ValidationStats, compute_bound_report, f1_lower_bound, wilson_interval
 from erbound.dataset import SplitSpec, generate_synthetic, synthetic_schema
 from erbound.errors import ConfigError
@@ -22,29 +23,27 @@ from erbound.reference import (
 )
 from erbound.resolver import components_from_condensed
 
-from conftest import all_pairs, resolve_at, sweep_rows
+from conftest import all_pairs, count_calls, resolve_at, sweep_rows
 
 
 @pytest.fixture(scope="module")
 def small_run():
     records, gold = generate_synthetic(n_entities=20, records_per_entity=5, seed=21)
-    outcome = train_pipeline(PairColumns(records, synthetic_schema(10)), gold,
-                             SplitSpec(40, 60, seed=21))
-    return records, gold, outcome
+    model, split, scores = train_pipeline(PairColumns(records, synthetic_schema(10)), gold,
+                                          SplitSpec(40, 60, seed=21))
+    return records, gold, model, split, scores, split.validation_pairs.labels
 
 
 class TestTrainPipeline:
     def test_split_sizes_and_scores(self, small_run):
-        _, _, outcome = small_run
-        assert len(outcome.split.train_pairs.labels) == 40
-        scores, labels = outcome.validation_arrays()
+        _, _, _, split, scores, labels = small_run
+        assert len(split.train_pairs.labels) == 40
         assert scores.shape == labels.shape == (60,)
         assert ((0.0 <= scores) & (scores <= 1.0)).all()
-        assert labels is outcome.split.validation_pairs.labels
 
     def test_stats_at_threshold(self, small_run):
-        _, _, outcome = small_run
-        stats = outcome.stats_at(0.5)
+        _, _, _, _, scores, labels = small_run
+        stats = ValidationStats.from_scores(scores, labels, 0.5)
         assert stats.n_pairs == 60
         assert stats.n_positive == 30
 
@@ -57,36 +56,34 @@ class TestTrainPipeline:
 
 class TestSweep:
     def test_rows_match_direct_composition(self, small_run):
-        records, gold, outcome = small_run
-        scores, labels = outcome.validation_arrays()
-        test_records = outcome.split.test_records
-        test_gold = outcome.split.test_gold
+        records, gold, model, split, scores, labels = small_run
+        test_records = split.test_records
+        test_gold = split.test_gold
         grid = [0.3, 0.6, 0.9]
-        sweep = sweep_thresholds(outcome.model, test_records, scores, labels,
+        sweep = sweep_thresholds(model, test_records, scores, labels,
                                  grid, gold=test_gold)
-        condensed = all_pairs(outcome.model, list(test_records))
+        condensed = all_pairs(model, list(test_records))
+        rows, cols, condensed_scores = condensed
         truth = test_gold.truth_pairs()
         for row, row_labels in sweep:
             assert np.array_equal(row_labels, components_from_condensed(
-                len(test_records), condensed.scores, row.threshold, condensed.rows,
-                condensed.cols))
+                len(test_records), condensed_scores, row.threshold, rows, cols))
             clustering = resolve_at(test_records, condensed, row.threshold)
             assert row.r_pairs == len(intra_cluster_pairs(clustering))
-            assert row.tm_pairs == int((condensed.scores >= row.threshold).sum())
+            assert row.tm_pairs == int((condensed_scores >= row.threshold).sum())
             expected = pair_metrics(intra_cluster_pairs(clustering), truth)
             assert row.true_precision == expected.precision
             assert row.true_recall == expected.recall
             stats = ValidationStats.from_scores(scores, labels, row.threshold)
             assert row.recall_lb == stats.recall_v
             report = compute_bound_report(stats, row.tm_pairs, row.r_pairs,
-                                          len(condensed.scores))
+                                          len(condensed_scores))
             assert {k: getattr(row, k) for k in report} == report
 
     def test_monotone_counts(self, small_run):
-        _, _, outcome = small_run
-        scores, labels = outcome.validation_arrays()
+        _, _, model, split, scores, labels = small_run
         grid = np.linspace(0.05, 0.95, 15)
-        rows = sweep_rows(sweep_thresholds(outcome.model, outcome.split.test_records,
+        rows = sweep_rows(sweep_thresholds(model, split.test_records,
                                            scores, labels, grid))
         r = [row.r_pairs for row in rows]
         tm = [row.tm_pairs for row in rows]
@@ -94,10 +91,9 @@ class TestSweep:
         assert tm == sorted(tm, reverse=True)
 
     def test_extreme_threshold_suppresses_precision_bound(self, small_run):
-        _, _, outcome = small_run
-        scores, labels = outcome.validation_arrays()
+        _, _, model, split, scores, labels = small_run
         top = float(min(0.999, scores.max() + 1e-6))
-        row, _ = next(sweep_thresholds(outcome.model, outcome.split.test_records,
+        row, _ = next(sweep_thresholds(model, split.test_records,
                                        scores, labels, [top]))
         assert row.precision_lb is None
         assert row.c_t is None
@@ -108,35 +104,33 @@ class TestSweep:
         """Validation negatives outscoring positives (TPR 0.5 < FPR 2/3 at
         0.5): the row keeps its counts and recall fields and has no C_T,
         precision or F1 bound, unless C_T is given."""
-        _, _, outcome = small_run
-        test_records = outcome.split.test_records
+        _, _, model, split, val_scores, val_labels = small_run
+        test_records = split.test_records
         scores, labels = np.array([0.9, 0.8, 0.3, 0.6, 0.2]), np.array([0, 0, 0, 1, 1])
-        row, _ = next(sweep_thresholds(outcome.model, test_records, scores, labels, [0.5]))
-        informative, _ = next(sweep_thresholds(outcome.model, test_records,
-                                               *outcome.validation_arrays(), [0.5]))
+        row, _ = next(sweep_thresholds(model, test_records, scores, labels, [0.5]))
+        informative, _ = next(sweep_thresholds(model, test_records,
+                                               val_scores, val_labels, [0.5]))
         assert (row.r_pairs, row.tm_pairs) == (informative.r_pairs, informative.tm_pairs)
         assert row.tm_pairs > 0
         assert (row.recall_lb, row.recall_lb_lo, row.recall_lb_hi) == \
             (0.5, *wilson_interval(1, 2, 0.95))
         assert [row.c_t, row.precision_lb, row.precision_lb_lo, row.precision_lb_hi,
                 row.f1_lb, row.f1_lb_lo, row.f1_lb_hi] == [None] * 7
-        given, _ = next(sweep_thresholds(outcome.model, test_records, scores, labels, [0.5],
+        given, _ = next(sweep_thresholds(model, test_records, scores, labels, [0.5],
                                          c_t_override=0.02))
         assert given.c_t == 0.02
         assert 0.0 < given.precision_lb_lo <= given.precision_lb <= given.precision_lb_hi
         assert given.f1_lb == f1_lower_bound(given.precision_lb, 0.5)
 
     def test_fixed_ct_override(self, small_run):
-        _, _, outcome = small_run
-        scores, labels = outcome.validation_arrays()
-        row, _ = next(sweep_thresholds(outcome.model, outcome.split.test_records,
+        _, _, model, split, scores, labels = small_run
+        row, _ = next(sweep_thresholds(model, split.test_records,
                                        scores, labels, [0.5], c_t_override=0.02))
         assert row.c_t == 0.02
 
     def test_repeated_threshold_gives_a_row_each(self, small_run):
-        _, _, outcome = small_run
-        scores, labels = outcome.validation_arrays()
-        rows = sweep_rows(sweep_thresholds(outcome.model, outcome.split.test_records,
+        _, _, model, split, scores, labels = small_run
+        rows = sweep_rows(sweep_thresholds(model, split.test_records,
                                            scores, labels, [0.6, 0.3, 0.6]))
         assert [row.threshold for row in rows] == [0.3, 0.6, 0.6]
         assert rows[1] == rows[2]
@@ -146,25 +140,36 @@ class TestSweep:
         ([0.0], r"got \[0.0\]"), ([1.0], r"got \[1.0\]"), ([0.5, 1.5], r"got \[1.5\]"),
     ], ids=["empty", "nan", "zero", "one", "above-one"])
     def test_rejects_unusable_thresholds(self, small_run, thresholds, message):
-        _, _, outcome = small_run
-        scores, labels = outcome.validation_arrays()
+        _, _, model, split, scores, labels = small_run
         with pytest.raises(ConfigError, match=message):
-            sweep_thresholds(outcome.model, outcome.split.test_records,
+            sweep_thresholds(model, split.test_records,
                              scores, labels, thresholds)
+
+    @pytest.mark.parametrize("bad,message", [
+        (lambda labels: np.where(np.arange(len(labels)) == 0, 2, labels), "must be 0 or 1"),
+        (lambda labels: labels[:-1], "equal length"),
+    ], ids=["label-2", "short"])
+    def test_rejects_bad_validation_arrays_before_scoring(self, small_run, monkeypatch,
+                                                          bad, message):
+        _, _, model, split, scores, labels = small_run
+        calls = count_calls(monkeypatch, matching.condensed_pairwise_scores)
+        with pytest.raises(ValueError, match=message):
+            sweep_thresholds(model, split.test_records, scores, bad(labels), [0.5])
+        assert calls == []
 
     def test_memory_does_not_grow_with_the_grid(self):
         """A caller that keeps neither rows nor labels holds one label array
         at a time: 2,000 grid points over 176 test records peak below 1 MB
         (a label array per row would hold 2.8 MB)."""
         records, gold = generate_synthetic(60, 6, noise_sigma=0.05, seed=5)
-        outcome = train_pipeline(PairColumns(records, synthetic_schema(10)), gold,
-                                 SplitSpec(60, 60, seed=5))
-        test_records = outcome.split.test_records
+        model, split, scores = train_pipeline(PairColumns(records, synthetic_schema(10)), gold,
+                                              SplitSpec(60, 60, seed=5))
+        test_records = split.test_records
         assert len(test_records) == 176
         tracemalloc.start()
         try:
-            sweep = sweep_thresholds(outcome.model, test_records,
-                                     *outcome.validation_arrays(), np.linspace(0.05, 0.95, 2000))
+            sweep = sweep_thresholds(model, test_records, scores, split.validation_pairs.labels,
+                                     np.linspace(0.05, 0.95, 2000))
             n_rows = sum(1 for _ in sweep)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
@@ -173,10 +178,9 @@ class TestSweep:
         assert peak < 1_000_000, f"sweep peaked at {peak} bytes"
 
     def test_needs_two_records(self, small_run):
-        _, _, outcome = small_run
-        scores, labels = outcome.validation_arrays()
+        _, _, model, split, scores, labels = small_run
         with pytest.raises(ConfigError, match="needs at least 2 test records"):
-            sweep_thresholds(outcome.model, outcome.split.test_records.take([0]),
+            sweep_thresholds(model, split.test_records.take([0]),
                              scores, labels, [0.5])
 
 
@@ -211,12 +215,12 @@ class TestSelection:
 
 class TestResolveAt:
     def test_matches_predicate_resolver(self, small_run):
-        _, _, outcome = small_run
-        test_records = list(outcome.split.test_records)[:40]
-        fast = resolve_at(test_records, all_pairs(outcome.model, test_records), 0.7)
+        _, _, model, split, _, _ = small_run
+        test_records = list(split.test_records)[:40]
+        fast = resolve_at(test_records, all_pairs(model, test_records), 0.7)
         slow = resolve_connected_components(
             test_records,
-            lambda a, b: base_match(replace(outcome.model, threshold=0.7), a, b))
+            lambda a, b: base_match(replace(model, threshold=0.7), a, b))
         assert fast == slow
 
 
@@ -225,12 +229,10 @@ class TestQualitativeCurves:
         """Somewhere on the grid both true metrics are near-perfect and the
         bound curves sit close beneath them."""
         records, gold = generate_synthetic(seed=33)
-        outcome = train_pipeline(PairColumns(records, synthetic_schema(10)), gold,
-                                 SplitSpec(80, 100, seed=33))
-        scores, labels = outcome.validation_arrays()
-        sweep = sweep_thresholds(outcome.model, outcome.split.test_records,
-                                 scores, labels, np.linspace(0.05, 0.95, 19),
-                                 gold=outcome.split.test_gold)
+        model, split, scores = train_pipeline(PairColumns(records, synthetic_schema(10)), gold,
+                                              SplitSpec(80, 100, seed=33))
+        sweep = sweep_thresholds(model, split.test_records, scores, split.validation_pairs.labels,
+                                 np.linspace(0.05, 0.95, 19), gold=split.test_gold)
         good = [
             row for row, _ in sweep
             if row.true_precision >= 0.99 and row.true_recall >= 0.99
@@ -242,14 +244,13 @@ class TestQualitativeCurves:
     def test_threshold_to_one_limit(self, small_run):
         """Past the top of the score range the resolution empties out and
         true recall hits zero; the recall bound never consults the test set."""
-        _, _, outcome = small_run
-        scores, labels = outcome.validation_arrays()
-        row, _ = next(sweep_thresholds(outcome.model, outcome.split.test_records,
+        _, _, model, split, scores, labels = small_run
+        row, _ = next(sweep_thresholds(model, split.test_records,
                                        scores, labels, [0.99999],
-                                       gold=outcome.split.test_gold))
+                                       gold=split.test_gold))
         assert row.r_pairs == 0 and row.tm_pairs == 0
         assert row.true_recall == 0.0
-        stats = outcome.stats_at(0.99999)
+        stats = ValidationStats.from_scores(scores, labels, 0.99999)
         assert row.recall_lb == stats.recall_v
 
 
