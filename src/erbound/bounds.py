@@ -15,7 +15,9 @@ prevalence C_T. Uncertainty in the validation rates propagates through
 Wilson score intervals; since the rebalance map is monotone increasing in
 the validation precision, evaluating the bound at the interval endpoints
 gives exact interval bounds. `compute_bound_report` returns the numbers
-of one sweep row as a dict keyed by the row's field names. An undefined
+of one sweep row as a dict keyed by the row's field names. The validation
+confusion at every grid threshold comes from one sort, as `len(a) -
+searchsorted(a, t)` is `(a >= t).sum()` for a sorted `a`. An undefined
 number is None where it is computed: `precision_v` with no predicted
 match, and the C_T estimate where validation TPR does not exceed FPR.
 """
@@ -134,7 +136,9 @@ class ValidationStats:
 
     @classmethod
     def from_scores(cls, scores: Sequence[float], labels: Sequence[int],
-                    threshold: float) -> "ValidationStats":
+                    thresholds: Sequence[float]) -> list["ValidationStats"]:
+        """The confusion at each of `thresholds`, in order, from one sort:
+        `len(a) - searchsorted(a, t)` is `(a >= t).sum()` for sorted `a`."""
         scores = np.asarray(scores, dtype=float)
         labels = np.asarray(labels)
         if scores.shape != labels.shape:
@@ -145,14 +149,10 @@ class ValidationStats:
         bad = scores[~((scores >= 0.0) & (scores <= 1.0))]  # NaN fails both
         if bad.size:
             raise ValueError(f"validation scores must lie in [0, 1], got {bad[0]}")
-        predicted = scores >= threshold
-        positive = labels == 1
-        return cls(
-            n_pairs=int(len(scores)),
-            n_positive=int(positive.sum()),
-            n_predicted_match=int(predicted.sum()),
-            n_true_match=int((predicted & positive).sum()),
-        )
+        positive = np.sort(scores[labels == 1])
+        predicted = (len(scores) - np.searchsorted(np.sort(scores), thresholds)).tolist()
+        true_match = (len(positive) - np.searchsorted(positive, thresholds)).tolist()
+        return [cls(len(scores), len(positive), *counts) for counts in zip(predicted, true_match)]
 
     @property
     def c_v(self) -> float:

@@ -2,8 +2,8 @@
 
 Every command accepts `--config FILE` with `key=value` lines (keys are the
 long flag names, dashes or underscores); explicit flags override the file.
-Each run writes its effective configuration next to its outputs so results
-can be reproduced.
+Each run writes its effective configuration (unset options left out) next
+to its outputs, and `--config` reads it back to reproduce the run.
 
 Exit codes: 0 success, 2 usage error, 3 data/configuration error,
 4 quality-gate failure.
@@ -97,8 +97,8 @@ def _merge_config(args: argparse.Namespace, argv: list[str],
 
 
 def _write_effective_config(out_dir: Path, command: str, args: argparse.Namespace) -> None:
-    lines = [f"{key}={getattr(args, key)}" for key in sorted(vars(args))
-             if key not in ("func", "config", "command")]
+    lines = [f"{key}={value}" for key, value in sorted(vars(args).items())
+             if key not in ("func", "config", "command") and value is not None]
     (out_dir / f"{command}.effective.cfg").write_text("\n".join(lines) + "\n")
 
 
@@ -165,7 +165,7 @@ def _stats_payload(split: dataset.Split, scores: np.ndarray, ids: list[str],
     """The validation stats file: each validation pair, its records named
     by the table's `ids` in sorted order, and the confusion at `threshold`."""
     rows, cols, labels = split.validation_pairs
-    stats = bounds.ValidationStats.from_scores(scores, labels, threshold)
+    stats, = bounds.ValidationStats.from_scores(scores, labels, [threshold])
     summary = {
         **asdict(stats),
         "c_v": stats.c_v,

@@ -6,10 +6,10 @@ threshold) and keeps the pairs at or above the lowest grid threshold as
 every test record with its connected component at the top threshold and
 merges each lower score band into the labels of the band above. Each
 threshold counts |R| (and, with gold, true hits) as pairs sharing a label,
-recomputes the validation confusion from the validation scores and labels,
-and takes the row's bound fields from `compute_bound_report`, which leaves
-the precision/F1 bound None where it is undefined. Rows are yielded with
-their labels and kept only by the caller, whatever the grid's length.
+reads its validation confusion (one sort gives every threshold's), and
+takes the row's bound fields from `compute_bound_report`, which leaves the
+precision/F1 bound None where it is undefined. Rows are yielded with their
+labels and kept only by the caller, whatever the grid's length.
 
 `sweep_thresholds` is the only code that turns scores and a threshold into
 counts, bounds and true metrics: `resolve` is a one-point sweep, and the
@@ -110,17 +110,18 @@ def sweep_thresholds(model: MatchModel, test_records: PairColumns,
     grid on the test records, yielding each threshold's row and component
     labels, highest threshold first. Each threshold must lie strictly inside
     (0, 1); a repeated threshold gives one row per repeat. The checks of
-    the thresholds and of the validation arrays, and the scoring pass, which
-    keeps only the test pairs at or above the lowest threshold, run before
-    this returns; |T_M| at each threshold is the count of kept scores that
-    clear it."""
+    the thresholds and of the validation arrays, the validation confusion
+    at every threshold, and the scoring pass, which keeps only the test
+    pairs at or above the lowest threshold, run before this returns; |T_M|
+    at each threshold is the count of kept scores that clear it."""
     bad = [float(t) for t in thresholds if not 0.0 < t < 1.0]
     if bad or not len(thresholds):
         raise ConfigError(f"thresholds must lie strictly inside (0, 1), got {bad or 'none'}")
     n = len(test_records)
     if n < 2:
         raise ConfigError("needs at least 2 test records")
-    ValidationStats.from_scores(val_scores, val_labels, thresholds[0])  # checks the arrays
+    stats = dict(zip(np.asarray(thresholds, dtype=float).tolist(),  # the float t each row gets
+                     ValidationStats.from_scores(val_scores, val_labels, thresholds)))
     rows, cols, scores = condensed_pairwise_scores(model, test_records, float(min(thresholds)))
     if gold is not None:
         labeled = [k for k, rid in enumerate(test_records.ids) if rid in gold.labels]
@@ -138,8 +139,7 @@ def sweep_thresholds(model: MatchModel, test_records: PairColumns,
                     "the resolver violated edge-removal monotonicity"
                 )
             row = {"threshold": t, "r_pairs": r_pairs, "tm_pairs": tm_pairs}
-            stats = ValidationStats.from_scores(val_scores, val_labels, t)
-            row.update(compute_bound_report(stats, tm_pairs, r_pairs, n * (n - 1) // 2,
+            row.update(compute_bound_report(stats[t], tm_pairs, r_pairs, n * (n - 1) // 2,
                                             c_t=c_t_override, confidence=confidence))
             if gold is not None:
                 hits = _pairs_within(entity * n + labels[labeled])

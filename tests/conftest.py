@@ -86,13 +86,17 @@ def random_model(rng, schema, threshold=None):
 
 def count_calls(monkeypatch, original):
     """Wrap `original` at every erbound module that binds it (some import it
-    by name) and return the list that collects the arguments of each call."""
+    by name), or on its class if it is a classmethod, and return the list
+    that collects the arguments of each call."""
     calls = []
 
     def counting(*args, **kwargs):
         calls.append(args)
         return original(*args, **kwargs)
 
+    if isinstance(getattr(original, "__self__", None), type):
+        monkeypatch.setattr(original.__self__, original.__name__, staticmethod(counting))
+        return calls
     for module in [erbound] + [getattr(erbound, name) for name in dir(erbound)]:
         if getattr(module, "__name__", "").startswith("erbound"):
             for attr, value in list(vars(module).items()):

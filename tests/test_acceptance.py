@@ -142,7 +142,7 @@ def test_c06_recall_bound_exactness():
     _, split, scores = train_pipeline(PairColumns(records, synthetic_schema(10)), gold,
                                       SplitSpec(40, 60, seed=106))
     for threshold in (0.3, 0.5, 0.7):
-        stats = ValidationStats.from_scores(scores, split.validation_pairs.labels, threshold)
+        stats, = ValidationStats.from_scores(scores, split.validation_pairs.labels, [threshold])
         assert recall_lower_bound(stats) == stats.recall_v
         reports = [
             compute_bound_report(stats, tm, r, total)

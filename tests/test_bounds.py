@@ -175,7 +175,7 @@ class TestValidationStats:
     def test_from_scores(self):
         scores = [0.9, 0.8, 0.4, 0.2, 0.7]
         labels = [1, 1, 1, 0, 0]
-        stats = ValidationStats.from_scores(scores, labels, 0.5)
+        stats, = ValidationStats.from_scores(scores, labels, [0.5])
         assert stats.n_pairs == 5
         assert stats.n_positive == 3
         assert stats.n_predicted_match == 3
@@ -187,10 +187,10 @@ class TestValidationStats:
 
     def test_single_class_rejected(self):
         with pytest.raises(DegenerateDataError):
-            ValidationStats.from_scores([0.9, 0.8], [1, 1], 0.5)
+            ValidationStats.from_scores([0.9, 0.8], [1, 1], [0.5])
 
     def test_precision_undefined_without_predictions(self):
-        stats = ValidationStats.from_scores([0.1, 0.2], [1, 0], 0.9)
+        stats, = ValidationStats.from_scores([0.1, 0.2], [1, 0], [0.9])
         assert stats.precision_v is None
 
     def test_count_invariants(self):
@@ -204,7 +204,7 @@ class TestValidationStats:
     @pytest.mark.parametrize("label", [2, -1, 0.7])
     def test_labels_must_be_zero_or_one(self, label):
         with pytest.raises(ValueError, match=f"got {label}"):
-            ValidationStats.from_scores([0.9, 0.8, 0.1], [label, 1, 0], 0.5)
+            ValidationStats.from_scores([0.9, 0.8, 0.1], [label, 1, 0], [0.5])
 
     @pytest.mark.parametrize("scores,named", [
         ([float("nan"), 1.7, 0.2, 0.9], "nan"),
@@ -215,11 +215,33 @@ class TestValidationStats:
     ])
     def test_scores_must_lie_in_unit_interval(self, scores, named):
         with pytest.raises(ValueError, match=f"got {named}$"):
-            ValidationStats.from_scores(scores, [1, 0, 0, 1], 0.5)
+            ValidationStats.from_scores(scores, [1, 0, 0, 1], [0.5])
 
     def test_scores_at_the_unit_interval_ends(self):
-        stats = ValidationStats.from_scores([1.0, 0.0, 0.0, 1.0], [1, 0, 0, 1], 0.5)
+        stats, = ValidationStats.from_scores([1.0, 0.0, 0.0, 1.0], [1, 0, 0, 1], [0.5])
         assert (stats.n_predicted_match, stats.n_true_match) == (2, 2)
+
+    def test_grid_matches_direct_counts(self):
+        """One call over an unsorted grid with repeats gives, per threshold
+        and in grid order, the counts of `scores >= t`, also where scores
+        tie with a threshold; a bad label or NaN score still raises."""
+        rng = np.random.default_rng(41)
+        for _ in range(300):
+            grid = rng.choice(np.append(rng.uniform(0, 1, 5).round(2), [0.0, 1.0]), size=9)
+            n = int(rng.integers(2, 30))
+            scores = np.where(rng.random(n) < 0.5, rng.choice(grid, n), rng.uniform(0, 1, n))
+            labels = rng.permutation(np.append(rng.integers(0, 2, n - 2), [0, 1]))
+            expected = [ValidationStats(n, int(labels.sum()), int((scores >= t).sum()),
+                                        int(((scores >= t) & (labels == 1)).sum()))
+                        for t in grid]
+            assert ValidationStats.from_scores(scores, labels, grid) == expected
+            assert ValidationStats.from_scores(scores.tolist(), labels.tolist(),
+                                               grid.tolist()) == expected
+        k = int(rng.integers(0, n))
+        with pytest.raises(ValueError, match="labels must be 0 or 1, got 2$"):
+            ValidationStats.from_scores(scores, np.where(np.arange(n) == k, 2, labels), grid)
+        with pytest.raises(ValueError, match=r"scores must lie in \[0, 1\], got nan$"):
+            ValidationStats.from_scores(np.where(np.arange(n) == k, np.nan, scores), labels, grid)
 
 
 class TestRecallLowerBound:

@@ -725,6 +725,34 @@ class TestConfigFile:
         assert (tmp_path / "bom" / "generate.effective.cfg").read_text() == \
             effective.replace(str(out), str(tmp_path / "bom"))
 
+    def test_effective_config_replays(self, trained, tmp_path):
+        """Each command's effective config, given back with `--config` and a
+        fresh `--out`, rewrites every other output byte for byte; options
+        left unset (`--gold`, `--ct`, the gate floors) are left out."""
+        data, _ = trained
+        first, again = tmp_path / "first", tmp_path / "again"
+        common = ["--model", str(first / "train" / "model.json"),
+                  "--records", str(first / "train" / "test_records.csv"),
+                  "--validation-stats", str(first / "train" / "validation_stats.json")]
+        commands = {
+            "train": ["train", "--records", str(data / "records.csv"),
+                      "--gold", str(data / "gold.csv"), "--schema", str(data / "schema.json"),
+                      "--n-train-pairs", "40", "--n-validation-pairs", "60"],
+            "sweep": ["sweep", *common, "--grid-steps", "5", "--write-clusterings"],
+            "resolve": ["resolve", *common],
+        }
+        for command, argv in commands.items():
+            out, replay = first / command, again / command
+            cfg = out / f"{command}.effective.cfg"
+            assert main([*argv, "--out", str(out)]) == EXIT_OK
+            assert "None" not in cfg.read_text()
+            assert main([command, "--config", str(cfg), "--out", str(replay)]) == EXIT_OK
+            names = sorted(p.name for p in out.iterdir())
+            assert sorted(p.name for p in replay.iterdir()) == names
+            for path in out.iterdir():
+                expected = path.read_text().replace(str(out), str(replay))
+                assert (replay / path.name).read_text() == expected, path.name
+
     def test_unknown_key_rejected(self, tmp_path, capsys):
         cfg = tmp_path / "run.cfg"
         cfg.write_text("entities=7\n")

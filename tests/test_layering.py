@@ -3,6 +3,7 @@ featurizer that training and validation share with test scoring, and the
 one record table the commands keep records in."""
 
 import ast
+import json
 import sys
 from pathlib import Path
 
@@ -10,6 +11,7 @@ import numpy as np
 
 import erbound
 from erbound import matching
+from erbound.bounds import ValidationStats
 from erbound.cli import main
 from erbound.dataset import (GoldTruth, SplitSpec, save_schema_json, write_gold_csv,
                              write_records_csv)
@@ -142,3 +144,29 @@ def test_commands_build_no_record(monkeypatch, tmp_path, mixed_schema):
     assert built == []
     PairColumns(records, mixed_schema)[0]  # the counter sees a decoded record
     assert len(built) == 1
+
+
+def test_one_validation_pass_per_command(monkeypatch, tmp_path):
+    """`train`, a 19-point gold `sweep` and `resolve` at a threshold with a
+    defined bound each count the validation confusion in one
+    `ValidationStats.from_scores` call, over every threshold at once."""
+    data, run = tmp_path / "data", tmp_path / "run"
+    assert main(["generate", "--out", str(data), "--n-entities", "30",
+                 "--records-per-entity", "5", "--noise-sigma", "0.05"]) == 0
+    common = ["--model", str(run / "model.json"), "--records", str(run / "test_records.csv"),
+              "--validation-stats", str(run / "validation_stats.json")]
+    calls = count_calls(monkeypatch, ValidationStats.from_scores)
+    for argv, n_thresholds in (
+        (["train", "--out", str(run), "--records", str(data / "records.csv"),
+          "--gold", str(data / "gold.csv"), "--schema", str(data / "schema.json"),
+          "--n-train-pairs", "40", "--n-validation-pairs", "60"], 1),
+        (["sweep", "--out", str(tmp_path / "sweep"), *common,
+          "--gold", str(run / "test_gold.csv"), "--grid-steps", "19"], 19),
+        (["resolve", "--out", str(tmp_path / "resolve"), *common, "--threshold", "0.5"], 1),
+    ):
+        calls.clear()
+        assert main(argv) == 0
+        assert len(calls) == 1, f"{argv[0]}: {len(calls)} calls"
+        assert len(calls[0][2]) == n_thresholds
+    report = json.loads((tmp_path / "resolve" / "bound_report.json").read_text())
+    assert report["precision_lower_bound"] is not None

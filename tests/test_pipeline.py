@@ -43,7 +43,7 @@ class TestTrainPipeline:
 
     def test_stats_at_threshold(self, small_run):
         _, _, _, _, scores, labels = small_run
-        stats = ValidationStats.from_scores(scores, labels, 0.5)
+        stats, = ValidationStats.from_scores(scores, labels, [0.5])
         assert stats.n_pairs == 60
         assert stats.n_positive == 30
 
@@ -74,7 +74,7 @@ class TestSweep:
             expected = pair_metrics(intra_cluster_pairs(clustering), truth)
             assert row.true_precision == expected.precision
             assert row.true_recall == expected.recall
-            stats = ValidationStats.from_scores(scores, labels, row.threshold)
+            stats, = ValidationStats.from_scores(scores, labels, [row.threshold])
             assert row.recall_lb == stats.recall_v
             report = compute_bound_report(stats, row.tm_pairs, row.r_pairs,
                                           len(condensed_scores))
@@ -250,7 +250,7 @@ class TestQualitativeCurves:
                                        gold=split.test_gold))
         assert row.r_pairs == 0 and row.tm_pairs == 0
         assert row.true_recall == 0.0
-        stats = ValidationStats.from_scores(scores, labels, 0.99999)
+        stats, = ValidationStats.from_scores(scores, labels, [0.99999])
         assert row.recall_lb == stats.recall_v
 
 
