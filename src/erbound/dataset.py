@@ -19,6 +19,7 @@ id first.
 
 import csv
 import json
+from contextlib import suppress
 from dataclasses import dataclass
 from itertools import combinations
 from pathlib import Path
@@ -112,7 +113,9 @@ def _csv_rows(path) -> Iterator[list[str]]:
 def load_records_csv(path, schema: FeatureSchema) -> PairColumns:
     """Read base records into a record table; the header must contain `id`
     plus exactly the schema's feature names, each once, in any column
-    order. Each distinct cell of a feature is split and canonicalized once."""
+    order. A numeric column is parsed in one pass. Any other column, and a
+    numeric one with a missing, multi-valued or bad cell, has each distinct
+    cell split and canonicalized once; that path names a bad cell's row."""
     rows = _csv_rows(path)
     header = next(rows)
     if "id" not in header:
@@ -142,6 +145,12 @@ def load_records_csv(path, schema: FeatureSchema) -> PairColumns:
     columns = []
     for feat in schema.features:
         column = cells[header.index(feat.name)]
+        if feat.kind == NUMERIC:
+            with suppress(ValueError):  # a missing, multi-valued or bad cell: per cell
+                parsed = np.fromiter(map(float, column), float, len(column))
+                if np.isfinite(parsed).all():
+                    columns.append(parsed)
+                    continue
         values = {}
         for cell in dict.fromkeys(column):
             try:
@@ -156,7 +165,8 @@ def load_records_csv(path, schema: FeatureSchema) -> PairColumns:
 
 def write_records_csv(path, table: PairColumns) -> None:
     """Write a record table as a records CSV, one feature column at a time;
-    a cell joins its values, sorted as strings, with `|`."""
+    a cell joins its values, sorted as strings, with `|`. When no record
+    holds two values of a feature, each cell is its one value or empty."""
     # empty strings and '|' cannot survive the cell encoding
     bad = [code for code, v in enumerate(table.values) if v == "" or "|" in v]
     for f in table.categorical + table.text:
@@ -168,8 +178,11 @@ def write_records_csv(path, table: PairColumns) -> None:
     columns = [table.ids]
     for f, feat in enumerate(table.schema.features):
         as_text = repr if feat.kind == NUMERIC else lambda code: table.values[int(code)]
-        columns.append(["|".join(sorted([as_text(v) for v in slot if v == v]))
-                        for slot in table.cells[f].T.tolist()])
+        if table.cells.shape[1] == 1:  # no slot to filter, sort or join
+            columns.append([as_text(v) if v == v else "" for v in table.cells[f, 0].tolist()])
+        else:
+            columns.append(["|".join(sorted([as_text(v) for v in slot if v == v]))
+                            for slot in table.cells[f].T.tolist()])
     with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
         writer.writerow(["id", *table.schema.names])

@@ -110,7 +110,9 @@ class PairColumns(Sequence):
     @classmethod
     def from_columns(cls, schema: FeatureSchema, ids: Sequence[str],
                      columns: Sequence[Sequence[tuple]]) -> "PairColumns":
-        """The table of records ids[i] with distinct canonical values columns[f][i]."""
+        """The table of records ids[i] with distinct canonical values
+        columns[f][i]; a numeric column may instead be a float array of one
+        value per record."""
         table = cls.__new__(cls)
         table._code(schema, ids, columns)
         return table
@@ -133,10 +135,14 @@ class PairColumns(Sequence):
         # key lo * U + hi of the codes lo < hi; the int64 maximum ends the
         # array so that a binary search never runs past it
         self.keys, self.distances = np.array([np.iinfo(np.int64).max]), np.array([np.nan])
-        sizes = np.array([[len(v) for v in column] for column in columns], dtype=np.intp)
+        sizes = np.array([[1] * len(column) if isinstance(column, np.ndarray)
+                          else [len(v) for v in column] for column in columns], dtype=np.intp)
         self.complete = bool(sizes.all())
         self.cells = np.full((len(kinds), max(1, sizes.max(initial=0)), len(self.ids)), np.nan)
         for f, (kind, column) in enumerate(zip(kinds, columns)):
+            if isinstance(column, np.ndarray):  # one value per record
+                self.cells[f, 0] = column
+                continue
             held = np.repeat(np.arange(len(self.ids)), sizes[f])  # the record of each value
             slot = np.arange(len(held)) - np.repeat(np.cumsum(sizes[f]) - sizes[f], sizes[f])
             flat = chain.from_iterable(column)

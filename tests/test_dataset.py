@@ -1,3 +1,4 @@
+import copy
 import csv
 import re
 
@@ -18,35 +19,43 @@ from erbound.dataset import (
 )
 from erbound.errors import ConfigError, DataError
 from erbound.matching import PairColumns
-from erbound.records import NUMERIC, base_record
+from erbound.records import NUMERIC, TEXT, Feature, FeatureSchema, base_record, canonical_value
 
-from conftest import WORDS, random_records
+from conftest import WORDS, count_calls, random_records
+
+NUMBERS_SCHEMA = FeatureSchema((Feature("name", TEXT), Feature("x", NUMERIC),
+                                Feature("y", NUMERIC)))
 
 
-def messy_csv(rng, schema, path, n):
+def messy_csv(rng, schema, path, n, single=False, pad=("", " ", "  ", "\t")):
     """Write n records as a CSV with the schema's columns shuffled: cells
-    with several values, a value repeated in one cell, whitespace padding,
-    case variants, empty parts and missing or blank cells. Returns the
-    `base_record` of each row, built from the raw values written."""
+    with several values, a value repeated in one cell, padding drawn from
+    `pad`, case variants, empty parts and missing or blank cells. With
+    `single`, every cell holds exactly one value, and a numeric one may
+    also be spelled `+2` or `1_0`. Returns the `base_record` of each row,
+    built from the raw values written."""
     columns = ["id", *rng.permutation(schema.names)]
     rows, records = [], []
     for i in range(n):
         rid, raw, row = f"r{i:03d}", {}, {}
         for feat in schema.features:
-            if rng.random() < 0.2:
+            if not single and rng.random() < 0.2:
                 row[feat.name] = str(rng.choice(["", " ", "|", " | "]))
                 continue
+            size = 1 if single else rng.integers(1, 4)
             if feat.kind == NUMERIC:
-                values = [str(rng.choice([repr(float(rng.normal(0, 3))), "2", "-0.5", "1e-3"]))
-                          for _ in range(rng.integers(1, 4))]
+                values = [str(rng.choice([repr(float(rng.normal(0, 3))), "2", "-0.5", "1e-3",
+                                          *["+2", "1_0"] * single]))
+                          for _ in range(size)]
             else:
-                values = [str(rng.choice(WORDS[:5])) for _ in range(rng.integers(1, 4))]
+                values = [str(rng.choice(WORDS[:5])) for _ in range(size)]
                 values = [v.upper() if rng.random() < 0.3 else v for v in values]
-            values += values[:1] * int(rng.random() < 0.3)  # a repeat in the cell
+            if not single:
+                values += values[:1] * int(rng.random() < 0.3)  # a repeat in the cell
             raw[feat.name] = values
-            pads = rng.choice(["", " ", "  ", "\t"], size=(len(values), 2))
+            pads = rng.choice(pad, size=(len(values), 2))
             parts = [f"{a}{v}{b}" for v, (a, b) in zip(values, pads)]
-            if rng.random() < 0.2:
+            if not single and rng.random() < 0.2:
                 parts.insert(int(rng.integers(0, len(parts) + 1)), " ")
             row[feat.name] = "|".join(parts)
         rows.append([f" {rid} " if rng.random() < 0.2 else rid,
@@ -181,6 +190,89 @@ class TestRecordsCsv:
         rows, cols = rng.integers(0, len(records), size=(2, 400))
         assert table.slots(rows, cols).tobytes() == oracle.slots(rows, cols).tobytes()
         assert table.complete == oracle.complete
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_single_valued_loader_matches_its_oracle(self, tmp_path, monkeypatch, seed):
+        """With one value in every cell, a numeric column is parsed in one
+        pass, except one with a cell padded by \\x1c, which `str.strip`
+        removes and `float` refuses: it is parsed cell by cell. Either way
+        the table equals, bit for bit, the one coded from the records."""
+        rng = np.random.default_rng(seed)
+        path = tmp_path / "records.csv"
+        pad = ["", " ", "\t", "\xa0", *["\x1c"] * (seed % 2)]
+        records = messy_csv(rng, NUMBERS_SCHEMA, path, int(rng.integers(2, 60)),
+                            single=True, pad=pad)
+        parsed = count_calls(monkeypatch, canonical_value)
+        table = load_records_csv(path, NUMBERS_SCHEMA)
+        oracle = PairColumns(records, NUMBERS_SCHEMA)
+        assert table.cells.tobytes() == oracle.cells.tobytes()
+        assert table.complete and oracle.complete
+        rows, cols = rng.integers(0, len(records), size=(2, 400))
+        assert table.slots(rows, cols).tobytes() == oracle.slots(rows, cols).tobytes()
+        with open(path, newline="", encoding="utf-8") as fh:
+            header, *body = csv.reader(fh)
+        numeric = [column for name, column in zip(header, zip(*body)) if name in ("x", "y")]
+        per_cell = {cell.strip() for column in numeric
+                    if any("\x1c" in cell for cell in column) for cell in column}
+        assert {raw for raw, kind in parsed if kind == NUMERIC} == per_cell
+        assert bool(per_cell) == bool(seed % 2)
+
+    @pytest.mark.parametrize("k", [0, 4])
+    @pytest.mark.parametrize("cell, expected", [
+        ("", []), (" ", []), ("1|2", [1.0, 2.0]),
+        ("nan", "numeric value must be finite, got 'nan'"),
+        ("inf", "numeric value must be finite, got 'inf'"),
+        ("-inf", "numeric value must be finite, got '-inf'"),
+        ("1e999", "numeric value must be finite, got '1e999'"),
+        ("ten", "not a numeric value: 'ten'"),
+        ("0x10", "not a numeric value: '0x10'"),
+    ])
+    def test_one_unparsed_cell_takes_the_per_cell_path(self, tmp_path, k, cell, expected):
+        """One cell that `float` refuses, or reads as not finite, in an
+        otherwise clean numeric column: the column loads as it did when
+        every cell was parsed alone, or fails with the same message, naming
+        the cell's line and feature."""
+        path = tmp_path / "records.csv"
+        values = [[0.5 * i, -i] for i in range(5)]
+        cells = [[repr(a), repr(b)] for a, b in values]
+        cells[k][1] = cell
+        path.write_text("id,name,x,y\n" + "".join(
+            f"r{i},n{i},{x},{y}\n" for i, (x, y) in enumerate(cells)))
+        if isinstance(expected, str):
+            with pytest.raises(DataError) as err:
+                load_records_csv(path, NUMBERS_SCHEMA)
+            assert str(err.value) == f"{path}:{k + 2}: feature 'y': {expected}"
+            return
+        values[k][1:] = expected
+        records = [base_record(NUMBERS_SCHEMA, f"r{i}",
+                               {"name": [f"n{i}"], "x": [x], "y": y})
+                   for i, (x, *y) in enumerate(values)]
+        table = load_records_csv(path, NUMBERS_SCHEMA)
+        oracle = PairColumns(records, NUMBERS_SCHEMA)
+        assert table.cells.tobytes() == oracle.cells.tobytes()
+        assert table.complete == oracle.complete == bool(expected)
+
+    @pytest.mark.parametrize("specials", [
+        [np.nan, -0.0, 5e-324, 1e16, 1e22], [0.1, -2.5, 1e-7, 3.0, 1e22]])
+    def test_single_valued_write_matches_per_slot_form(self, tmp_path, specials):
+        """A table with at most one value per cell is written straight from
+        its columns; the bytes equal the per-slot form's, which a second,
+        empty slot forces, and loading them gives back the cells bit for
+        bit."""
+        rng = np.random.default_rng(5)
+        records = [base_record(NUMBERS_SCHEMA, f"r{i}", {
+            "name": [] if i == 2 else [str(rng.choice(WORDS))],
+            "x": [float(rng.normal())],
+            "y": [] if v != v else [v]}) for i, v in enumerate(specials * 3)]
+        table = PairColumns(records, NUMBERS_SCHEMA)
+        assert table.cells.shape[1] == 1
+        wide = copy.copy(table)
+        wide.cells = np.concatenate([table.cells, np.full_like(table.cells, np.nan)], axis=1)
+        write_records_csv(tmp_path / "single.csv", table)
+        write_records_csv(tmp_path / "slots.csv", wide)
+        assert (tmp_path / "single.csv").read_bytes() == (tmp_path / "slots.csv").read_bytes()
+        loaded = load_records_csv(tmp_path / "single.csv", NUMBERS_SCHEMA)
+        assert loaded.cells.tobytes() == table.cells.tobytes()
 
     def test_synthetic_round_trip_is_lossless(self, tmp_path):
         records, _ = generate_synthetic(n_entities=5, records_per_entity=4, seed=9)

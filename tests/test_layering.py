@@ -13,11 +13,11 @@ import erbound
 from erbound import matching
 from erbound.bounds import ValidationStats
 from erbound.cli import main
-from erbound.dataset import (GoldTruth, SplitSpec, save_schema_json, write_gold_csv,
-                             write_records_csv)
+from erbound.dataset import (GoldTruth, SplitSpec, load_records_csv, save_schema_json,
+                             write_gold_csv, write_records_csv)
 from erbound.matching import PairColumns
 from erbound.pipeline import train_pipeline
-from erbound.records import TEXT, Record
+from erbound.records import NUMERIC, TEXT, Record, canonical_value
 
 from conftest import count_calls, random_records, random_words
 
@@ -146,27 +146,50 @@ def test_commands_build_no_record(monkeypatch, tmp_path, mixed_schema):
     assert len(built) == 1
 
 
-def test_one_validation_pass_per_command(monkeypatch, tmp_path):
-    """`train`, a 19-point gold `sweep` and `resolve` at a threshold with a
-    defined bound each count the validation confusion in one
-    `ValidationStats.from_scores` call, over every threshold at once."""
+def generated_commands(tmp_path) -> list[list[str]]:
+    """The argv of `train`, a 19-point gold `sweep` and `resolve` at 0.5,
+    in that order, on a small set written by `generate`."""
     data, run = tmp_path / "data", tmp_path / "run"
     assert main(["generate", "--out", str(data), "--n-entities", "30",
                  "--records-per-entity", "5", "--noise-sigma", "0.05"]) == 0
     common = ["--model", str(run / "model.json"), "--records", str(run / "test_records.csv"),
               "--validation-stats", str(run / "validation_stats.json")]
+    return [["train", "--out", str(run), "--records", str(data / "records.csv"),
+             "--gold", str(data / "gold.csv"), "--schema", str(data / "schema.json"),
+             "--n-train-pairs", "40", "--n-validation-pairs", "60"],
+            ["sweep", "--out", str(tmp_path / "sweep"), *common,
+             "--gold", str(run / "test_gold.csv"), "--grid-steps", "19"],
+            ["resolve", "--out", str(tmp_path / "resolve"), *common, "--threshold", "0.5"]]
+
+
+def test_one_validation_pass_per_command(monkeypatch, tmp_path):
+    """`train`, a 19-point gold `sweep` and `resolve` at a threshold with a
+    defined bound each count the validation confusion in one
+    `ValidationStats.from_scores` call, over every threshold at once."""
+    commands = generated_commands(tmp_path)
     calls = count_calls(monkeypatch, ValidationStats.from_scores)
-    for argv, n_thresholds in (
-        (["train", "--out", str(run), "--records", str(data / "records.csv"),
-          "--gold", str(data / "gold.csv"), "--schema", str(data / "schema.json"),
-          "--n-train-pairs", "40", "--n-validation-pairs", "60"], 1),
-        (["sweep", "--out", str(tmp_path / "sweep"), *common,
-          "--gold", str(run / "test_gold.csv"), "--grid-steps", "19"], 19),
-        (["resolve", "--out", str(tmp_path / "resolve"), *common, "--threshold", "0.5"], 1),
-    ):
+    for argv, n_thresholds in zip(commands, (1, 19, 1)):
         calls.clear()
         assert main(argv) == 0
         assert len(calls) == 1, f"{argv[0]}: {len(calls)} calls"
         assert len(calls[0][2]) == n_thresholds
     report = json.loads((tmp_path / "resolve" / "bound_report.json").read_text())
     assert report["precision_lower_bound"] is not None
+
+
+def test_numeric_columns_parse_in_one_pass(monkeypatch, tmp_path, mixed_schema):
+    """`train`, `sweep` and `resolve` on a generated numeric set parse every
+    numeric column in one pass: `canonical_value` is never called. A people
+    CSV with missing ages still reads its age column cell by cell."""
+    commands = generated_commands(tmp_path)
+    calls = count_calls(monkeypatch, canonical_value)
+    for argv in commands:
+        assert main(argv) == 0
+        assert calls == [], f"{argv[0]}: {len(calls)} calls"
+    rng = np.random.default_rng(25)
+    records = random_records(rng, mixed_schema, 40, max_values=1, missing_rate=0.3)
+    assert any(not r.values[3] for r in records)
+    write_records_csv(tmp_path / "people.csv", PairColumns(records, mixed_schema))
+    calls.clear()
+    assert list(load_records_csv(tmp_path / "people.csv", mixed_schema)) == records
+    assert any(kind == NUMERIC for _, kind in calls)
