@@ -21,7 +21,7 @@ import csv
 import json
 from contextlib import suppress
 from dataclasses import dataclass
-from itertools import combinations
+from itertools import combinations, compress
 from pathlib import Path
 from typing import Iterable, Iterator, Mapping, NamedTuple, Sequence
 
@@ -110,12 +110,29 @@ def _csv_rows(path) -> Iterator[list[str]]:
         raise DataError(f"{path}: not UTF-8 text: {exc}") from exc
 
 
+def _numeric_column(column: Sequence[str]) -> np.ndarray:
+    """A numeric column of at most one value per cell as one float array,
+    NaN for a blank cell, parsed by one `float` map over the other cells.
+    Raises ValueError when one of those is not a finite float (say, a
+    multi-valued cell)."""
+    try:
+        parsed, blank = np.fromiter(map(float, column), float, len(column)), False
+    except ValueError:  # blank cells, or a cell that is no float
+        blank = np.array([not cell.strip() for cell in column], dtype=bool)
+        parsed = np.full(len(column), np.nan)
+        parsed[~blank] = np.fromiter(map(float, compress(column, ~blank)), float)
+    if not (np.isfinite(parsed) | blank).all():
+        raise ValueError("a numeric cell is not finite")
+    return parsed
+
+
 def load_records_csv(path, schema: FeatureSchema) -> PairColumns:
     """Read base records into a record table; the header must contain `id`
     plus exactly the schema's feature names, each once, in any column
-    order. A numeric column is parsed in one pass. Any other column, and a
-    numeric one with a missing, multi-valued or bad cell, has each distinct
-    cell split and canonicalized once; that path names a bad cell's row."""
+    order. A numeric column is parsed in one pass, its blank cells missing.
+    Any other column, and a numeric one with a multi-valued or bad cell, has
+    each distinct cell split and canonicalized once; that path names a bad
+    cell's row."""
     rows = _csv_rows(path)
     header = next(rows)
     if "id" not in header:
@@ -146,11 +163,9 @@ def load_records_csv(path, schema: FeatureSchema) -> PairColumns:
     for feat in schema.features:
         column = cells[header.index(feat.name)]
         if feat.kind == NUMERIC:
-            with suppress(ValueError):  # a missing, multi-valued or bad cell: per cell
-                parsed = np.fromiter(map(float, column), float, len(column))
-                if np.isfinite(parsed).all():
-                    columns.append(parsed)
-                    continue
+            with suppress(ValueError):  # a multi-valued or bad cell: per cell
+                columns.append(_numeric_column(column))
+                continue
         values = {}
         for cell in dict.fromkeys(column):
             try:

@@ -10,19 +10,22 @@ Records live in one form, the record table `PairColumns`, which codes each
 feature column once. Every pair is featurized by one gather on it,
 `PairColumns.slots`, which returns the value slots of any index pairs.
 Training, validation (`score_pairs`) and test pairs all go through it, and
-every score comes from one formula. The test pairs are gathered in blocks
-of rows, and of each block only the pairs scoring at or above a floor are
-kept, as (rows, cols, scores) edge arrays from which the resolver and the
-bounds read every threshold at or above it; the n(n-1)/2 scores of all
-pairs are never held at once. The text edit distances a gather needs are
-computed in one vectorized Levenshtein DP over the value pairs not yet
-known, and cached as sorted keys. The per-pair definition the gather
+every score comes from one formula, the logistic function of a logit. The
+test pairs are gathered in blocks of rows, each block in the same buffers,
+and of each block only the pairs scoring at or above a floor are kept, as
+(rows, cols, scores) edge arrays from which the resolver and the bounds
+read every threshold at or above it. Only the pairs whose logit clears a
+cut just below the floor's are passed through the logistic function, and
+the n(n-1)/2 scores of all pairs are never held at once. The text edit
+distances a gather needs are computed in one vectorized Levenshtein DP
+over the value pairs not yet known, and cached as sorted keys. The per-pair definition the gather
 reproduces is `erbound.reference.featurize_pair`, kept there with the
 scalar edit distance as their oracles.
 """
 
 import copy
 import json
+import math
 import os
 import sys
 from collections.abc import Sequence
@@ -39,10 +42,15 @@ from .records import CATEGORICAL, NUMERIC, TEXT, FeatureSchema, Record
 MODEL_FORMAT_VERSION = 1
 
 
-# row blocks of the condensed scores keep their (F, k, k, pairs) temporary
-# at about this many elements: 128 KiB of float64. Blocks of 2^15 and more
-# took more page faults and ran slower in a fresh process.
-BLOCK_ELEMENTS = 1 << 14
+# row blocks of the condensed scores take their (F, k, k, pairs) differences
+# in one buffer of about this many elements, 256 KiB of float64, that every
+# block of a call reuses. Fresh temporaries per block cost page faults, and
+# each block costs a fixed overhead. First call in a fresh process on the
+# seed-0 snowball test set at floor 0.5 (medians of 8, shared 2-core host):
+# 206 ms with fresh temporaries at 2^14; with the buffer, 124 ms at 2^14,
+# 108 ms at 2^15 and 90 ms at 2^16. The buffer of 2^16 takes a 2,000-point
+# sweep of 176 records past 1 MB of peak memory.
+BLOCK_ELEMENTS = 1 << 15
 
 # bytes that scoring may hold in kept edges and cached edit distances: a
 # quarter of physical memory, since labelling and sweeping the edges takes
@@ -111,8 +119,8 @@ class PairColumns(Sequence):
     def from_columns(cls, schema: FeatureSchema, ids: Sequence[str],
                      columns: Sequence[Sequence[tuple]]) -> "PairColumns":
         """The table of records ids[i] with distinct canonical values
-        columns[f][i]; a numeric column may instead be a float array of one
-        value per record."""
+        columns[f][i]; a numeric column may instead be a float array of at
+        most one value per record, NaN where it has none."""
         table = cls.__new__(cls)
         table._code(schema, ids, columns)
         return table
@@ -135,12 +143,12 @@ class PairColumns(Sequence):
         # key lo * U + hi of the codes lo < hi; the int64 maximum ends the
         # array so that a binary search never runs past it
         self.keys, self.distances = np.array([np.iinfo(np.int64).max]), np.array([np.nan])
-        sizes = np.array([[1] * len(column) if isinstance(column, np.ndarray)
+        sizes = np.array([~np.isnan(column) if isinstance(column, np.ndarray)
                           else [len(v) for v in column] for column in columns], dtype=np.intp)
         self.complete = bool(sizes.all())
         self.cells = np.full((len(kinds), max(1, sizes.max(initial=0)), len(self.ids)), np.nan)
         for f, (kind, column) in enumerate(zip(kinds, columns)):
-            if isinstance(column, np.ndarray):  # one value per record
+            if isinstance(column, np.ndarray):  # at most one value per record
                 self.cells[f, 0] = column
                 continue
             held = np.repeat(np.arange(len(self.ids)), sizes[f])  # the record of each value
@@ -185,7 +193,7 @@ class PairColumns(Sequence):
             at = np.searchsorted(self.keys, keys)
         return self.distances[at]
 
-    def slots(self, rows, cols) -> np.ndarray:
+    def slots(self, rows, cols, out: np.ndarray | None = None) -> np.ndarray:
         """(..., F) value slots of the pairs (rows[p], cols[p]) in schema
         order, NaN exactly where a side is missing. `rows` and `cols` are
         index arrays or slices whose gathers broadcast: equal lengths give
@@ -193,14 +201,22 @@ class PairColumns(Sequence):
         (r, C, F) grid of every row against every column. A slot is the
         closest match over the two value sets: the least absolute difference
         or edit distance, or for a categorical feature 1 when the sets share
-        a value and 0 when not."""
+        a value and 0 when not. The slots lie feature-major in memory. With
+        `out`, a flat float array of at least F k^2 values per pair, the
+        differences are taken in it, and with one value per cell (k = 1) the
+        slots are a view of it."""
         a, b = self.cells[:, :, rows], self.cells[:, :, cols]
         # rows of shape (r, 1) against a slice of columns: (F, k, r, 1) and (F, k, 1, C)
         b = b.reshape(b.shape[:2] + (1,) * (a.ndim - b.ndim) + b.shape[2:])
         a, b = a[:, :, None], b[:, None]
-        diff = b - a  # (F, k, k, ...), NaN at padding; 0 between equal codes
+        shape = tuple(map(max, a.shape, b.shape))
+        out = np.empty(shape) if out is None else out[:math.prod(shape)].reshape(shape)
+        diff = np.subtract(b, a, out=out)  # (F, k, k, ...), NaN at padding; 0 between equal codes
         np.abs(diff, out=diff)
-        closest = np.fmin.reduce(diff, axis=(1, 2))
+        if shape[1] == 1:  # the least over one value is that value
+            closest = diff.reshape(shape[:1] + shape[3:])
+        else:
+            closest = np.fmin.reduce(diff, axis=(1, 2), out=np.empty(shape[:1] + shape[3:]))
         if self.categorical:  # codes of two different values lie at least 1 apart
             closest[self.categorical] = 1.0 - np.minimum(closest[self.categorical], 1.0)
         if self.text:
@@ -322,9 +338,15 @@ def load_model(path) -> MatchModel:
         raise DataError(f"{path}: {exc}") from exc
 
 
-def sigmoid(z):
-    z = np.clip(z, -500.0, 500.0)
-    return 1.0 / (1.0 + np.exp(-z))
+def sigmoid(z, out: np.ndarray | None = None) -> np.ndarray:
+    """1 / (1 + exp(-z)) of z clipped to [-500, 500], computed in `out`
+    (which may be z itself) or in one new array."""
+    out = np.empty(np.shape(z)) if out is None else out
+    np.clip(z, -500.0, 500.0, out=out)
+    np.negative(out, out=out)
+    np.exp(out, out=out)
+    out += 1.0
+    return np.divide(1.0, out, out=out)
 
 
 def logistic_loss(weights: np.ndarray, bias: float, X: np.ndarray,
@@ -408,10 +430,11 @@ def train_match_model(table: PairColumns, pairs: tuple[np.ndarray, np.ndarray, n
 
 
 def _scorer(model: MatchModel, table: PairColumns):
-    """The match function of (P, F) value slots of the table's pairs, NaN
-    where missing, with the standardization folded into the weights:
-    sigmoid(x . w/scale + bias - w . mean/scale), x the slots (0 where
-    missing) and missing indicators. It zeroes the missing slots in place.
+    """The logit of the match function of (P, F) value slots of the
+    table's pairs, NaN where missing, with the standardization folded into
+    the weights: x . w/scale + bias - w . mean/scale, x the slots (0 where
+    missing) and missing indicators; `sigmoid` of it is the score. It zeroes
+    the missing slots in place, and writes the logits to `out` when given.
     When the table is complete, no slot is missing and the indicator term,
     an exact 0.0, is left out."""
     if table.schema != model.schema:
@@ -420,25 +443,40 @@ def _scorer(model: MatchModel, table: PairColumns):
     offset = model.bias - float(w @ model.feature_means)
     w_slot, w_missing = w.reshape(2, -1)
 
-    def score(slots: np.ndarray) -> np.ndarray:
+    def logit(slots: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
         x = slots.T  # feature-major, as the gather lays its slots out
         if table.complete:
-            return sigmoid(w_slot @ x + offset)
-        missing = np.isnan(x)
-        np.copyto(x, 0.0, where=missing)
-        return sigmoid(w_slot @ x + w_missing @ missing + offset)
-    return score
+            z = np.matmul(w_slot, x, out=out)
+        else:
+            missing = np.isnan(x)
+            np.copyto(x, 0.0, where=missing)
+            z = np.matmul(w_slot, x, out=out)
+            z += w_missing @ missing
+        z += offset
+        return z
+    return logit
 
 
 def score_pairs(model: MatchModel, table: PairColumns, rows, cols) -> np.ndarray:
     """Match probabilities of the pairs (rows[p], cols[p]) of a record table."""
-    # feature-major like a range's gather, so that dot products sum in its order
-    return _scorer(model, table)(np.asfortranarray(table.slots(rows, cols)))
+    return sigmoid(_scorer(model, table)(table.slots(rows, cols)))
 
 
 def score_pair(model: MatchModel, a: Record, b: Record) -> float:
     """Match probability in [0, 1]; symmetric in (a, b)."""
     return float(score_pairs(model, PairColumns([a, b], model.schema), [0], [1])[0])
+
+
+def _logit_cut(floor: float) -> float:
+    """A logit below which no score reaches `floor`. `sigmoid` clips the
+    logit at -500, so a floor that it reaches there admits every logit.
+    Otherwise the cut lies below logit(floor / (1 + 1e-12)), a margin far
+    wider than the rounding of `sigmoid` and of this logit, so no pair whose
+    score reaches the floor falls below it."""
+    if not floor > sigmoid(-500.0):
+        return -math.inf
+    p = floor / (1.0 + 1e-12)
+    return math.log(p / (1.0 - p)) - 1e-9 if p < 1.0 else math.inf
 
 
 def condensed_pairwise_scores(model: MatchModel, records: PairColumns,
@@ -448,33 +486,58 @@ def condensed_pairwise_scores(model: MatchModel, records: PairColumns,
     cols[k], scoring scores[k], in condensed order (by row, then column).
 
     Each gather is a block of rows i..i+r-1 against the columns i+1..n-1, a
-    view of the coded array, with r chosen so that the gather's temporary
-    holds about `BLOCK_ELEMENTS` values; of the block's pairs j > i, those at
-    or above the floor are kept. Raises ConfigError once the kept edges and
-    the cached edit distances pass `MEMORY_BUDGET` bytes.
+    view of the coded array, with r chosen so that the gather's differences
+    hold about `BLOCK_ELEMENTS` values. Every block takes its differences
+    and logits in the same two buffers, allocated once per call, and
+    appends its pairs j > i whose logit clears `_logit_cut(floor)` to edge
+    arrays that grow in place. Once every block is scanned, `sigmoid` turns
+    the kept logits into scores in place, and the few pairs scoring below
+    the floor are dropped. Raises ConfigError once the edge arrays and the
+    cached edit distances pass `MEMORY_BUDGET` bytes.
     """
     n = len(records)
-    score = _scorer(model, records)
-    per_pair = records.cells.shape[0] * records.cells.shape[1] ** 2
-    parts = [(np.empty(0, np.int32), np.empty(0, np.int32), np.empty(0))]
+    logit = _scorer(model, records)
+    cut = _logit_cut(floor)
+    n_features, k = records.cells.shape[:2]
+    per_pair = n_features * k * k
+    # the widest block is one row, or as many rows as fill BLOCK_ELEMENTS
+    pairs = max(n - 1, min(BLOCK_ELEMENTS // per_pair, (n - 1) ** 2))
+    work, z = np.empty(per_pair * pairs), np.empty(pairs)
+    edges = [np.empty(0, np.int32), np.empty(0, np.int32), np.empty(0)]
     held = i = 0
     while i < n - 1:
         width = n - 1 - i
         r = min(width, max(1, BLOCK_ELEMENTS // (per_pair * width)))
-        slots = records.slots(np.arange(i, i + r)[:, None], slice(i + 1, n))
-        block = score(slots.reshape(-1, slots.shape[-1])).reshape(r, width)
-        keep = block >= floor
-        if r > 1:  # row i + k pairs with the columns from i + k + 1
-            keep &= np.arange(width) >= np.arange(r)[:, None]
+        slots = records.slots(np.arange(i, i + r)[:, None], slice(i + 1, n), work)
+        block = logit(slots.reshape(-1, n_features), out=z[:r * width])
+        keep = block >= cut
+        if r > 1:  # row i + m pairs with the columns from i + m + 1
+            keep &= (np.arange(width) >= np.arange(r)[:, None]).ravel()
         at = np.flatnonzero(keep)
-        k, col = np.divmod(at, width)
-        parts.append(((k + i).astype(np.int32), (col + i + 1).astype(np.int32),
-                      block.ravel()[at]))
-        held += sum(part.nbytes for part in parts[-1])
-        if held + records.keys.nbytes + records.distances.nbytes > MEMORY_BUDGET:
+        if held + len(at) > len(edges[2]):  # grow in place, so no copy coexists
+            # by half, but never past every pair still to come
+            size = min(len(edges[2]) * 3 // 2, held + width * (width + 1) // 2)
+            for part in edges:
+                part.resize(max(held + len(at), size), refcheck=False)
+        row = at // width
+        edges[0][held:held + len(at)] = row + i
+        edges[1][held:held + len(at)] = at - row * width + (i + 1)
+        edges[2][held:held + len(at)] = block[at]  # logits, until the scan ends
+        held += len(at)
+        if 16 * len(edges[2]) + records.keys.nbytes + records.distances.nbytes > MEMORY_BUDGET:
             raise ConfigError(
                 f"scoring {n} records at or above {floor:g} holds more than "
                 f"{MEMORY_BUDGET} bytes of edges and edit distances; a higher "
                 f"--threshold or --grid-start keeps fewer pairs")
         i += r
-    return tuple(np.concatenate(part) for part in zip(*parts))
+    work = z = slots = block = None  # free the workspace before the trim
+    for part in edges:
+        part.resize(held, refcheck=False)
+    sigmoid(edges[2], out=edges[2])
+    passed = edges[2] >= floor
+    if not passed.all():  # logits just above the cut, scores just below the floor
+        for part in edges:
+            kept = part[passed]
+            part.resize(len(kept), refcheck=False)
+            part[:] = kept
+    return tuple(edges)

@@ -5,9 +5,10 @@ threshold) and keeps the pairs at or above the lowest grid threshold as
 (rows, cols, scores) edge arrays, then passes down the grid once: it labels
 every test record with its connected component at the top threshold and
 merges each lower score band into the labels of the band above. Each
-threshold counts |R| (and, with gold, true hits) as pairs sharing a label,
-reads its validation confusion (one sort gives every threshold's), and
-takes the row's bound fields from `compute_bound_report`, which leaves the
+threshold counts |R| (and, with gold, true hits) as pairs sharing a label
+(a band that merged no edge keeps the counts of the row above), reads its
+validation confusion (one sort gives every threshold's), and takes the
+row's bound fields from `compute_bound_report`, which leaves the
 precision/F1 bound None where it is undefined. Rows are yielded with their
 labels and kept only by the caller, whatever the grid's length.
 
@@ -131,8 +132,12 @@ def sweep_thresholds(model: MatchModel, test_records: PairColumns,
 
     def swept() -> Iterator[tuple[SweepRow, np.ndarray]]:
         r_above = tm_above = 0  # the counts of the row yielded before
+        labels_above = None
         for t, labels, tm_pairs in components_by_threshold(n, scores, thresholds, rows, cols):
-            r_pairs = _pairs_within(labels)
+            if labels is not labels_above:  # the same labels when the band merged nothing
+                r_pairs = _pairs_within(labels)
+                if gold is not None:
+                    hits = _pairs_within(entity * n + labels[labeled])
             if r_pairs < r_above or tm_pairs < tm_above:
                 raise AssertionError(
                     "pair counts increased with the threshold; "
@@ -142,12 +147,11 @@ def sweep_thresholds(model: MatchModel, test_records: PairColumns,
             row.update(compute_bound_report(stats[t], tm_pairs, r_pairs, n * (n - 1) // 2,
                                             c_t=c_t_override, confidence=confidence))
             if gold is not None:
-                hits = _pairs_within(entity * n + labels[labeled])
                 precision = hits / r_pairs if r_pairs else 1.0
                 recall = hits / truth_total if truth_total else 1.0
                 row.update(true_precision=precision, true_recall=recall,
                            true_f1=f1_lower_bound(precision, recall))
-            r_above, tm_above = r_pairs, tm_pairs
+            r_above, tm_above, labels_above = r_pairs, tm_pairs, labels
             yield SweepRow(**row), labels
     return swept()
 

@@ -27,12 +27,13 @@ NUMBERS_SCHEMA = FeatureSchema((Feature("name", TEXT), Feature("x", NUMERIC),
                                 Feature("y", NUMERIC)))
 
 
-def messy_csv(rng, schema, path, n, single=False, pad=("", " ", "  ", "\t")):
+def messy_csv(rng, schema, path, n, single=False, pad=("", " ", "  ", "\t"), blank=0.0):
     """Write n records as a CSV with the schema's columns shuffled: cells
     with several values, a value repeated in one cell, padding drawn from
     `pad`, case variants, empty parts and missing or blank cells. With
     `single`, every cell holds exactly one value, and a numeric one may
-    also be spelled `+2` or `1_0`. Returns the `base_record` of each row,
+    also be spelled `+2` or `1_0`; with `blank` as well, that share of the
+    cells is empty or blank instead. Returns the `base_record` of each row,
     built from the raw values written."""
     columns = ["id", *rng.permutation(schema.names)]
     rows, records = [], []
@@ -41,6 +42,9 @@ def messy_csv(rng, schema, path, n, single=False, pad=("", " ", "  ", "\t")):
         for feat in schema.features:
             if not single and rng.random() < 0.2:
                 row[feat.name] = str(rng.choice(["", " ", "|", " | "]))
+                continue
+            if single and blank and rng.random() < blank:
+                row[feat.name] = str(rng.choice(["", " ", "\t", "\xa0", *pad]))
                 continue
             size = 1 if single else rng.integers(1, 4)
             if feat.kind == NUMERIC:
@@ -217,6 +221,33 @@ class TestRecordsCsv:
         assert {raw for raw, kind in parsed if kind == NUMERIC} == per_cell
         assert bool(per_cell) == bool(seed % 2)
 
+    @pytest.mark.parametrize("seed", range(6))
+    def test_blank_cells_keep_the_one_pass(self, tmp_path, monkeypatch, seed):
+        """Blank cells among one value per cell: a numeric column is still
+        parsed in one pass, each blank cell missing, except a column with a
+        value padded by \\x1c, which is parsed cell by cell. Either way the
+        table equals, bit for bit, the one coded from the records."""
+        rng = np.random.default_rng(100 + seed)
+        path = tmp_path / "records.csv"
+        pad = ["", " ", "\t", *["\x1c"] * (seed % 2)]
+        records = messy_csv(rng, NUMBERS_SCHEMA, path, int(rng.integers(10, 60)),
+                            single=True, pad=pad, blank=0.3)
+        assert any(not r.values[1] or not r.values[2] for r in records)
+        parsed = count_calls(monkeypatch, canonical_value)
+        table = load_records_csv(path, NUMBERS_SCHEMA)
+        oracle = PairColumns(records, NUMBERS_SCHEMA)
+        assert table.cells.tobytes() == oracle.cells.tobytes()
+        assert not table.complete and not oracle.complete
+        rows, cols = rng.integers(0, len(records), size=(2, 400))
+        assert table.slots(rows, cols).tobytes() == oracle.slots(rows, cols).tobytes()
+        with open(path, newline="", encoding="utf-8") as fh:
+            header, *body = csv.reader(fh)
+        numeric = [column for name, column in zip(header, zip(*body)) if name in ("x", "y")]
+        per_cell = {cell.strip() for column in numeric
+                    if any("\x1c" in cell for cell in column if cell.strip())
+                    for cell in column if cell.strip()}
+        assert {raw for raw, kind in parsed if kind == NUMERIC} == per_cell
+
     @pytest.mark.parametrize("k", [0, 4])
     @pytest.mark.parametrize("cell, expected", [
         ("", []), (" ", []), ("1|2", [1.0, 2.0]),
@@ -251,6 +282,26 @@ class TestRecordsCsv:
         oracle = PairColumns(records, NUMBERS_SCHEMA)
         assert table.cells.tobytes() == oracle.cells.tobytes()
         assert table.complete == oracle.complete == bool(expected)
+
+    @pytest.mark.parametrize("cell, message", [
+        ("ten", "not a numeric value: 'ten'"),
+        ("nan", "numeric value must be finite, got 'nan'"),
+        ("1|2", None)])
+    def test_blank_and_unparsed_cells(self, tmp_path, cell, message):
+        """A blank cell beside one that `float` refuses or reads as not
+        finite: the column takes the per-cell path, which names the bad
+        cell, or loads the multi-valued cell with the blank one missing."""
+        path = tmp_path / "records.csv"
+        ys = ["1.5", " ", "-2", cell, ""]
+        path.write_text("id,name,x,y\n" + "".join(
+            f"r{i},n{i},{i},{y}\n" for i, y in enumerate(ys)))
+        if message:
+            with pytest.raises(DataError) as err:
+                load_records_csv(path, NUMBERS_SCHEMA)
+            assert str(err.value) == f"{path}:5: feature 'y': {message}"
+            return
+        table = load_records_csv(path, NUMBERS_SCHEMA)
+        assert [sorted(r.values[2]) for r in table] == [[1.5], [], [-2.0], [1.0, 2.0], []]
 
     @pytest.mark.parametrize("specials", [
         [np.nan, -0.0, 5e-324, 1e16, 1e22], [0.1, -2.5, 1e-7, 3.0, 1e22]])

@@ -146,11 +146,12 @@ def test_commands_build_no_record(monkeypatch, tmp_path, mixed_schema):
     assert len(built) == 1
 
 
-def generated_commands(tmp_path) -> list[list[str]]:
+def generated_commands(tmp_path, n_entities: int = 30) -> list[list[str]]:
     """The argv of `train`, a 19-point gold `sweep` and `resolve` at 0.5,
-    in that order, on a small set written by `generate`."""
+    in that order, on a set of `n_entities` x 5 records written by
+    `generate`."""
     data, run = tmp_path / "data", tmp_path / "run"
-    assert main(["generate", "--out", str(data), "--n-entities", "30",
+    assert main(["generate", "--out", str(data), "--n-entities", str(n_entities),
                  "--records-per-entity", "5", "--noise-sigma", "0.05"]) == 0
     common = ["--model", str(run / "model.json"), "--records", str(run / "test_records.csv"),
               "--validation-stats", str(run / "validation_stats.json")]
@@ -179,17 +180,36 @@ def test_one_validation_pass_per_command(monkeypatch, tmp_path):
 
 def test_numeric_columns_parse_in_one_pass(monkeypatch, tmp_path, mixed_schema):
     """`train`, `sweep` and `resolve` on a generated numeric set parse every
-    numeric column in one pass: `canonical_value` is never called. A people
-    CSV with missing ages still reads its age column cell by cell."""
+    numeric column in one pass: `canonical_value` is never called. So does
+    a people CSV with missing ages; one with two ages in a cell reads its
+    age column cell by cell."""
     commands = generated_commands(tmp_path)
     calls = count_calls(monkeypatch, canonical_value)
     for argv in commands:
         assert main(argv) == 0
         assert calls == [], f"{argv[0]}: {len(calls)} calls"
     rng = np.random.default_rng(25)
-    records = random_records(rng, mixed_schema, 40, max_values=1, missing_rate=0.3)
-    assert any(not r.values[3] for r in records)
-    write_records_csv(tmp_path / "people.csv", PairColumns(records, mixed_schema))
-    calls.clear()
-    assert list(load_records_csv(tmp_path / "people.csv", mixed_schema)) == records
-    assert any(kind == NUMERIC for _, kind in calls)
+    for max_values, per_cell in ((1, False), (2, True)):
+        records = random_records(rng, mixed_schema, 40, max_values=max_values,
+                                 missing_rate=0.3)
+        assert any(not r.values[3] for r in records)
+        assert any(len(r.values[3]) > 1 for r in records) == per_cell
+        write_records_csv(tmp_path / "people.csv", PairColumns(records, mixed_schema))
+        calls.clear()
+        assert list(load_records_csv(tmp_path / "people.csv", mixed_schema)) == records
+        assert any(kind == NUMERIC for _, kind in calls) == per_cell
+
+
+def test_resolve_scores_in_large_blocks(monkeypatch, tmp_path):
+    """`resolve` on the 814 test records of a generated set gathers its
+    pairs in fewer than half the 237 row blocks that blocks of 2^14 values
+    took, so the blocks cannot shrink back unnoticed."""
+    train, _, resolve = generated_commands(tmp_path, n_entities=200)
+    assert main(train) == 0
+    blocks = []
+    gather = PairColumns.slots
+    monkeypatch.setattr(PairColumns, "slots",
+                        lambda self, *args: blocks.append(len(self)) or gather(self, *args))
+    assert main(resolve) == 0
+    assert set(blocks) == {814}
+    assert len(blocks) < 237 / 2

@@ -23,6 +23,7 @@ from erbound.matching import (
     save_model,
     score_pair,
     score_pairs,
+    sigmoid,
     train_match_model,
 )
 from erbound.records import (
@@ -579,6 +580,47 @@ class TestEdges:
         monkeypatch.setattr(matching, "MEMORY_BUDGET", 1 << 30)
         assert len(condensed_pairwise_scores(model, table, floor)[2]) == \
             int((all_pairs(model, records)[2] >= floor).sum())
+
+
+class TestKernel:
+    """The block scan against the per-pair oracle, over block sizes from
+    one row to the whole table and over floors at the edges of `sigmoid`'s
+    range: its clip at -500, a kept score and the next float above it."""
+
+    @pytest.mark.parametrize("steepness", [1.0, 2000.0], ids=["plain", "clipped"])
+    @pytest.mark.parametrize("case", [synthetic_case, mixed_case(14), one_kind_case(TEXT),
+                                      one_kind_case(CATEGORICAL)],
+                             ids=["complete-numeric", "multi-valued-incomplete", "text",
+                                  "categorical"])
+    def test_every_block_size_keeps_exactly_the_pairs_at_or_above(
+            self, monkeypatch, mixed_schema, case, steepness):
+        from erbound import matching
+
+        rng = np.random.default_rng(30)
+        schema, records = case(rng, mixed_schema)
+        pairs = [(a, b) for i, a in enumerate(records) for b in records[i + 1:]]
+        model = random_model(rng, schema)
+        logits = [np.log(p / (1 - p)) for p in (pair_score(model, a, b) for a, b in pairs)]
+        # logits centred on 0 and spread by `steepness`
+        model = replace(model, weights=model.weights * steepness,
+                        bias=(model.bias - (min(logits) + max(logits)) / 2) * steepness)
+        oracle = [pair_score(model, a, b) for a, b in pairs]
+        if steepness > 1:  # logits past either clip
+            assert min(oracle) == float(sigmoid(-500.0)) and max(oracle) == 1.0
+        table = PairColumns(records, schema)
+        n, (n_features, k) = len(records), table.cells.shape[:2]
+        one_row = n_features * k * k * (n - 1)
+        for block in (1, one_row, 3 * one_row, one_row * n):
+            monkeypatch.setattr(matching, "BLOCK_ELEMENTS", block)
+            dense = all_pairs(model, records)
+            assert np.allclose(dense[2], oracle, rtol=0.0, atol=1e-12)
+            middle = float(np.median(dense[2]))
+            for floor in (0.0, 1e-300, float(sigmoid(-500.0)), middle,
+                          float(np.nextafter(middle, 2.0)), 1.0, 2.0):
+                edges = condensed_pairwise_scores(model, table, floor)
+                kept = dense[2] >= floor
+                for got, want in zip(edges, dense):
+                    assert np.array_equal(got, want[kept]), (block, floor)
 
 
 class TestModelIO:

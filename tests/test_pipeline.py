@@ -8,7 +8,7 @@ from erbound import matching
 from erbound.bounds import ValidationStats, compute_bound_report, f1_lower_bound, wilson_interval
 from erbound.dataset import SplitSpec, generate_synthetic, synthetic_schema
 from erbound.errors import ConfigError
-from erbound.matching import PairColumns
+from erbound.matching import PairColumns, condensed_pairwise_scores
 from erbound.pipeline import (
     degradation_experiment,
     select_best_row,
@@ -79,6 +79,28 @@ class TestSweep:
             report = compute_bound_report(stats, row.tm_pairs, row.r_pairs,
                                           len(condensed_scores))
             assert {k: getattr(row, k) for k in report} == report
+
+    def test_band_without_edges_keeps_the_counts(self, small_run, monkeypatch):
+        """On a grid whose bands mostly hold no edge, the pair counts are
+        taken once per labelling (|R| and the gold hits), not once per row,
+        and every row equals the one-point sweep at its threshold."""
+        from erbound import pipeline
+
+        _, _, model, split, scores, labels = small_run
+        test_records, test_gold = split.test_records, split.test_gold
+        kept = np.unique(condensed_pairwise_scores(model, test_records, 0.05)[2])
+        lo, hi = kept[len(kept) // 2], kept[len(kept) // 2 + 1]  # no score between them
+        grid = np.concatenate([[0.05, 0.3, 0.6, 0.9], np.linspace(lo, hi, 60)[1:-1]])
+        ts = np.unique(grid)
+        merging = sum(bool(((kept >= a) & (kept < b)).any()) for a, b in zip(ts, ts[1:]))
+        assert merging <= 4 < len(ts) - 1
+        calls = count_calls(monkeypatch, pipeline._pairs_within)
+        rows = sweep_rows(sweep_thresholds(model, test_records, scores, labels, grid,
+                                           gold=test_gold))
+        assert len(calls) == 1 + 2 * (1 + merging)  # the gold total, then two per labelling
+        monkeypatch.undo()
+        assert rows == [next(sweep_thresholds(model, test_records, scores, labels, [t],
+                                              gold=test_gold))[0] for t in ts]
 
     def test_monotone_counts(self, small_run):
         _, _, model, split, scores, labels = small_run
