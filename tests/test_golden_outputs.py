@@ -1,10 +1,11 @@
-"""Every output byte of `train`, `sweep` and `resolve`, pinned.
+"""Every output byte of `generate`, `train`, `sweep` and `resolve`, pinned.
 
-Runs the three commands on one small generated numeric set and one small
-people set (from `perfbench/workloads.people_inputs`, imported read-only)
-and compares the SHA-256 of every output file, and of each command's
-stdout and stderr, with the digests in `golden_outputs.json`, together with
-the exit codes. `*.effective.cfg` holds the run's paths and is left out.
+Runs `generate` for one small numeric set, then the other three commands
+on it and on one small people set (from `perfbench/workloads.people_inputs`,
+imported read-only), and compares the SHA-256 of every output file, and of
+each command's stdout and stderr, with the digests in `golden_outputs.json`,
+together with the exit codes. `*.effective.cfg` holds the run's paths and
+is left out; `generate` writes to a relative path, which its stdout names.
 
 A change that is meant to move an output re-records the file: the failure
 message prints the new digests in the file's format.
@@ -24,6 +25,18 @@ def digest(data: bytes) -> str:
     return hashlib.sha256(data).hexdigest()
 
 
+def record(key: str, out: Path, code: int, capsys, outputs: dict, codes: dict) -> None:
+    """The exit code, stdout and stderr of the command `key`, and the
+    digest of every file it wrote to `out`."""
+    codes[key] = code
+    captured = capsys.readouterr()
+    outputs[f"{key}/stdout"] = digest(captured.out.encode())
+    outputs[f"{key}/stderr"] = digest(captured.err.encode())
+    for path in sorted(out.iterdir()):
+        if not path.name.endswith(".effective.cfg"):
+            outputs[f"{key}/{path.name}"] = digest(path.read_bytes())
+
+
 def run_commands(name: str, data: Path, root: Path, capsys, resolve_gate: list[str],
                  outputs: dict, codes: dict) -> None:
     run = root / name
@@ -40,13 +53,8 @@ def run_commands(name: str, data: Path, root: Path, capsys, resolve_gate: list[s
     }
     for command, argv in commands.items():
         out = run / command
-        codes[f"{name}/{command}"] = main([*argv, "--out", str(out)])
-        captured = capsys.readouterr()
-        outputs[f"{name}/{command}/stdout"] = digest(captured.out.encode())
-        outputs[f"{name}/{command}/stderr"] = digest(captured.err.encode())
-        for path in sorted(out.iterdir()):
-            if not path.name.endswith(".effective.cfg"):
-                outputs[f"{name}/{command}/{path.name}"] = digest(path.read_bytes())
+        record(f"{name}/{command}", out, main([*argv, "--out", str(out)]), capsys,
+               outputs, codes)
 
 
 def test_outputs_match_recorded_digests(tmp_path, capsys, monkeypatch):
@@ -54,11 +62,14 @@ def test_outputs_match_recorded_digests(tmp_path, capsys, monkeypatch):
     import workloads
 
     numeric, people = tmp_path / "numeric-data", tmp_path / "people-data"
-    assert main(["generate", "--out", str(numeric), "--seed", "0", "--n-entities", "30",
-                 "--records-per-entity", "5", "--noise-sigma", "0.05"]) == 0
+    monkeypatch.chdir(tmp_path)
+    outputs, codes = {}, {}
+    record("numeric/generate", numeric,
+           main(["generate", "--out", numeric.name, "--seed", "0", "--n-entities", "30",
+                 "--records-per-entity", "5", "--noise-sigma", "0.05"]),
+           capsys, outputs, codes)
     workloads.people_inputs(people, 150, (0, 0))
     capsys.readouterr()
-    outputs, codes = {}, {}
     run_commands("numeric", numeric, tmp_path, capsys, ["--min-precision-lb", "0.95"],
                  outputs, codes)
     run_commands("people", people, tmp_path, capsys,
