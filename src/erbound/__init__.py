@@ -44,7 +44,6 @@ from .records import (
     Feature,
     FeatureSchema,
     Record,
-    base_record,
 )
 from .resolver import resolve_from_condensed
 

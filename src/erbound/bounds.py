@@ -109,7 +109,7 @@ def f1_lower_bound(p_lb: float, r_lb: float) -> float:
     return 2.0 * p_lb * r_lb / (p_lb + r_lb)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ValidationStats:
     """Confusion counts of the thresholded match function on the labeled
     validation pairs. Needs at least one pair of each label."""

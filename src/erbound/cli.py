@@ -5,8 +5,8 @@ long flag names, dashes or underscores); explicit flags override the file.
 Each run writes its effective configuration (unset options left out) next
 to its outputs, and `--config` reads it back to reproduce the run.
 
-Exit codes: 0 success, 2 usage error, 3 data/configuration error,
-4 quality-gate failure.
+Exit codes: 0 success, 2 usage error, 3 data/configuration error or a
+request too large for memory, 4 quality-gate failure.
 """
 
 import argparse
@@ -143,20 +143,19 @@ def _grid(args) -> np.ndarray:
 
 
 def cmd_generate(args) -> int:
-    records, gold = dataset.generate_synthetic(
+    table, gold = dataset.generate_synthetic(
         n_entities=args.n_entities,
         records_per_entity=args.records_per_entity,
         dims=args.dims,
         noise_sigma=args.noise_sigma,
         seed=args.seed,
     )
-    schema = dataset.synthetic_schema(args.dims)
     out = _out_dir(args)
-    dataset.write_records_csv(out / "records.csv", matching.PairColumns(records, schema))
+    dataset.write_records_csv(out / "records.csv", table)
     dataset.write_gold_csv(out / "gold.csv", gold)
-    dataset.save_schema_json(out / "schema.json", schema)
+    dataset.save_schema_json(out / "schema.json", table.schema)
     _write_effective_config(out, "generate", args)
-    print(f"wrote {len(records)} records, {len(gold.truth_pairs())} truth pairs to {out}")
+    print(f"wrote {len(table)} records, {len(gold.truth_pairs())} truth pairs to {out}")
     return EXIT_OK
 
 
@@ -455,6 +454,9 @@ def main(argv: list[str] | None = None) -> int:
         return args.func(args)
     except (ErboundError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return EXIT_DATA
+    except MemoryError as exc:  # numpy's names the array it could not allocate
+        print(f"error: out of memory: {exc}", file=sys.stderr)
         return EXIT_DATA
 
 

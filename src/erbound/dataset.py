@@ -2,8 +2,8 @@
 
 A CSV is read straight into the record table `matching.PairColumns`, the
 one record form from the CSV to the score, and a split names its labeled
-pairs by index into that table. `generate_synthetic` returns `Record`s,
-which `PairColumns(records, schema)` codes into a table.
+pairs by index into that table. `generate_synthetic` builds its table from
+float columns, one per feature.
 
 File formats
 ------------
@@ -29,7 +29,7 @@ import numpy as np
 
 from .errors import ConfigError, DataError, SchemaError
 from .matching import PairColumns
-from .records import NUMERIC, Feature, FeatureSchema, Record, base_record, canonical_value
+from .records import NUMERIC, Feature, FeatureSchema, canonical_value
 
 Pair = tuple[str, str]
 
@@ -65,35 +65,31 @@ def synthetic_schema(dims: int) -> FeatureSchema:
 
 def generate_synthetic(n_entities: int = 100, records_per_entity: int = 10,
                        dims: int = 10, noise_sigma: float = 0.02,
-                       seed: int = 0) -> tuple[list[Record], GoldTruth]:
-    """Noisy numeric records around per-entity latent vectors.
+                       seed: int = 0) -> tuple[PairColumns, GoldTruth]:
+    """The record table and gold truth of noisy numeric records around
+    per-entity latent vectors.
 
     Each entity draws a latent vector uniformly from the unit cube; each of
     its records is the latent plus independent Gaussian noise per
-    dimension. Deterministic given the seed. The defaults produce 1000
-    records in 100 entities of 10, i.e. 4500 truth pairs.
+    dimension, one float column per dimension of `synthetic_schema(dims)`.
+    Deterministic given the seed. The defaults produce 1000 records in 100
+    entities of 10, i.e. 4500 truth pairs.
     """
     if n_entities < 1 or records_per_entity < 1 or dims < 1:
         raise ConfigError("entity, record, and dimension counts must be positive")
     if not 0 <= noise_sigma < np.inf:
         raise ConfigError("noise_sigma must be nonnegative and finite")
     rng = np.random.default_rng(seed)
-    schema = synthetic_schema(dims)
-    latents = rng.uniform(size=(n_entities, dims))
-    noise = rng.normal(0.0, noise_sigma, size=(n_entities * records_per_entity, dims))
     total = n_entities * records_per_entity
+    latents = rng.uniform(size=(n_entities, dims))
+    values = latents[np.arange(total) // records_per_entity]
+    values += rng.normal(0.0, noise_sigma, size=(total, dims))
     id_width = max(4, len(str(total - 1)))
     ent_width = max(4, len(str(n_entities - 1)))
-    records = []
-    labels = {}
-    for row in range(total):
-        e = row // records_per_entity
-        rid = f"r{row:0{id_width}d}"
-        feats = latents[e] + noise[row]
-        records.append(base_record(
-            schema, rid, {name: [float(v)] for name, v in zip(schema.names, feats)}))
-        labels[rid] = f"e{e:0{ent_width}d}"
-    return records, GoldTruth(labels)
+    ids = [f"r{row:0{id_width}d}" for row in range(total)]
+    gold = GoldTruth({rid: f"e{row // records_per_entity:0{ent_width}d}"
+                      for row, rid in enumerate(ids)})
+    return PairColumns(synthetic_schema(dims), ids, list(values.T)), gold
 
 
 def _csv_rows(path) -> Iterator[list[str]]:
@@ -175,7 +171,7 @@ def load_records_csv(path, schema: FeatureSchema) -> PairColumns:
                 raise DataError(f"{path}:{column.index(cell) + 2}: "
                                 f"feature {feat.name!r}: {exc}") from exc
         columns.append([values[cell] for cell in column])
-    return PairColumns.from_columns(schema, ids, columns)
+    return PairColumns(schema, ids, columns)
 
 
 def write_records_csv(path, table: PairColumns) -> None:

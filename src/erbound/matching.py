@@ -109,23 +109,11 @@ class PairColumns(Sequence):
     holds a value of every feature, so that no slot can be missing.
     """
 
-    def __init__(self, records: Sequence[Record], schema: FeatureSchema):
-        if any(len(r.values) != len(schema) for r in records):
-            raise SchemaError("record does not conform to the schema (feature count)")
-        self._code(schema, [r.record_id for r in records],
-                   [[r.values[f] for r in records] for f in range(len(schema))])
-
-    @classmethod
-    def from_columns(cls, schema: FeatureSchema, ids: Sequence[str],
-                     columns: Sequence[Sequence[tuple]]) -> "PairColumns":
+    def __init__(self, schema: FeatureSchema, ids: Sequence[str],
+                 columns: Sequence[Sequence[tuple]]):
         """The table of records ids[i] with distinct canonical values
         columns[f][i]; a numeric column may instead be a float array of at
         most one value per record, NaN where it has none."""
-        table = cls.__new__(cls)
-        table._code(schema, ids, columns)
-        return table
-
-    def _code(self, schema, ids, columns) -> None:
         self.schema = schema
         self.ids = list(ids)
         kinds = [feat.kind for feat in schema.features]
@@ -464,7 +452,10 @@ def score_pairs(model: MatchModel, table: PairColumns, rows, cols) -> np.ndarray
 
 def score_pair(model: MatchModel, a: Record, b: Record) -> float:
     """Match probability in [0, 1]; symmetric in (a, b)."""
-    return float(score_pairs(model, PairColumns([a, b], model.schema), [0], [1])[0])
+    if len(a.values) != len(model.schema) or len(b.values) != len(model.schema):
+        raise SchemaError("record does not conform to the schema (feature count)")
+    table = PairColumns(model.schema, [a.record_id, b.record_id], list(zip(a.values, b.values)))
+    return float(score_pairs(model, table, [0], [1])[0])
 
 
 def _logit_cut(floor: float) -> float:

@@ -14,18 +14,18 @@ labels and kept only by the caller, whatever the grid's length.
 
 `sweep_thresholds` is the only code that turns scores and a threshold into
 counts, bounds and true metrics: `resolve` is a one-point sweep, and the
-snowball experiment reads every number it reports from sweep rows.
+snowball experiment (`reference.degradation_experiment`) reads every
+number it reports from sweep rows.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterator, Sequence
 
 import numpy as np
 
 from .bounds import ValidationStats, compute_bound_report, f1_lower_bound
-from .dataset import (GoldTruth, LabeledPairs, Split, SplitSpec, generate_synthetic,
-                      split_dataset, synthetic_schema)
-from .errors import ConfigError, DegenerateDataError
+from .dataset import GoldTruth, LabeledPairs, Split, SplitSpec, split_dataset
+from .errors import ConfigError
 from .matching import (MatchModel, PairColumns, TrainConfig,
                        condensed_pairwise_scores, score_pairs, train_match_model)
 from .resolver import components_by_threshold
@@ -121,8 +121,9 @@ def sweep_thresholds(model: MatchModel, test_records: PairColumns,
     n = len(test_records)
     if n < 2:
         raise ConfigError("needs at least 2 test records")
-    stats = dict(zip(np.asarray(thresholds, dtype=float).tolist(),  # the float t each row gets
-                     ValidationStats.from_scores(val_scores, val_labels, thresholds)))
+    # ascending: `components_by_threshold` yields highest first, repeats included, so each
+    # row pops its own stats off the end
+    stats = ValidationStats.from_scores(val_scores, val_labels, np.sort(thresholds))
     rows, cols, scores = condensed_pairwise_scores(model, test_records, float(min(thresholds)))
     if gold is not None:
         labeled = [k for k, rid in enumerate(test_records.ids) if rid in gold.labels]
@@ -144,7 +145,7 @@ def sweep_thresholds(model: MatchModel, test_records: PairColumns,
                     "the resolver violated edge-removal monotonicity"
                 )
             row = {"threshold": t, "r_pairs": r_pairs, "tm_pairs": tm_pairs}
-            row.update(compute_bound_report(stats[t], tm_pairs, r_pairs, n * (n - 1) // 2,
+            row.update(compute_bound_report(stats.pop(), tm_pairs, r_pairs, n * (n - 1) // 2,
                                             c_t=c_t_override, confidence=confidence))
             if gold is not None:
                 precision = hits / r_pairs if r_pairs else 1.0
@@ -154,60 +155,3 @@ def sweep_thresholds(model: MatchModel, test_records: PairColumns,
             r_above, tm_above, labels_above = r_pairs, tm_pairs, labels
             yield SweepRow(**row), labels
     return swept()
-
-
-@dataclass(frozen=True)
-class DegradationResult:
-    """Numbers behind the snowball experiment: tune on a small labeled set,
-    watch precision collapse on a 10x test set, then recover by re-tuning
-    the threshold on the large set's estimated F1 lower bound."""
-
-    threshold_original: float
-    precision_small: float
-    precision_large_original: float
-    threshold_optimized: float
-    precision_large_optimized: float
-    sweep_rows: list[SweepRow] = field(repr=False, default_factory=list)
-
-
-def degradation_experiment(seed: int = 7) -> DegradationResult:
-    """Tune a threshold for true F1 on a small labeled dataset, measure true
-    precision of that threshold on a fresh small and a fresh 10x dataset,
-    then re-tune on the large dataset's estimated F1 lower bound. The sets
-    hold 10, 10 and 100 entities of `generate_synthetic`'s default records.
-
-    Every number comes from `sweep_thresholds` rows: a gold sweep over the
-    labeled pool picks the original threshold (best true F1, ties to the
-    lower threshold), a one-point gold sweep measures the small set, and
-    one gold sweep of the large set gives both the bound-selected threshold
-    and the true precision at either threshold. The returned rows are the
-    large set's, in threshold order."""
-    grid = np.linspace(0.02, 0.98, 49)
-
-    def synthetic(n_entities: int, data_seed: int) -> tuple[PairColumns, GoldTruth]:
-        records, gold = generate_synthetic(n_entities, seed=data_seed)
-        return PairColumns(records, synthetic_schema(10)), gold
-
-    labeled, labeled_gold = synthetic(10, seed)
-    model, split, val_scores = train_pipeline(
-        labeled, labeled_gold, SplitSpec(n_train_pairs=100, n_validation_pairs=100, seed=seed))
-
-    def gold_sweep(records, gold, thresholds) -> list[SweepRow]:
-        sweep = sweep_thresholds(model, records, val_scores, split.validation_pairs.labels,
-                                 thresholds, gold=gold)
-        return [row for row, _ in sweep][::-1]
-
-    # rows come in threshold order and max keeps the first of tied rows
-    t_orig = max(gold_sweep(labeled, labeled_gold, grid),
-                 key=lambda row: row.true_f1).threshold
-
-    small, small_gold = synthetic(10, seed + 1)
-    large, large_gold = synthetic(100, seed + 2)
-    p_small = gold_sweep(small, small_gold, [t_orig])[0].true_precision
-    rows = gold_sweep(large, large_gold, grid)
-    best = select_best_row(rows)
-    if best is None:
-        raise DegenerateDataError("no threshold produced a defined F1 lower bound")
-    p_large = next(row.true_precision for row in rows if row.threshold == t_orig)
-    return DegradationResult(t_orig, p_small, p_large, best.threshold,
-                             best.true_precision, rows)

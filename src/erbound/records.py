@@ -1,14 +1,16 @@
 """Record model: multi-valued features with provenance.
 
 A `Record` is a bundle of per-feature value *sets* plus the set of
-base-record ids it stands for: the form of `generate_synthetic`, of a
-record decoded from the record table `matching.PairColumns`, and of the
-composites that the R-Swoosh oracle in `erbound.reference` merges.
+base-record ids it stands for. No command builds one: the commands keep
+records in the record table `matching.PairColumns`. `Record` stays here
+because `table[i]` decodes into one and `matching.score_pair` scores two,
+which the benchmark's checker uses to re-score sampled pairs; the
+engines in `erbound.reference` build, merge and resolve them.
 """
 
 import math
 from dataclasses import dataclass
-from typing import Iterable, Mapping
+from typing import Mapping
 
 from .errors import SchemaError
 
@@ -103,23 +105,3 @@ class Record:
         if len(self.base_ids) != 1:
             raise ValueError("composite record has no single id")
         return next(iter(self.base_ids))
-
-
-def base_record(schema: FeatureSchema, record_id: str,
-                values: Mapping[str, Iterable] | None = None) -> Record:
-    """Build a canonicalized base record. `values` maps feature names to
-    iterables of raw values; omitted features are missing."""
-    if not isinstance(record_id, str) or not record_id:
-        raise SchemaError("record id must be a nonempty string")
-    values = values or {}
-    unknown = set(values) - set(schema.names)
-    if unknown:
-        raise SchemaError(f"values for features not in schema: {sorted(unknown)}")
-    slots = []
-    for feat in schema.features:
-        raw = values.get(feat.name, ())
-        try:
-            slots.append(frozenset(canonical_value(v, feat.kind) for v in raw))
-        except SchemaError as exc:
-            raise SchemaError(f"feature {feat.name!r}: {exc}") from exc
-    return Record(frozenset({record_id}), tuple(slots))

@@ -1,6 +1,9 @@
 """Reference engines: slow, direct implementations that the tests hold the
-production path to. No production module imports this one.
+production path to, and the code only tests and examples use. No
+production module imports this one.
 
+- `base_record`, which canonicalizes raw values into a `Record`, and
+  `record_table`, which codes `Record`s into a `matching.PairColumns`.
 - The per-pair featurization and score, which the production gather
   `matching.PairColumns` and its one scoring formula reproduce, and the
   scalar edit distance, which its batch Levenshtein DP reproduces.
@@ -12,6 +15,7 @@ production path to. No production module imports this one.
 - The thresholded base-record match predicate, and a dict score table with
   a predicate backed by it.
 - Pairwise precision, recall and F1 by set algebra on materialized pairs.
+- The snowball experiment, read from `pipeline.sweep_thresholds` rows.
 
 With the max-over-constituents match rule and set-union merge, the fixpoint
 equals the connected components of the direct-match graph, which is what
@@ -22,17 +26,47 @@ list at floor 0, which every score clears.
 """
 
 from collections import deque
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from itertools import combinations, product
 from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
 
 from .bounds import f1_lower_bound
-from .dataset import Pair
-from .errors import DataError, SchemaError
+from .dataset import GoldTruth, Pair, SplitSpec, generate_synthetic
+from .errors import DataError, DegenerateDataError, SchemaError
 from .matching import MatchModel, PairColumns, condensed_pairwise_scores, sigmoid
-from .records import CATEGORICAL, NUMERIC, FeatureSchema, Record
+from .pipeline import SweepRow, select_best_row, sweep_thresholds, train_pipeline
+from .records import CATEGORICAL, NUMERIC, FeatureSchema, Record, canonical_value
+
+
+def base_record(schema: FeatureSchema, record_id: str,
+                values: Mapping[str, Iterable] | None = None) -> Record:
+    """Build a canonicalized base record. `values` maps feature names to
+    iterables of raw values; omitted features are missing."""
+    if not isinstance(record_id, str) or not record_id:
+        raise SchemaError("record id must be a nonempty string")
+    values = values or {}
+    unknown = set(values) - set(schema.names)
+    if unknown:
+        raise SchemaError(f"values for features not in schema: {sorted(unknown)}")
+    slots = []
+    for feat in schema.features:
+        raw = values.get(feat.name, ())
+        try:
+            slots.append(frozenset(canonical_value(v, feat.kind) for v in raw))
+        except SchemaError as exc:
+            raise SchemaError(f"feature {feat.name!r}: {exc}") from exc
+    return Record(frozenset({record_id}), tuple(slots))
+
+
+def record_table(records: Sequence[Record], schema: FeatureSchema) -> PairColumns:
+    """The record table of base records, in order: each feature's column
+    is the records' value sets of it."""
+    if any(len(r.values) != len(schema) for r in records):
+        raise SchemaError("record does not conform to the schema (feature count)")
+    return PairColumns(schema, [r.record_id for r in records],
+                       [[r.values[f] for r in records] for f in range(len(schema))])
 
 
 def levenshtein(s: str, t: str) -> int:
@@ -116,7 +150,7 @@ def pairwise_scores(model: MatchModel,
                     records: Sequence[Record]) -> dict[tuple[str, str], float]:
     """Score every unordered pair of base records, keyed by the sorted id
     pair. All inputs must be base records with distinct ids."""
-    table = PairColumns(records, model.schema)
+    table = record_table(records, model.schema)
     if len(set(table.ids)) != len(table):
         raise DataError("duplicate record ids")
     condensed = iter(condensed_pairwise_scores(model, table, 0.0)[2].tolist())
@@ -228,3 +262,55 @@ def pair_metrics(predicted: Iterable[Pair], truth: Iterable[Pair]) -> PairMetric
     precision = hit / len(predicted) if predicted else 1.0
     recall = hit / len(truth) if truth else 1.0
     return PairMetrics(precision, recall, f1_lower_bound(precision, recall))
+
+
+@dataclass(frozen=True)
+class DegradationResult:
+    """Numbers behind the snowball experiment: tune on a small labeled set,
+    watch precision collapse on a 10x test set, then recover by re-tuning
+    the threshold on the large set's estimated F1 lower bound."""
+
+    threshold_original: float
+    precision_small: float
+    precision_large_original: float
+    threshold_optimized: float
+    precision_large_optimized: float
+    sweep_rows: list[SweepRow] = field(repr=False, default_factory=list)
+
+
+def degradation_experiment(seed: int = 7) -> DegradationResult:
+    """Tune a threshold for true F1 on a small labeled dataset, measure true
+    precision of that threshold on a fresh small and a fresh 10x dataset,
+    then re-tune on the large dataset's estimated F1 lower bound. The sets
+    hold 10, 10 and 100 entities of `generate_synthetic`'s default records.
+
+    Every number comes from `sweep_thresholds` rows: a gold sweep over the
+    labeled pool picks the original threshold (best true F1, ties to the
+    lower threshold), a one-point gold sweep measures the small set, and
+    one gold sweep of the large set gives both the bound-selected threshold
+    and the true precision at either threshold. The returned rows are the
+    large set's, in threshold order."""
+    grid = np.linspace(0.02, 0.98, 49)
+    labeled, labeled_gold = generate_synthetic(10, seed=seed)
+    model, split, val_scores = train_pipeline(
+        labeled, labeled_gold, SplitSpec(n_train_pairs=100, n_validation_pairs=100, seed=seed))
+
+    def gold_sweep(records: PairColumns, gold: GoldTruth, thresholds) -> list[SweepRow]:
+        sweep = sweep_thresholds(model, records, val_scores, split.validation_pairs.labels,
+                                 thresholds, gold=gold)
+        return [row for row, _ in sweep][::-1]
+
+    # rows come in threshold order and max keeps the first of tied rows
+    t_orig = max(gold_sweep(labeled, labeled_gold, grid),
+                 key=lambda row: row.true_f1).threshold
+
+    small, small_gold = generate_synthetic(10, seed=seed + 1)
+    large, large_gold = generate_synthetic(100, seed=seed + 2)
+    p_small = gold_sweep(small, small_gold, [t_orig])[0].true_precision
+    rows = gold_sweep(large, large_gold, grid)
+    best = select_best_row(rows)
+    if best is None:
+        raise DegenerateDataError("no threshold produced a defined F1 lower bound")
+    p_large = next(row.true_precision for row in rows if row.threshold == t_orig)
+    return DegradationResult(t_orig, p_small, p_large, best.threshold,
+                             best.true_precision, rows)

@@ -5,16 +5,16 @@ import pytest
 
 import erbound
 from erbound.dataset import LabeledPairs
-from erbound.matching import MatchModel, PairColumns, TrainConfig, condensed_pairwise_scores
+from erbound.matching import MatchModel, TrainConfig, condensed_pairwise_scores
 from erbound.records import (
     CATEGORICAL,
     NUMERIC,
     TEXT,
     Feature,
     FeatureSchema,
-    base_record,
 )
-from erbound.reference import matcher_from_scores, pairwise_scores, resolve_connected_components
+from erbound.reference import (base_record, matcher_from_scores, pairwise_scores, record_table,
+                               resolve_connected_components)
 from erbound.resolver import components_from_condensed, resolve_from_condensed
 
 
@@ -115,7 +115,7 @@ def labeled_table(pairs, schema):
     """The record table of the (a, b, label) record triples and their
     (rows, cols, labels) index pairs into it, as training takes them."""
     p = len(pairs)
-    table = PairColumns([a for a, _, _ in pairs] + [b for _, b, _ in pairs], schema)
+    table = record_table([a for a, _, _ in pairs] + [b for _, b, _ in pairs], schema)
     return table, LabeledPairs(np.arange(p), np.arange(p, 2 * p),
                                np.array([label for _, _, label in pairs]))
 
@@ -124,7 +124,7 @@ def all_pairs(model, records):
     """The production edges (rows, cols, scores) at floor 0, which every
     score clears: every pair of the `Record` list, checked to come in
     condensed order, so `scores` is the dense condensed score array."""
-    edges = condensed_pairwise_scores(model, PairColumns(records, model.schema), 0.0)
+    edges = condensed_pairwise_scores(model, record_table(records, model.schema), 0.0)
     rows, cols = np.triu_indices(len(records), 1)
     assert np.array_equal(edges[0], rows) and np.array_equal(edges[1], cols)
     return edges

@@ -9,15 +9,15 @@ import numpy as np
 import pytest
 
 from erbound.bounds import rebalance_precision, wilson_interval
-from erbound.dataset import SplitSpec, generate_synthetic, split_dataset, synthetic_schema
-from erbound.matching import PairColumns, train_match_model
+from erbound.dataset import SplitSpec, generate_synthetic, split_dataset
+from erbound.matching import train_match_model
 from erbound.pipeline import (
-    degradation_experiment,
     score_labeled_pairs,
     sweep_thresholds,
     train_pipeline,
 )
 from erbound.reference import (
+    degradation_experiment,
     matcher_from_scores,
     merge_records,
     pair_metrics,
@@ -139,7 +139,7 @@ def test_c06_recall_bound_exactness():
     from erbound.bounds import ValidationStats, compute_bound_report, recall_lower_bound
 
     records, gold = generate_synthetic(n_entities=30, records_per_entity=5, seed=106)
-    _, split, scores = train_pipeline(PairColumns(records, synthetic_schema(10)), gold,
+    _, split, scores = train_pipeline(records, gold,
                                       SplitSpec(40, 60, seed=106))
     for threshold in (0.3, 0.5, 0.7):
         stats, = ValidationStats.from_scores(scores, split.validation_pairs.labels, [threshold])
@@ -155,11 +155,9 @@ def test_c06_recall_bound_exactness():
 def test_c07_statistical_validity():
     start = time.monotonic()
     grid = np.linspace(0.2, 0.95, 20)
-    schema = synthetic_schema(10)
     evaluations = valid = 0
     for seed in range(50):
-        records, gold = generate_synthetic(seed=seed)  # 1000 records per trial
-        table = PairColumns(records, schema)
+        table, gold = generate_synthetic(seed=seed)  # 1000 records per trial
         split = split_dataset(table, gold, SplitSpec(80, 100, seed=seed))
         model = train_match_model(table, split.train_pairs)
         scores = score_labeled_pairs(model, table, split.validation_pairs)
@@ -230,7 +228,7 @@ def test_c12_monotone_sweep():
     for seed in (7, 12, 31):
         records, gold = generate_synthetic(n_entities=40, records_per_entity=5,
                                            seed=seed)
-        model, split, scores = train_pipeline(PairColumns(records, synthetic_schema(10)), gold,
+        model, split, scores = train_pipeline(records, gold,
                                               SplitSpec(40, 60, seed=seed))
         rows = sweep_rows(sweep_thresholds(model, split.test_records, scores,
                                            split.validation_pairs.labels,

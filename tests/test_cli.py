@@ -6,6 +6,7 @@ import subprocess
 import sys
 from dataclasses import fields
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -14,7 +15,7 @@ import erbound
 from erbound import matching, pipeline, resolver
 from erbound.cli import EXIT_DATA, EXIT_GATE, EXIT_OK, SWEEP_COLUMNS, _fmt, main
 from erbound.dataset import GoldTruth, save_schema_json, write_gold_csv, write_records_csv
-from erbound.matching import PairColumns
+from erbound.reference import record_table
 
 from conftest import (assert_clustering_file, count_calls, oracle_resolution, random_records,
                       random_words)
@@ -255,6 +256,29 @@ class TestMemoryBudget:
                                          matching.load_model(run / "model.json").schema))
         assert f"scoring {n} records" in err and "at or above 0.3" in err
         assert "a higher --threshold or --grid-start keeps fewer pairs" in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("argv", [
+        ["generate", "--n-entities", "100000000000"],
+        ["sweep", "--model", "m.json", "--records", "r.csv", "--validation-stats", "v.json",
+         "--grid-steps", "1000000000000"],
+    ], ids=["generate", "sweep"])
+    def test_oversized_request_exits_3_without_traceback(self, tmp_path, capsys,
+                                                         monkeypatch, argv):
+        """The first large allocation of each request (the latents of
+        `generate`, the grid of `sweep`) is made to fail as numpy fails, so
+        no test allocates the array."""
+        message = "Unable to allocate 7.28 TiB for an array with shape (1000000000000,)"
+
+        def refuse(*args, **kwargs):
+            raise MemoryError(message)
+
+        monkeypatch.setattr(np, "linspace", refuse)
+        monkeypatch.setattr(np.random, "default_rng",
+                            lambda seed: SimpleNamespace(uniform=refuse))
+        out = tmp_path / "out"
+        assert main([*argv, "--out", str(out)]) == EXIT_DATA
+        assert capsys.readouterr().err == f"error: out of memory: {message}\n"
         assert not out.exists()
 
 
@@ -829,7 +853,7 @@ class TestImports:
         import time and memory to every command."""
         rng = np.random.default_rng(23)
         records = random_records(rng, mixed_schema, 150, words=random_words(rng, 60))
-        write_records_csv(tmp_path / "records.csv", PairColumns(records, mixed_schema))
+        write_records_csv(tmp_path / "records.csv", record_table(records, mixed_schema))
         write_gold_csv(tmp_path / "gold.csv",
                        GoldTruth({r.record_id: f"e{k % 50}" for k, r in enumerate(records)}))
         save_schema_json(tmp_path / "schema.json", mixed_schema)

@@ -18,8 +18,8 @@ from erbound.dataset import (
     write_records_csv,
 )
 from erbound.errors import ConfigError, DataError
-from erbound.matching import PairColumns
-from erbound.records import NUMERIC, TEXT, Feature, FeatureSchema, base_record, canonical_value
+from erbound.records import NUMERIC, TEXT, Feature, FeatureSchema, canonical_value
+from erbound.reference import base_record, record_table
 
 from conftest import WORDS, count_calls, random_records
 
@@ -85,7 +85,7 @@ class TestGenerator:
         records, gold = generate_synthetic(n_entities=3, records_per_entity=4,
                                            noise_sigma=0.0, seed=1)
         by_label = {}
-        for rec in records:
+        for rec in records:  # each record decoded from the table
             by_label.setdefault(gold.labels[rec.record_id], set()).add(rec.values)
         for variants in by_label.values():
             assert len(variants) == 1
@@ -93,10 +93,10 @@ class TestGenerator:
     def test_deterministic(self):
         a_records, a_gold = generate_synthetic(seed=42)
         b_records, b_gold = generate_synthetic(seed=42)
-        assert a_records == b_records
+        assert list(a_records) == list(b_records)
         assert a_gold == b_gold
         c_records, _ = generate_synthetic(seed=43)
-        assert a_records != c_records
+        assert list(a_records) != list(c_records)
 
     def test_truth_pair_count_formula(self):
         rng = np.random.default_rng(2)
@@ -174,7 +174,7 @@ class TestRecordsCsv:
         rng = np.random.default_rng(3)
         records = random_records(rng, mixed_schema, 20)
         path = tmp_path / "records.csv"
-        write_records_csv(path, PairColumns(records, mixed_schema))
+        write_records_csv(path, record_table(records, mixed_schema))
         assert list(load_records_csv(path, mixed_schema)) == records
         # as a spreadsheet exports it, behind a UTF-8 byte-order mark
         path.write_bytes(b"\xef\xbb\xbf" + path.read_bytes())
@@ -190,7 +190,7 @@ class TestRecordsCsv:
         records = messy_csv(rng, mixed_schema, path, int(rng.integers(2, 60)))
         table = load_records_csv(path, mixed_schema)
         assert list(table) == records
-        oracle = PairColumns(records, mixed_schema)
+        oracle = record_table(records, mixed_schema)
         rows, cols = rng.integers(0, len(records), size=(2, 400))
         assert table.slots(rows, cols).tobytes() == oracle.slots(rows, cols).tobytes()
         assert table.complete == oracle.complete
@@ -208,7 +208,7 @@ class TestRecordsCsv:
                             single=True, pad=pad)
         parsed = count_calls(monkeypatch, canonical_value)
         table = load_records_csv(path, NUMBERS_SCHEMA)
-        oracle = PairColumns(records, NUMBERS_SCHEMA)
+        oracle = record_table(records, NUMBERS_SCHEMA)
         assert table.cells.tobytes() == oracle.cells.tobytes()
         assert table.complete and oracle.complete
         rows, cols = rng.integers(0, len(records), size=(2, 400))
@@ -235,7 +235,7 @@ class TestRecordsCsv:
         assert any(not r.values[1] or not r.values[2] for r in records)
         parsed = count_calls(monkeypatch, canonical_value)
         table = load_records_csv(path, NUMBERS_SCHEMA)
-        oracle = PairColumns(records, NUMBERS_SCHEMA)
+        oracle = record_table(records, NUMBERS_SCHEMA)
         assert table.cells.tobytes() == oracle.cells.tobytes()
         assert not table.complete and not oracle.complete
         rows, cols = rng.integers(0, len(records), size=(2, 400))
@@ -279,7 +279,7 @@ class TestRecordsCsv:
                                {"name": [f"n{i}"], "x": [x], "y": y})
                    for i, (x, *y) in enumerate(values)]
         table = load_records_csv(path, NUMBERS_SCHEMA)
-        oracle = PairColumns(records, NUMBERS_SCHEMA)
+        oracle = record_table(records, NUMBERS_SCHEMA)
         assert table.cells.tobytes() == oracle.cells.tobytes()
         assert table.complete == oracle.complete == bool(expected)
 
@@ -315,7 +315,7 @@ class TestRecordsCsv:
             "name": [] if i == 2 else [str(rng.choice(WORDS))],
             "x": [float(rng.normal())],
             "y": [] if v != v else [v]}) for i, v in enumerate(specials * 3)]
-        table = PairColumns(records, NUMBERS_SCHEMA)
+        table = record_table(records, NUMBERS_SCHEMA)
         assert table.cells.shape[1] == 1
         wide = copy.copy(table)
         wide.cells = np.concatenate([table.cells, np.full_like(table.cells, np.nan)], axis=1)
@@ -329,8 +329,8 @@ class TestRecordsCsv:
         records, _ = generate_synthetic(n_entities=5, records_per_entity=4, seed=9)
         schema = synthetic_schema(10)
         path = tmp_path / "records.csv"
-        write_records_csv(path, PairColumns(records, schema))
-        assert list(load_records_csv(path, schema)) == records
+        write_records_csv(path, records)
+        assert list(load_records_csv(path, schema)) == list(records)
 
 
 class TestGold:
@@ -373,16 +373,15 @@ class TestSchemaJson:
 class TestSplit:
     def test_requesting_zero_pairs_keeps_everything(self):
         records, gold = generate_synthetic(n_entities=4, records_per_entity=3, seed=5)
-        split = split_dataset(PairColumns(records, synthetic_schema(10)), gold,
+        split = split_dataset(records, gold,
                               SplitSpec(0, 0, seed=0))
         assert split.train_pairs.labels.size == split.validation_pairs.labels.size == 0
-        assert list(split.test_records) == records
+        assert list(split.test_records) == list(records)
         assert split.test_gold.labels == gold.labels
 
     def test_disjointness_and_label_consistency(self):
         rng = np.random.default_rng(6)
-        records, gold = generate_synthetic(n_entities=10, records_per_entity=6, seed=6)
-        table = PairColumns(records, synthetic_schema(10))
+        table, gold = generate_synthetic(n_entities=10, records_per_entity=6, seed=6)
         for trial in range(10):
             spec = SplitSpec(
                 n_train_pairs=int(rng.integers(2, 40)),
@@ -404,34 +403,34 @@ class TestSplit:
                     assert (gold.labels[key[0]] == gold.labels[key[1]]) == bool(label)
                     used.update(key)
             test_ids = set(split.test_records.ids)
-            assert list(split.test_records) == [r for r in records if r.record_id in test_ids]
+            assert list(split.test_records) == [r for r in table if r.record_id in test_ids]
             assert not (used & test_ids)
             assert set(split.test_gold.labels) <= test_ids
 
     def test_validation_class_balance_tracks_fraction(self):
         records, gold = generate_synthetic(seed=7)
-        split = split_dataset(PairColumns(records, synthetic_schema(10)), gold,
+        split = split_dataset(records, gold,
                               SplitSpec(0, 200, positive_fraction_validation=0.3, seed=7))
         assert split.validation_pairs.labels.sum() == 60
 
     def test_infeasible_positive_request(self):
         records, gold = generate_synthetic(n_entities=2, records_per_entity=2, seed=8)
         with pytest.raises(ConfigError, match="positive"):
-            split_dataset(PairColumns(records, synthetic_schema(10)), gold,
+            split_dataset(records, gold,
                           SplitSpec(100, 0, seed=0))
 
     def test_infeasible_negative_request(self):
         records, gold = generate_synthetic(n_entities=2, records_per_entity=2, seed=8)
         # 4 records: 2 positives, 4 negatives available; ask for 1 pos + 5 neg
         with pytest.raises(ConfigError, match="negative"):
-            split_dataset(PairColumns(records, synthetic_schema(10)), gold,
+            split_dataset(records, gold,
                           SplitSpec(6, 0, positive_fraction_train=0.2, seed=0))
 
     def test_deterministic(self):
         records, gold = generate_synthetic(n_entities=8, records_per_entity=5, seed=9)
         spec = SplitSpec(20, 20, seed=123)
-        a = split_dataset(PairColumns(records, synthetic_schema(10)), gold, spec)
-        b = split_dataset(PairColumns(records, synthetic_schema(10)), gold, spec)
+        a = split_dataset(records, gold, spec)
+        b = split_dataset(records, gold, spec)
         for pairs_a, pairs_b in ((a.train_pairs, b.train_pairs),
                                  (a.validation_pairs, b.validation_pairs)):
             assert all(np.array_equal(x, y) for x, y in zip(pairs_a, pairs_b))

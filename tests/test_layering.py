@@ -18,6 +18,7 @@ from erbound.dataset import (GoldTruth, SplitSpec, load_records_csv, save_schema
 from erbound.matching import PairColumns
 from erbound.pipeline import train_pipeline
 from erbound.records import NUMERIC, TEXT, Record, canonical_value
+from erbound.reference import record_table
 
 from conftest import count_calls, random_records, random_words
 
@@ -103,7 +104,7 @@ def test_train_pipeline_scores_no_pair_alone(monkeypatch, mixed_schema):
     rng = np.random.default_rng(21)
     records = random_records(rng, mixed_schema, 200, words=random_words(rng, 100))
     gold = GoldTruth({r.record_id: f"e{k % 50}" for k, r in enumerate(records)})
-    table = PairColumns(records, mixed_schema)
+    table = record_table(records, mixed_schema)
     per_pair = count_calls(monkeypatch, matching.score_pair)
     distances = count_calls(monkeypatch, matching._batch_levenshtein)
     _, split, _ = train_pipeline(table, gold, SplitSpec(60, 60, seed=21))
@@ -116,12 +117,13 @@ def test_train_pipeline_scores_no_pair_alone(monkeypatch, mixed_schema):
 
 
 def test_commands_build_no_record(monkeypatch, tmp_path, mixed_schema):
-    """`train`, `sweep` and `resolve` on a small mixed set keep their
-    records in the record table alone: no `Record` is constructed."""
+    """`generate`, and `train`, `sweep` and `resolve` on a small mixed set,
+    keep their records in the record table alone: no `Record` is
+    constructed."""
     rng = np.random.default_rng(24)
     records = random_records(rng, mixed_schema, 120, max_values=3, missing_rate=0.3,
                              words=random_words(rng, 50))
-    write_records_csv(tmp_path / "records.csv", PairColumns(records, mixed_schema))
+    write_records_csv(tmp_path / "records.csv", record_table(records, mixed_schema))
     write_gold_csv(tmp_path / "gold.csv",
                    GoldTruth({r.record_id: f"e{k % 40}" for k, r in enumerate(records)}))
     save_schema_json(tmp_path / "schema.json", mixed_schema)
@@ -133,6 +135,7 @@ def test_commands_build_no_record(monkeypatch, tmp_path, mixed_schema):
     common = ["--model", str(run / "model.json"), "--records", str(run / "test_records.csv"),
               "--validation-stats", str(run / "validation_stats.json")]
     codes = [main(argv) for argv in (
+        ["generate", "--out", str(tmp_path / "generated"), "--n-entities", "20"],
         ["train", "--out", str(run), "--records", str(tmp_path / "records.csv"),
          "--gold", str(tmp_path / "gold.csv"), "--schema", str(tmp_path / "schema.json"),
          "--n-train-pairs", "30", "--n-validation-pairs", "30"],
@@ -140,9 +143,9 @@ def test_commands_build_no_record(monkeypatch, tmp_path, mixed_schema):
          "--gold", str(run / "test_gold.csv"), "--write-clusterings"],
         ["resolve", "--out", str(tmp_path / "resolve"), *common],
     )]
-    assert codes[:2] == [0, 0] and codes[2] in (0, 4)
+    assert codes[:3] == [0, 0, 0] and codes[3] in (0, 4)
     assert built == []
-    PairColumns(records, mixed_schema)[0]  # the counter sees a decoded record
+    record_table(records, mixed_schema)[0]  # the counter sees a decoded record
     assert len(built) == 1
 
 
@@ -194,7 +197,7 @@ def test_numeric_columns_parse_in_one_pass(monkeypatch, tmp_path, mixed_schema):
                                  missing_rate=0.3)
         assert any(not r.values[3] for r in records)
         assert any(len(r.values[3]) > 1 for r in records) == per_cell
-        write_records_csv(tmp_path / "people.csv", PairColumns(records, mixed_schema))
+        write_records_csv(tmp_path / "people.csv", record_table(records, mixed_schema))
         calls.clear()
         assert list(load_records_csv(tmp_path / "people.csv", mixed_schema)) == records
         assert any(kind == NUMERIC for _, kind in calls) == per_cell

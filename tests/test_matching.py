@@ -32,10 +32,10 @@ from erbound.records import (
     TEXT,
     Feature,
     FeatureSchema,
-    base_record,
 )
 from erbound.reference import (
     base_match,
+    base_record,
     featurize_pair,
     levenshtein,
     matcher_from_scores,
@@ -43,6 +43,7 @@ from erbound.reference import (
     normalized_levenshtein,
     pair_score,
     pairwise_scores,
+    record_table,
 )
 
 from conftest import (all_pairs, count_calls, labeled_table, random_model, random_record,
@@ -264,10 +265,9 @@ class TestTraining:
             assert all(b <= a + 1e-15 for a, b in zip(losses, losses[1:]))
 
     def test_synthetic_validation_accuracy(self):
-        from erbound.dataset import SplitSpec, generate_synthetic, split_dataset, synthetic_schema
+        from erbound.dataset import SplitSpec, generate_synthetic, split_dataset
 
-        records, gold = generate_synthetic(seed=12)
-        table = PairColumns(records, synthetic_schema(10))
+        table, gold = generate_synthetic(seed=12)
         split = split_dataset(table, gold, SplitSpec(100, 100, seed=12))
         model = train_match_model(table, split.train_pairs)
         rows, cols, labels = split.validation_pairs
@@ -353,10 +353,10 @@ class TestBaseMatch:
 
 
 def synthetic_case(rng, mixed_schema):
-    from erbound.dataset import generate_synthetic, synthetic_schema
+    from erbound.dataset import generate_synthetic
 
-    records, _ = generate_synthetic(n_entities=4, records_per_entity=3, seed=3)
-    return synthetic_schema(10), records
+    table, _ = generate_synthetic(n_entities=4, records_per_entity=3, seed=3)
+    return table.schema, list(table)
 
 
 def mixed_case(n):
@@ -414,7 +414,7 @@ class TestBulkScores:
         assert scores.shape == (len(pairs),)
         assert np.allclose(scores, [pair_score(model, a, b) for a, b in pairs],
                            rtol=0.0, atol=1e-12)
-        columns = PairColumns(records, schema)
+        columns = record_table(records, schema)
         row_blocks = [columns.slots(slice(i, i + 1), slice(i + 1, n)) for i in range(n - 1)]
         assert_slots_match_reference(np.vstack([np.empty((0, len(schema))), *row_blocks]),
                                      pairs, schema)
@@ -433,7 +433,7 @@ class TestBulkScores:
         rows, cols = np.append(rows, [rows[0], cols[0]]), np.append(cols, [rows[0], rows[0]])
         pairs = [(records[i], records[j]) for i, j in zip(rows, cols)]
         calls = count_calls(monkeypatch, matching._batch_levenshtein)
-        columns = PairColumns(records, mixed_schema)
+        columns = record_table(records, mixed_schema)
         assert_slots_match_reference(columns.slots(rows, cols), pairs, mixed_schema)
         held = {(f, frozenset((x, y))) for a, b in pairs for f in (0, 1)
                 for x in a.values[f] for y in b.values[f] if x != y}
@@ -486,7 +486,7 @@ class TestBulkScores:
         monkeypatch.setattr(PairColumns, "slots",
                             lambda self, *args: blocks.append(args) or gather(self, *args))
         condensed_pairwise_scores(random_model(rng, mixed_schema),
-                                  PairColumns(records, mixed_schema), 0.0)
+                                  record_table(records, mixed_schema), 0.0)
         assert scalar == [[], []]
         assert 1 <= len(dp) <= len(blocks) < len(records) - 1
 
@@ -516,7 +516,7 @@ class TestEdges:
         dense = all_pairs(model, records)
         if floor == "above-every-score":
             floor = float(np.nextafter(dense[2].max(), 2.0))
-        edges = condensed_pairwise_scores(model, PairColumns(records, schema), floor)
+        edges = condensed_pairwise_scores(model, record_table(records, schema), floor)
         kept = dense[2] >= floor
         assert len(edges) == 3
         for got, want in zip(edges, dense):
@@ -528,12 +528,13 @@ class TestEdges:
         the edges are still exactly the pairs at or above the floor."""
         from erbound.dataset import generate_synthetic, synthetic_schema
 
-        records, gold = generate_synthetic(n_entities=120, records_per_entity=10, seed=5)
+        table, gold = generate_synthetic(n_entities=120, records_per_entity=10, seed=5)
+        records = list(table)
         pairs = [(a, b, int(gold.labels[a.record_id] == gold.labels[b.record_id]))
                  for a, b in zip(records[::7], records[1::7])]
         pairs += [(a, b, 0) for a, b in zip(records[::11], records[600::11])]
         model = train_match_model(*labeled_table(pairs, synthetic_schema(10)))
-        n, table = len(records), PairColumns(records, synthetic_schema(10))
+        n = len(records)
         tracemalloc.start()
         try:
             edges = condensed_pairwise_scores(model, table, 0.9)
@@ -553,11 +554,10 @@ class TestEdges:
         from erbound.dataset import generate_synthetic, synthetic_schema
 
         rng = np.random.default_rng(21)
-        records, _ = generate_synthetic(n_entities=8, records_per_entity=5, seed=21)
-        columns = PairColumns(records, synthetic_schema(10))
+        columns, _ = generate_synthetic(n_entities=8, records_per_entity=5, seed=21)
         assert columns.complete
-        assert not PairColumns(*mixed_case(10)(rng, mixed_schema)[::-1]).complete
-        slots = columns.slots(*np.triu_indices(len(records), 1))
+        assert not record_table(*mixed_case(10)(rng, mixed_schema)[::-1]).complete
+        slots = columns.slots(*np.triu_indices(len(columns), 1))
         model = random_model(rng, synthetic_schema(10))
         incomplete = copy.copy(columns)
         incomplete.complete = False
@@ -573,7 +573,7 @@ class TestEdges:
 
         rng = np.random.default_rng(22)
         records = random_records(rng, mixed_schema, 40, words=random_words(rng, 30))
-        model, table = random_model(rng, mixed_schema), PairColumns(records, mixed_schema)
+        model, table = random_model(rng, mixed_schema), record_table(records, mixed_schema)
         monkeypatch.setattr(matching, "MEMORY_BUDGET", 64)
         with pytest.raises(ConfigError, match="40 records .* --threshold or --grid-start"):
             condensed_pairwise_scores(model, table, floor)
@@ -607,7 +607,7 @@ class TestKernel:
         oracle = [pair_score(model, a, b) for a, b in pairs]
         if steepness > 1:  # logits past either clip
             assert min(oracle) == float(sigmoid(-500.0)) and max(oracle) == 1.0
-        table = PairColumns(records, schema)
+        table = record_table(records, schema)
         n, (n_features, k) = len(records), table.cells.shape[:2]
         one_row = n_features * k * k * (n - 1)
         for block in (1, one_row, 3 * one_row, one_row * n):

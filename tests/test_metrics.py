@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from erbound.dataset import GoldTruth, pairs_from_labels
-from erbound.matching import PairColumns
 from erbound.pipeline import sweep_thresholds
 from erbound.reference import (
     base_match,
@@ -12,6 +11,7 @@ from erbound.reference import (
     matcher_from_scores,
     pair_metrics,
     pairwise_scores,
+    record_table,
     resolve_connected_components,
 )
 
@@ -124,7 +124,7 @@ class TestCountBasedMetrics:
             ids = [r.record_id for r in records] + ["x1", "x2"]
             gold = GoldTruth({i: f"e{rng.integers(0, 4)}" for i in ids if rng.random() < 0.8})
             truth = frozenset(p for p in gold.truth_pairs() if "x1" not in p and "x2" not in p)
-            sweep = sweep_thresholds(model, PairColumns(records, mixed_schema),
+            sweep = sweep_thresholds(model, record_table(records, mixed_schema),
                                      val_scores, val_labels,
                                      rng.uniform(0.05, 0.95, size=3), gold=gold)
             edges = all_pairs(model, records)

@@ -6,17 +6,17 @@ import pytest
 
 from erbound import matching
 from erbound.bounds import ValidationStats, compute_bound_report, f1_lower_bound, wilson_interval
-from erbound.dataset import SplitSpec, generate_synthetic, synthetic_schema
+from erbound.dataset import SplitSpec, generate_synthetic
 from erbound.errors import ConfigError
-from erbound.matching import PairColumns, condensed_pairwise_scores
+from erbound.matching import condensed_pairwise_scores
 from erbound.pipeline import (
-    degradation_experiment,
     select_best_row,
     sweep_thresholds,
     train_pipeline,
 )
 from erbound.reference import (
     base_match,
+    degradation_experiment,
     intra_cluster_pairs,
     pair_metrics,
     resolve_connected_components,
@@ -29,7 +29,7 @@ from conftest import all_pairs, count_calls, resolve_at, sweep_rows
 @pytest.fixture(scope="module")
 def small_run():
     records, gold = generate_synthetic(n_entities=20, records_per_entity=5, seed=21)
-    model, split, scores = train_pipeline(PairColumns(records, synthetic_schema(10)), gold,
+    model, split, scores = train_pipeline(records, gold,
                                           SplitSpec(40, 60, seed=21))
     return records, gold, model, split, scores, split.validation_pairs.labels
 
@@ -50,7 +50,7 @@ class TestTrainPipeline:
     def test_validation_required(self):
         records, gold = generate_synthetic(n_entities=6, records_per_entity=3, seed=2)
         with pytest.raises(ConfigError):
-            train_pipeline(PairColumns(records, synthetic_schema(10)), gold,
+            train_pipeline(records, gold,
                            SplitSpec(10, 0, seed=2))
 
 
@@ -184,7 +184,7 @@ class TestSweep:
         at a time: 2,000 grid points over 176 test records peak below 1 MB
         (a label array per row would hold 2.8 MB)."""
         records, gold = generate_synthetic(60, 6, noise_sigma=0.05, seed=5)
-        model, split, scores = train_pipeline(PairColumns(records, synthetic_schema(10)), gold,
+        model, split, scores = train_pipeline(records, gold,
                                               SplitSpec(60, 60, seed=5))
         test_records = split.test_records
         assert len(test_records) == 176
@@ -251,7 +251,7 @@ class TestQualitativeCurves:
         """Somewhere on the grid both true metrics are near-perfect and the
         bound curves sit close beneath them."""
         records, gold = generate_synthetic(seed=33)
-        model, split, scores = train_pipeline(PairColumns(records, synthetic_schema(10)), gold,
+        model, split, scores = train_pipeline(records, gold,
                                               SplitSpec(80, 100, seed=33))
         sweep = sweep_thresholds(model, split.test_records, scores, split.validation_pairs.labels,
                                  np.linspace(0.05, 0.95, 19), gold=split.test_gold)

@@ -7,10 +7,9 @@ from erbound.records import (
     TEXT,
     Feature,
     FeatureSchema,
-    base_record,
     canonical_value,
 )
-from erbound.reference import merge_records
+from erbound.reference import base_record, merge_records
 
 from conftest import random_record
 

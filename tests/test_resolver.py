@@ -5,14 +5,14 @@ import numpy as np
 import pytest
 
 from erbound.errors import DataError
-from erbound.matching import PairColumns
-from erbound.records import base_record
 from erbound.reference import (
     base_match,
+    base_record,
     candidate_pairs,
     matcher_from_scores,
     merge_records,
     pairwise_scores,
+    record_table,
     resolve_connected_components,
     resolve_rswoosh,
 )
@@ -208,7 +208,7 @@ class TestComponentsByThreshold:
         rng = np.random.default_rng(19)
         records = random_records(rng, mixed_schema, 30)
         sweep = sweep_thresholds(random_model(rng, mixed_schema),
-                                 PairColumns(records, mixed_schema),
+                                 record_table(records, mixed_schema),
                                  rng.random(20), np.arange(20) % 2,
                                  np.linspace(0.05, 0.95, 19))
         assert len(list(sweep)) == 19
@@ -219,12 +219,12 @@ class TestComponentsByThreshold:
         the permuted rows and columns: a 48-point pass over 33,957 edges
         peaks below 27 bytes per edge (a negated band array on top of it
         read 31.3)."""
-        from erbound.dataset import SplitSpec, generate_synthetic, synthetic_schema
+        from erbound.dataset import SplitSpec, generate_synthetic
         from erbound.matching import condensed_pairwise_scores
         from erbound.pipeline import train_pipeline
 
         records, gold = generate_synthetic(120, 6, noise_sigma=0.05, seed=5)
-        model, split, _ = train_pipeline(PairColumns(records, synthetic_schema(10)), gold,
+        model, split, _ = train_pipeline(records, gold,
                                          SplitSpec(60, 60, seed=5))
         rows, cols, scores = condensed_pairwise_scores(model, split.test_records, 0.02)
         assert len(scores) == 33_957
