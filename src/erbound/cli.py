@@ -40,12 +40,12 @@ SWEEP_COLUMNS = [
 _REQUIRED = {
     "generate": ("out",),
     "train": ("out", "records", "gold", "schema"),
-    "sweep": ("out", "model", "records", "validation_stats"),
-    "resolve": ("out", "model", "records", "validation_stats"),
+    **dict.fromkeys(("sweep", "resolve"), ("out", "model", "records", "validation_stats")),
 }
 
 
-def _read_config_file(path: str) -> dict[str, str]:
+def _read_config_file(path: str) -> dict[str, tuple[int, str]]:
+    """Each key of a config file -> (line number, value); a repeated key keeps its last."""
     try:
         text = Path(path).read_text(encoding="utf-8-sig")
     except UnicodeDecodeError as exc:
@@ -58,7 +58,7 @@ def _read_config_file(path: str) -> dict[str, str]:
         if "=" not in line:
             raise ErboundError(f"{path}:{line_no}: expected key=value, got {raw!r}")
         key, _, value = line.partition("=")
-        values[key.strip()] = value.strip()
+        values[key.strip()] = line_no, value.strip()
     return values
 
 
@@ -72,34 +72,40 @@ def _merge_config(args: argparse.Namespace, argv: list[str],
     actions = {a.dest: a for a in sub._actions}
     given = {tok.split("=", 1)[0] for tok in argv}  # flags given as --flag or --flag=value
     explicit = {a.dest for a in sub._actions if given.intersection(a.option_strings)}
-    for key, value in raw.items():
+    for key, (line_no, value) in raw.items():
         dest = key.replace("-", "_")
         if dest not in actions or dest in ("help", "config"):
-            raise ErboundError(f"unknown config key {key!r}")
+            raise ErboundError(f"{args.config}:{line_no}: unknown config key {key!r}")
         if dest in explicit:
             continue
         action = actions[dest]
-        if isinstance(action, argparse._StoreTrueAction):
+        where = f"{args.config}:{line_no}: config key {key!r}"
+        if action.nargs == 0:  # a store_true flag
             if value.lower() not in ("1", "0", "true", "false", "yes", "no"):
-                raise ErboundError(f"config key {key!r}: {value!r} is not 1/0/true/false/yes/no")
+                raise ErboundError(f"{where}: {value!r} is not 1/0/true/false/yes/no")
             parsed = value.lower() in ("1", "true", "yes")
         elif action.type is not None:
             try:
                 parsed = action.type(value)
             except ValueError as exc:
-                raise ErboundError(f"config key {key!r}: {exc}") from exc
+                raise ErboundError(f"{where}: {exc}") from exc
         else:
             parsed = value
         if action.choices is not None and parsed not in action.choices:
-            raise ErboundError(
-                f"config key {key!r}: {parsed!r} not in {sorted(action.choices)}")
+            raise ErboundError(f"{where}: {parsed!r} not in {sorted(action.choices)}")
         setattr(args, dest, parsed)
 
 
-def _write_effective_config(out_dir: Path, command: str, args: argparse.Namespace) -> None:
+def _write_effective_config(args: argparse.Namespace) -> None:
+    """`<command>.effective.cfg`; a path keeps the bytes it was given in argv."""
     lines = [f"{key}={value}" for key, value in sorted(vars(args).items())
              if key not in ("func", "config", "command") and value is not None]
-    (out_dir / f"{command}.effective.cfg").write_text("\n".join(lines) + "\n")
+    (Path(args.out) / f"{args.command}.effective.cfg").write_text(
+        "\n".join(lines) + "\n", encoding="utf-8", errors="surrogateescape")
+
+
+def _write_json(path: Path, doc) -> None:
+    path.write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n", encoding="utf-8")
 
 
 def _fmt(value) -> str:
@@ -108,6 +114,10 @@ def _fmt(value) -> str:
     if isinstance(value, float):
         return "%.10g" % value
     return str(value)
+
+
+def _shown(value: float | None) -> str:
+    return "undefined" if value is None else "%.4f" % value
 
 
 def _out_dir(args) -> Path:
@@ -154,8 +164,8 @@ def cmd_generate(args) -> int:
     dataset.write_records_csv(out / "records.csv", table)
     dataset.write_gold_csv(out / "gold.csv", gold)
     dataset.save_schema_json(out / "schema.json", table.schema)
-    _write_effective_config(out, "generate", args)
-    print(f"wrote {len(table)} records, {len(gold.truth_pairs())} truth pairs to {out}")
+    r = args.records_per_entity
+    print(f"wrote {len(table)} records, {args.n_entities * r * (r - 1) // 2} truth pairs to {out}")
     return EXIT_OK
 
 
@@ -192,7 +202,7 @@ def _stats_payload(split: dataset.Split, scores: np.ndarray, ids: list[str],
 def load_validation_stats(path) -> tuple[np.ndarray, np.ndarray]:
     """Validation pair scores and 0/1 labels from a `train` stats file."""
     try:
-        doc = json.loads(Path(path).read_text())
+        doc = json.loads(Path(path).read_text(encoding="utf-8-sig"))
         if not isinstance(doc, dict):
             raise DataError(f"{path}: validation stats are not a JSON object")
         if doc.get("format_version") != STATS_FORMAT_VERSION:
@@ -238,32 +248,29 @@ def cmd_train(args) -> int:
     out = _out_dir(args)
     matching.save_model(out / "model.json", model)
     payload = _stats_payload(split, scores, records.ids, args.threshold, args.confidence)
-    (out / "validation_stats.json").write_text(
-        json.dumps(payload, indent=2, sort_keys=True) + "\n")
+    _write_json(out / "validation_stats.json", payload)
     dataset.write_records_csv(out / "test_records.csv", split.test_records)
     dataset.write_gold_csv(out / "test_gold.csv", split.test_gold)
-    _write_effective_config(out, "train", args)
 
     s = payload["stats"]
-    prec = "undefined" if s["precision_v"] is None else "%.4f" % s["precision_v"]
     print(f"trained on {len(split.train_pairs.labels)} pairs; "
           f"validation n={s['n_pairs']} c_v={s['c_v']:.3f} "
-          f"precision_v={prec} recall_v={s['recall_v']:.4f}")
+          f"precision_v={_shown(s['precision_v'])} recall_v={_shown(s['recall_v'])}")
     print(f"test set: {len(split.test_records)} records")
     return EXIT_OK
 
 
-def _load_test_records(args, model: matching.MatchModel) -> matching.PairColumns:
+def _load_inputs(args) -> tuple:
+    """The model, test records, validation scores and labels of `sweep` and `resolve`."""
+    model = matching.load_model(args.model)
     records = dataset.load_records_csv(args.records, model.schema)
     if len(records) < 2:
         raise DataError(f"{args.records}: needs at least 2 test records, got {len(records)}")
-    return records
+    return model, records, *load_validation_stats(args.validation_stats)
 
 
 def cmd_sweep(args) -> int:
-    model = matching.load_model(args.model)
-    records = _load_test_records(args, model)
-    val_scores, val_labels = load_validation_stats(args.validation_stats)
+    model, records, val_scores, val_labels = _load_inputs(args)
     gold = dataset.load_gold(args.gold, valid_ids=records.ids) if args.gold else None
     sweep = pipeline.sweep_thresholds(model, records, val_scores, val_labels, _grid(args),
                                       gold=gold, c_t_override=args.ct,
@@ -277,7 +284,7 @@ def cmd_sweep(args) -> int:
         rows.append(row)
     metric = args.select_metric
     best = pipeline.select_best_row(rows, metric, args.recall_floor)
-    with open(out / "sweep.csv", "w", newline="") as fh:
+    with open(out / "sweep.csv", "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
         writer.writerow(SWEEP_COLUMNS)
         for row in reversed(rows):  # the sweep yields the highest threshold first
@@ -294,18 +301,13 @@ def cmd_sweep(args) -> int:
         "value": getattr(best, metric),
         "recall_floor": args.recall_floor,
     }
-    (out / "best.json").write_text(json.dumps(best_doc, indent=2, sort_keys=True) + "\n")
-    _write_effective_config(out, "sweep", args)
+    _write_json(out / "best.json", best_doc)
     if best is None:
         print("sweep finished; no threshold produced a defined bound")
     else:
         print(f"sweep finished; best {metric}={_fmt(getattr(best, metric))} "
               f"at threshold {_fmt(best.threshold)}")
     return EXIT_OK
-
-
-def _shown(value: float | None) -> str:
-    return "undefined" if value is None else "%.4f" % value
 
 
 def _bound_report_doc(row: pipeline.SweepRow, confidence: float) -> dict:
@@ -331,9 +333,7 @@ def _bound_report_doc(row: pipeline.SweepRow, confidence: float) -> dict:
 
 
 def cmd_resolve(args) -> int:
-    model = matching.load_model(args.model)
-    records = _load_test_records(args, model)
-    val_scores, val_labels = load_validation_stats(args.validation_stats)
+    model, records, val_scores, val_labels = _load_inputs(args)
     threshold = model.threshold if args.threshold is None else args.threshold
     row, labels = next(pipeline.sweep_thresholds(model, records, val_scores, val_labels,
                                                  [threshold], c_t_override=args.ct,
@@ -341,9 +341,7 @@ def cmd_resolve(args) -> int:
     cluster_ids = resolver.resolve_from_condensed(records.ids, labels)
     out = _out_dir(args)
     resolver.write_clustering_csv(out / "clustering.csv", records.ids, cluster_ids)
-    (out / "bound_report.json").write_text(
-        json.dumps(_bound_report_doc(row, args.confidence), indent=2, sort_keys=True) + "\n")
-    _write_effective_config(out, "resolve", args)
+    _write_json(out / "bound_report.json", _bound_report_doc(row, args.confidence))
     print(f"resolved {len(records)} records into {len(set(cluster_ids))} clusters "
           f"at threshold {_fmt(threshold)}")
     gates = [
@@ -378,6 +376,14 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argument
         p.add_argument("--config", help="key=value file; flags override it")
         p.add_argument("--out", help="output directory")
 
+    def add_inputs(p):  # what sweep and resolve read, and their bound settings
+        p.add_argument("--model")
+        p.add_argument("--records")
+        p.add_argument("--validation-stats")
+        p.add_argument("--confidence", type=float, default=0.95)
+        p.add_argument("--ct", type=float, default=None,
+                       help="fixed test class balance; default: estimate it")
+
     g = sub.add_parser("generate", help="write a synthetic dataset", allow_abbrev=False)
     add_common(g)
     g.add_argument("--n-entities", type=int, default=100)
@@ -408,16 +414,11 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argument
     s = sub.add_parser("sweep", help="bound curves across a threshold grid",
                        allow_abbrev=False)
     add_common(s)
-    s.add_argument("--model")
-    s.add_argument("--records")
-    s.add_argument("--validation-stats")
+    add_inputs(s)
     s.add_argument("--gold", help="optional gold CSV to add true metrics")
     s.add_argument("--grid-start", type=float, default=0.05)
     s.add_argument("--grid-stop", type=float, default=0.95)
     s.add_argument("--grid-steps", type=int, default=19)
-    s.add_argument("--confidence", type=float, default=0.95)
-    s.add_argument("--ct", type=float, default=None,
-                   help="fixed test class balance; default: estimate it")
     s.add_argument("--select-metric", choices=pipeline.SELECT_METRICS, default="f1_lb")
     s.add_argument("--recall-floor", type=float, default=None)
     s.add_argument("--write-clusterings", action="store_true")
@@ -426,13 +427,9 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argument
     r = sub.add_parser("resolve", help="resolve at one threshold and gate on bounds",
                        allow_abbrev=False)
     add_common(r)
-    r.add_argument("--model")
-    r.add_argument("--records")
-    r.add_argument("--validation-stats")
+    add_inputs(r)
     r.add_argument("--threshold", type=float, default=None,
                    help="default: the model's stored threshold")
-    r.add_argument("--confidence", type=float, default=0.95)
-    r.add_argument("--ct", type=float, default=None)
     r.add_argument("--min-precision-lb", type=float, default=None)
     r.add_argument("--min-recall-lb", type=float, default=None)
     r.add_argument("--min-f1-lb", type=float, default=None)
@@ -451,7 +448,9 @@ def main(argv: list[str] | None = None) -> int:
             if getattr(args, dest) is None:
                 sub.error(f"the following argument is required: --{dest.replace('_', '-')}")
         _check_ranges(args)
-        return args.func(args)
+        code = args.func(args)
+        _write_effective_config(args)
+        return code
     except (ErboundError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_DATA

@@ -5,10 +5,10 @@ one record form from the CSV to the score, and a split names its labeled
 pairs by index into that table. `generate_synthetic` builds its table from
 float columns, one per feature.
 
-File formats
-------------
+File formats, all UTF-8 (a byte-order mark is accepted on input)
+-----------------------------------------------------------------
 records CSV       : header `id,<feature...>`; multi-valued cells joined with
-                    `|`; an empty cell is a missing feature. UTF-8.
+                    `|`; an empty cell is a missing feature.
 gold CSV          : header `id,label`; an empty label leaves the id unlabeled.
 schema JSON       : {"features": [{"name": ..., "kind": ...}, ...]}
 
@@ -106,6 +106,14 @@ def _csv_rows(path) -> Iterator[list[str]]:
         raise DataError(f"{path}: not UTF-8 text: {exc}") from exc
 
 
+def write_csv(path, header: Sequence[str], rows: Iterable[Sequence]) -> None:
+    """Write a UTF-8 CSV: the header row, then `rows`."""
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(header)
+        writer.writerows(rows)
+
+
 def _numeric_column(column: Sequence[str]) -> np.ndarray:
     """A numeric column of at most one value per cell as one float array,
     NaN for a blank cell, parsed by one `float` map over the other cells.
@@ -194,10 +202,7 @@ def write_records_csv(path, table: PairColumns) -> None:
         else:
             columns.append(["|".join(sorted([as_text(v) for v in slot if v == v]))
                             for slot in table.cells[f].T.tolist()])
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["id", *table.schema.names])
-        writer.writerows(zip(*columns))
+    write_csv(path, ["id", *table.schema.names], zip(*columns))
 
 
 def load_gold(path, valid_ids: Iterable[str] | None = None) -> GoldTruth:
@@ -228,20 +233,16 @@ def load_gold(path, valid_ids: Iterable[str] | None = None) -> GoldTruth:
 
 
 def write_gold_csv(path, gold: GoldTruth) -> None:
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["id", "label"])
-        for rid in sorted(gold.labels):
-            writer.writerow([rid, gold.labels[rid]])
+    write_csv(path, ["id", "label"], sorted(gold.labels.items()))
 
 
 def save_schema_json(path, schema: FeatureSchema) -> None:
-    Path(path).write_text(json.dumps(schema.to_dict(), indent=2) + "\n")
+    Path(path).write_text(json.dumps(schema.to_dict(), indent=2) + "\n", encoding="utf-8")
 
 
 def load_schema_json(path) -> FeatureSchema:
     try:
-        return FeatureSchema.from_dict(json.loads(Path(path).read_text()))
+        return FeatureSchema.from_dict(json.loads(Path(path).read_text(encoding="utf-8-sig")))
     except (SchemaError, ValueError) as exc:
         raise SchemaError(f"{path}: {exc}") from exc
 

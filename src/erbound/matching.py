@@ -316,12 +316,13 @@ def _number(value, name: str, integer: bool = False) -> float | int:
 
 
 def save_model(path, model: MatchModel) -> None:
-    Path(path).write_text(json.dumps(model.to_dict(), indent=2, sort_keys=True) + "\n")
+    Path(path).write_text(json.dumps(model.to_dict(), indent=2, sort_keys=True) + "\n",
+                          encoding="utf-8")
 
 
 def load_model(path) -> MatchModel:
     try:
-        return MatchModel.from_dict(json.loads(Path(path).read_text()))
+        return MatchModel.from_dict(json.loads(Path(path).read_text(encoding="utf-8-sig")))
     except (DataError, SchemaError, ValueError) as exc:
         raise DataError(f"{path}: {exc}") from exc
 

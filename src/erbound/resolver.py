@@ -12,10 +12,11 @@ into the labels of the band above. The labels stay the resolution up to
 the output file, which names each record's cluster by its smallest id.
 """
 
-import csv
 from typing import Sequence
 
 import numpy as np
+
+from .dataset import write_csv
 
 
 def _merge(labels: np.ndarray, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
@@ -92,7 +93,4 @@ def resolve_from_condensed(ids: Sequence[str], labels: np.ndarray) -> list[str]:
 
 def write_clustering_csv(path, ids: Sequence[str], cluster_ids: Sequence[str]) -> None:
     """CSV rows `id,cluster_id`, sorted by id."""
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["id", "cluster_id"])
-        writer.writerows(sorted(zip(ids, cluster_ids)))
+    write_csv(path, ["id", "cluster_id"], sorted(zip(ids, cluster_ids)))

@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 import erbound
-from erbound import matching, pipeline, resolver
+from erbound import dataset, matching, pipeline, resolver
 from erbound.cli import EXIT_DATA, EXIT_GATE, EXIT_OK, SWEEP_COLUMNS, _fmt, main
 from erbound.dataset import GoldTruth, save_schema_json, write_gold_csv, write_records_csv
 from erbound.reference import record_table
@@ -77,6 +77,17 @@ class TestGenerate:
         assert main(["generate", "--out", str(out), "--n-entities", "1",
                      "--records-per-entity", "1"]) == EXIT_OK
         assert "1 records, 0 truth pairs" in capsys.readouterr().out
+
+    def test_counts_truth_pairs_without_listing_them(self, tmp_path, capsys, monkeypatch):
+        """The printed truth-pair count comes from the entity sizes; no
+        pair is listed to count it."""
+        calls = count_calls(monkeypatch, dataset.pairs_from_labels)
+        assert main(["generate", "--out", str(tmp_path / "g"), "--n-entities", "3",
+                     "--records-per-entity", "4"]) == EXIT_OK
+        assert calls == []
+        assert "12 records, 18 truth pairs" in capsys.readouterr().out
+        _, gold = dataset.generate_synthetic(n_entities=3, records_per_entity=4)
+        assert len(gold.truth_pairs()) == 18
 
 
 class TestTrain:
@@ -782,7 +793,20 @@ class TestConfigFile:
         cfg.write_text("entities=7\n")
         assert main(["generate", "--config", str(cfg),
                      "--out", str(tmp_path / "x")]) == EXIT_DATA
-        assert "unknown config key" in capsys.readouterr().err
+        assert f"{cfg}:1: unknown config key 'entities'" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command,line,shown", [
+        ("generate", "seed=ten", "config key 'seed': invalid literal for int()"),
+        ("sweep", "select_metric=f2", "config key 'select_metric': 'f2' not in"),
+    ], ids=["bad-type", "bad-choice"])
+    def test_bad_value_names_file_and_line(self, tmp_path, capsys, command, line, shown):
+        """A value of the wrong type or outside the choices is reported at
+        the file and line of its key, past comments and blank lines, before
+        any input is read."""
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(f"# a comment\n\n{line}\n")
+        assert main([command, "--config", str(cfg), "--out", str(tmp_path / "x")]) == EXIT_DATA
+        assert f"error: {cfg}:3: {shown}" in capsys.readouterr().err
 
     @pytest.mark.parametrize("value,code,written", [
         ("ture", EXIT_DATA, False), ("2", EXIT_DATA, False), ("", EXIT_DATA, False),
@@ -802,7 +826,7 @@ class TestConfigFile:
                      "--grid-steps", "2", "--out", str(out)]) == code
         assert any(out.glob("clustering_*.csv")) == written
         if code == EXIT_DATA:
-            assert "config key 'write_clusterings'" in capsys.readouterr().err
+            assert f"{cfg}:1: config key 'write_clusterings'" in capsys.readouterr().err
 
     def test_malformed_line_rejected(self, tmp_path):
         cfg = tmp_path / "run.cfg"
@@ -844,6 +868,71 @@ class TestUsageErrors:
             "--out", str(tmp_path / "o"),
         ]) == EXIT_DATA
         assert str(tmp_path) in capsys.readouterr().err
+
+
+class TestEncoding:
+    NAMES = ["Zoë", "José", "Łukasz", "Øystein", "Renée", "Jürgen", "Ñuño", "Åsa", "Chloé",
+             "Małgorzata"]
+    CITIES = ["Zürich", "Köln", "Málaga", "Québec", "Kraków"]
+
+    def write_inputs(self, data: Path) -> None:
+        """40 records of 10 entities, with ids such as `é00_0` and `李01_2`,
+        a `prénom` text feature and accented values, written as UTF-8 with
+        the schema's names unescaped."""
+        data.mkdir()
+        schema = {"features": [{"name": "prénom", "kind": "text"},
+                               {"name": "ville", "kind": "categorical"},
+                               {"name": "âge", "kind": "numeric"}]}
+        (data / "schema.json").write_text(json.dumps(schema, ensure_ascii=False),
+                                          encoding="utf-8")
+        records, gold = ["id,prénom,ville,âge"], ["id,label"]
+        for e, name in enumerate(self.NAMES):
+            for k, variant in enumerate([name, name.lower(), name[:-1], name]):
+                rid = f"{'é李'[e % 2]}{e:02d}_{k}"
+                records.append(f"{rid},{variant},{self.CITIES[e % 5]},{20 + 3 * e + k % 2}")
+                gold.append(f"{rid},entité{e}")
+        (data / "records.csv").write_text("\n".join(records) + "\n", encoding="utf-8")
+        (data / "gold.csv").write_text("\n".join(gold) + "\n", encoding="utf-8")
+
+    def test_outputs_do_not_depend_on_the_locale(self, tmp_path):
+        """Under `PYTHONUTF8=0 LC_ALL=C`, whose preferred encoding is not
+        UTF-8, `train`, `sweep --gold --write-clusterings` and `resolve` on a
+        set with non-ASCII ids, feature names and values, and a non-ASCII
+        `--out` given in argv as a shell gives it, exit and write every file
+        as under UTF-8 mode, byte for byte."""
+        self.write_inputs(tmp_path / "data")
+        env = dict(os.environ, PYTHONPATH=str(Path(erbound.__file__).parents[1]))
+        envs = {"c": dict(env, PYTHONUTF8="0", LC_ALL="C"), "utf8": dict(env, PYTHONUTF8="1")}
+        done = subprocess.run(
+            [sys.executable, "-c", "import locale; print(locale.getpreferredencoding(False))"],
+            env=envs["c"], capture_output=True, text=True, timeout=60)
+        assert done.stdout.strip().lower().replace("-", "") not in ("utf8", ""), done.stdout
+        common = ["--model", "runé/model.json", "--records", "runé/test_records.csv",
+                  "--validation-stats", "runé/validation_stats.json"]
+        argv = [
+            "train", "--out", "runé", "--records", "../data/records.csv",
+            "--gold", "../data/gold.csv", "--schema", "../data/schema.json",
+            "--n-train-pairs", "6", "--n-validation-pairs", "6", ";",
+            "sweep", "--out", "sweep", *common, "--gold", "runé/test_gold.csv",
+            "--grid-steps", "5", "--write-clusterings", ";",
+            "resolve", "--out", "resolve", *common,
+        ]
+        script = ("import itertools, sys\nfrom erbound.cli import main\n"
+                  "print([main(list(argv)) for sep, argv in itertools.groupby("
+                  "sys.argv[1:], lambda a: a == ';') if not sep])")
+        runs, errors = {}, {}
+        for name, child_env in envs.items():
+            cwd = tmp_path / name
+            cwd.mkdir()
+            done = subprocess.run([sys.executable, "-c", script, *argv],
+                                  env=child_env, cwd=cwd, capture_output=True, timeout=120)
+            files = {str(p.relative_to(cwd)): p.read_bytes()
+                     for p in sorted(cwd.rglob("*")) if p.is_file()}
+            runs[name], errors[name] = (done.returncode, done.stdout, files), done.stderr
+        code, stdout, files = runs["utf8"]
+        assert code == 0 and stdout.splitlines()[-1] == b"[0, 0, 0]", errors["utf8"]
+        assert all(c.encode() in files["resolve/clustering.csv"] for c in "é李")
+        assert runs["c"] == runs["utf8"], errors["c"]
 
 
 class TestImports:

@@ -79,6 +79,31 @@ def test_import_forms_are_recognized():
     assert "erbound.reference" not in imported_modules(ast.parse("from .resolver import x"))
 
 
+def calls_without_encoding(tree: ast.Module) -> list[int]:
+    """Lines of the `open`, `.open`, `.read_text` and `.write_text` calls
+    that pass no `encoding=` and so leave the codec to the locale."""
+    return [node.lineno for node in ast.walk(tree)
+            if isinstance(node, ast.Call)
+            and getattr(node.func, "id", getattr(node.func, "attr", None))
+            in ("open", "read_text", "write_text")
+            and not any(kw.arg == "encoding" for kw in node.keywords)]
+
+
+def test_every_file_call_names_its_encoding():
+    """Every file the package opens, reads or writes names its encoding,
+    whatever the locale would pick."""
+    offenders = [f"{path.name}:{line}" for path in sorted(PACKAGE.glob("*.py"))
+                 for line in calls_without_encoding(ast.parse(path.read_text()))]
+    assert offenders == [], f"file calls without encoding=: {offenders}"
+
+
+def test_file_call_forms_are_recognized():
+    source = ("open(p)\nopen(p, 'w', newline='')\nPath(p).read_text()\n"
+              "p.write_text(s)\np.open()\nopen(p, encoding='utf-8')\n"
+              "p.read_text(encoding='utf-8-sig')\nreopen(p)\np.read_bytes()\n")
+    assert calls_without_encoding(ast.parse(source)) == [1, 2, 3, 4, 5]
+
+
 def defining_modules(name: str) -> list[str]:
     """The package modules that define a function called `name`."""
     return sorted(
