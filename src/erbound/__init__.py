@@ -18,7 +18,6 @@ from .dataset import (
     generate_synthetic,
     load_gold,
     load_records_csv,
-    pairs_from_labels,
     split_dataset,
     synthetic_schema,
 )

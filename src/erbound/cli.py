@@ -12,6 +12,7 @@ request too large for memory, 4 quality-gate failure.
 import argparse
 import csv
 import json
+import os
 import sys
 from dataclasses import asdict, fields
 from pathlib import Path
@@ -89,8 +90,8 @@ def _merge_config(args: argparse.Namespace, argv: list[str],
                 parsed = action.type(value)
             except ValueError as exc:
                 raise ErboundError(f"{where}: {exc}") from exc
-        else:
-            parsed = value
+        else:  # a path, say: the str argv would give for the same bytes
+            parsed = os.fsdecode(value.encode("utf-8", "surrogateescape"))
         if action.choices is not None and parsed not in action.choices:
             raise ErboundError(f"{where}: {parsed!r} not in {sorted(action.choices)}")
         setattr(args, dest, parsed)

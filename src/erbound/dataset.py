@@ -12,36 +12,24 @@ records CSV       : header `id,<feature...>`; multi-valued cells joined with
 gold CSV          : header `id,label`; an empty label leaves the id unlabeled.
 schema JSON       : {"features": [{"name": ..., "kind": ...}, ...]}
 
-Gold truth enters every pairwise metric as its truth pairs
-(`pairs_from_labels`): each unordered pair of ids sharing a label, smaller
-id first.
+Gold truth enters the split and the sweep's true metrics in one form: an
+entity code for each id of a record table, equal for ids that share a
+label, -1 for an unlabeled id (`GoldTruth.entity_codes`).
 """
 
 import csv
 import json
 from contextlib import suppress
 from dataclasses import dataclass
-from itertools import combinations, compress
+from itertools import compress
 from pathlib import Path
-from typing import Iterable, Iterator, Mapping, NamedTuple, Sequence
+from typing import Iterable, Iterator, NamedTuple, Sequence
 
 import numpy as np
 
 from .errors import ConfigError, DataError, SchemaError
 from .matching import PairColumns
 from .records import NUMERIC, Feature, FeatureSchema, canonical_value
-
-Pair = tuple[str, str]
-
-
-def pairs_from_labels(labels: Mapping[str, str]) -> frozenset[Pair]:
-    """All unordered id pairs sharing a label."""
-    by_label: dict[str, list[str]] = {}
-    for rid, label in labels.items():
-        by_label.setdefault(label, []).append(rid)
-    return frozenset(pair for group in by_label.values()
-                     for pair in combinations(sorted(group), 2))
-
 
 @dataclass(frozen=True)
 class GoldTruth:
@@ -50,8 +38,12 @@ class GoldTruth:
 
     labels: dict[str, str]
 
-    def truth_pairs(self) -> frozenset[Pair]:
-        return pairs_from_labels(self.labels)
+    def entity_codes(self, ids: Sequence[str]) -> np.ndarray:
+        """Each id's entity code: equal for equal labels, numbered from 0 in
+        order of first appearance; -1 for an unlabeled id."""
+        codes: dict[str, int] = {}
+        return np.array([codes.setdefault(self.labels[rid], len(codes))
+                         if rid in self.labels else -1 for rid in ids], dtype=np.intp)
 
     def restricted(self, ids: Iterable[str]) -> "GoldTruth":
         keep = set(ids)
@@ -294,34 +286,40 @@ def _positive_count(n_pairs: int, fraction: float) -> int:
     return int(k)
 
 
-def _sample_negative_pairs(ids: Sequence[str], labels: dict[str, str], count: int,
-                           rng: "np.random.Generator") -> list[Pair]:
-    """Distinct-label pairs sampled without replacement, by rejection for
-    sparse requests and by full enumeration otherwise."""
-    n = len(ids)
+def _pairs_sharing(code: np.ndarray) -> np.ndarray:
+    """The position pairs p < q with code[p] == code[q], columns of a (2, k)
+    array in (p, q) order: each p's later members in a stable sort by code."""
+    order = np.argsort(code, kind="stable")
+    place = np.empty_like(order)
+    place[order] = np.arange(len(code))
+    later = np.cumsum(np.bincount(code))[code] - place - 1
+    offset = np.arange(later.sum()) - np.repeat(np.cumsum(later) - later, later)
+    return np.stack([np.repeat(np.arange(len(code)), later),
+                     order[np.repeat(place + 1, later) + offset]])
+
+
+def _sample_negative_pairs(code: np.ndarray, count: int,
+                           rng: "np.random.Generator") -> np.ndarray:
+    """`count` position pairs p < q with different codes, columns of a (2, count)
+    array in (p, q) order, drawn without replacement: by rejection for sparse
+    requests, and otherwise from every such pair."""
+    n = len(code)
     total = n * (n - 1) // 2
-    chosen: set[Pair] = set()
-    if count == 0:
-        return []
-    if total <= 200_000 or count > total // 4:
-        pool = sorted(
-            (a, b) for a, b in combinations(sorted(ids), 2) if labels[a] != labels[b]
-        )
-        picks = rng.choice(len(pool), size=count, replace=False)
-        return [pool[k] for k in sorted(picks)]
+    if count and (total <= 200_000 or count > total // 4):
+        pool = np.stack(np.triu_indices(n, 1))
+        pool = pool[:, code[pool[0]] != code[pool[1]]]
+        return pool[:, np.sort(rng.choice(pool.shape[1], size=count, replace=False))]
+    chosen: set[tuple[int, int]] = set()
     attempts_left = 100 * count + 10_000
     while len(chosen) < count and attempts_left > 0:
         i, j = rng.integers(0, n, size=2)
         attempts_left -= 1
-        if i == j:
+        if i == j or code[i] == code[j]:
             continue
-        a, b = ids[i], ids[j]
-        if labels[a] == labels[b]:
-            continue
-        chosen.add((a, b) if a < b else (b, a))
+        chosen.add((i, j) if i < j else (j, i))
     if len(chosen) < count:
         raise ConfigError("negative-pair sampling stalled; request too dense")
-    return sorted(chosen)
+    return np.array(sorted(chosen), dtype=np.intp).reshape(-1, 2).T
 
 
 def split_dataset(table: PairColumns, gold: GoldTruth, spec: SplitSpec) -> Split:
@@ -329,31 +327,35 @@ def split_dataset(table: PairColumns, gold: GoldTruth, spec: SplitSpec) -> Split
 
     Positive pairs come from the gold truth, negative pairs from pairs of
     labeled records with different labels; sampling is without replacement
-    and train/validation never share a pair. Every record that appears in a
-    drawn pair is removed from the test records, and the gold truth is
-    restricted to what remains. Deterministic given spec.seed.
+    and train/validation never share a pair. Pairs are drawn as positions
+    p < q among the labeled records ordered by id: id pairs in order. Every
+    record that appears in a drawn pair is removed from the test records,
+    and the gold truth is restricted to what remains. Deterministic given
+    spec.seed.
     """
-    index: dict[str, int] = {}
-    for k, rid in enumerate(table.ids):
-        if index.setdefault(rid, k) != k:
-            raise DataError(f"duplicate record id {rid!r}")
-    unknown = set(gold.labels) - set(index)
+    by_id = sorted(range(len(table)), key=table.ids.__getitem__)
+    repeated = [table.ids[k] for k, m in zip(by_id, by_id[1:]) if table.ids[k] == table.ids[m]]
+    if repeated:
+        raise DataError(f"duplicate record id {repeated[0]!r}")
+    unknown = set(gold.labels).difference(table.ids)
     if unknown:
         raise DataError(f"gold labels reference unknown ids: {sorted(unknown)[:5]}")
+    codes = gold.entity_codes(table.ids)
+    at = np.array([k for k in by_id if codes[k] >= 0], dtype=np.intp)  # labeled, by id
+    code = codes[at]
 
     n_pos_train = _positive_count(spec.n_train_pairs, spec.positive_fraction_train)
     n_neg_train = spec.n_train_pairs - n_pos_train
     n_pos_val = _positive_count(spec.n_validation_pairs, spec.positive_fraction_validation)
     n_neg_val = spec.n_validation_pairs - n_pos_val
 
-    positives = sorted(gold.truth_pairs())
-    labeled_ids = sorted(gold.labels)
-    n_labeled = len(labeled_ids)
-    negatives_available = n_labeled * (n_labeled - 1) // 2 - len(positives)
-    if n_pos_train + n_pos_val > len(positives):
+    positives = _pairs_sharing(code)
+    n_positives = positives.shape[1]
+    negatives_available = len(at) * (len(at) - 1) // 2 - n_positives
+    if n_pos_train + n_pos_val > n_positives:
         raise ConfigError(
             f"split needs {n_pos_train + n_pos_val} positive pairs but only "
-            f"{len(positives)} exist in the gold truth"
+            f"{n_positives} exist in the gold truth"
         )
     if n_neg_train + n_neg_val > negatives_available:
         raise ConfigError(
@@ -362,19 +364,16 @@ def split_dataset(table: PairColumns, gold: GoldTruth, spec: SplitSpec) -> Split
         )
 
     rng = np.random.default_rng(spec.seed)
-    pos_picks = rng.choice(len(positives), size=n_pos_train + n_pos_val, replace=False)
-    pos_pairs = [positives[k] for k in pos_picks]
-    neg_pairs = _sample_negative_pairs(labeled_ids, gold.labels,
-                                       n_neg_train + n_neg_val, rng)
+    pos = positives[:, rng.choice(n_positives, size=n_pos_train + n_pos_val, replace=False)]
+    neg = _sample_negative_pairs(code, n_neg_train + n_neg_val, rng)
 
-    def labeled(positive: list[Pair], negative: list[Pair]) -> LabeledPairs:
-        at = np.array([(index[a], index[b]) for a, b in positive + negative],
-                      dtype=np.intp).reshape(-1, 2)
-        return LabeledPairs(at[:, 0], at[:, 1],
-                            np.repeat([1, 0], [len(positive), len(negative)]))
+    def labeled(positive: np.ndarray, negative: np.ndarray) -> LabeledPairs:
+        rows, cols = at[np.hstack([positive, negative])]
+        return LabeledPairs(rows, cols,
+                            np.repeat([1, 0], [positive.shape[1], negative.shape[1]]))
 
-    train = labeled(pos_pairs[:n_pos_train], neg_pairs[:n_neg_train])
-    validation = labeled(pos_pairs[n_pos_train:], neg_pairs[n_neg_train:])
+    train = labeled(pos[:, :n_pos_train], neg[:, :n_neg_train])
+    validation = labeled(pos[:, n_pos_train:], neg[:, n_neg_train:])
     used = np.zeros(len(table), dtype=bool)
     for pairs in (train, validation):
         used[pairs.rows] = used[pairs.cols] = True

@@ -126,10 +126,9 @@ def sweep_thresholds(model: MatchModel, test_records: PairColumns,
     stats = ValidationStats.from_scores(val_scores, val_labels, np.sort(thresholds))
     rows, cols, scores = condensed_pairwise_scores(model, test_records, float(min(thresholds)))
     if gold is not None:
-        labeled = [k for k, rid in enumerate(test_records.ids) if rid in gold.labels]
-        entity = np.unique([gold.labels[test_records.ids[k]] for k in labeled],
-                           return_inverse=True)[1]
-        truth_total = _pairs_within(entity)
+        entity = gold.entity_codes(test_records.ids)
+        labeled = entity >= 0
+        truth_total = _pairs_within(entity[labeled])
 
     def swept() -> Iterator[tuple[SweepRow, np.ndarray]]:
         r_above = tm_above = 0  # the counts of the row yielded before
@@ -138,7 +137,7 @@ def sweep_thresholds(model: MatchModel, test_records: PairColumns,
             if labels is not labels_above:  # the same labels when the band merged nothing
                 r_pairs = _pairs_within(labels)
                 if gold is not None:
-                    hits = _pairs_within(entity * n + labels[labeled])
+                    hits = _pairs_within((entity * n + labels)[labeled])
             if r_pairs < r_above or tm_pairs < tm_above:
                 raise AssertionError(
                     "pair counts increased with the threshold; "

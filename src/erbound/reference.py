@@ -14,7 +14,11 @@ production module imports this one.
   collected by graph search.
 - The thresholded base-record match predicate, and a dict score table with
   a predicate backed by it.
-- Pairwise precision, recall and F1 by set algebra on materialized pairs.
+- Pairwise precision, recall and F1 by set algebra on materialized pairs,
+  and the truth pairs of gold labels (`pairs_from_labels`).
+- The string-keyed split (`split_by_ids`), which draws id pairs from
+  sorted ids and maps them to table indices: the draw that
+  `dataset.split_dataset` makes as index pairs.
 - The snowball experiment, read from `pipeline.sweep_thresholds` rows.
 
 With the max-over-constituents match rule and set-union merge, the fixpoint
@@ -33,8 +37,9 @@ from typing import Callable, Iterable, Iterator, Mapping, Sequence
 import numpy as np
 
 from .bounds import f1_lower_bound
-from .dataset import GoldTruth, Pair, SplitSpec, generate_synthetic
-from .errors import DataError, DegenerateDataError, SchemaError
+from .dataset import (GoldTruth, LabeledPairs, Split, SplitSpec, _positive_count,
+                      generate_synthetic)
+from .errors import ConfigError, DataError, DegenerateDataError, SchemaError
 from .matching import MatchModel, PairColumns, condensed_pairwise_scores, sigmoid
 from .pipeline import SweepRow, select_best_row, sweep_thresholds, train_pipeline
 from .records import CATEGORICAL, NUMERIC, FeatureSchema, Record, canonical_value
@@ -233,6 +238,101 @@ def resolve_connected_components(records: Sequence[Record],
         unseen -= component
         groups.add(frozenset(records[k].record_id for k in component))
     return frozenset(groups)
+
+
+Pair = tuple[str, str]
+
+
+def pairs_from_labels(labels: Mapping[str, str]) -> frozenset[Pair]:
+    """All unordered id pairs sharing a label."""
+    by_label: dict[str, list[str]] = {}
+    for rid, label in labels.items():
+        by_label.setdefault(label, []).append(rid)
+    return frozenset(pair for group in by_label.values()
+                     for pair in combinations(sorted(group), 2))
+
+
+def sample_negative_pairs(ids: Sequence[str], labels: dict[str, str], count: int,
+                          rng: "np.random.Generator") -> list[Pair]:
+    """Distinct-label pairs sampled without replacement, by rejection for
+    sparse requests and by full enumeration otherwise."""
+    n = len(ids)
+    total = n * (n - 1) // 2
+    chosen: set[Pair] = set()
+    if count == 0:
+        return []
+    if total <= 200_000 or count > total // 4:
+        pool = sorted(
+            (a, b) for a, b in combinations(sorted(ids), 2) if labels[a] != labels[b]
+        )
+        picks = rng.choice(len(pool), size=count, replace=False)
+        return [pool[k] for k in sorted(picks)]
+    attempts_left = 100 * count + 10_000
+    while len(chosen) < count and attempts_left > 0:
+        i, j = rng.integers(0, n, size=2)
+        attempts_left -= 1
+        if i == j:
+            continue
+        a, b = ids[i], ids[j]
+        if labels[a] == labels[b]:
+            continue
+        chosen.add((a, b) if a < b else (b, a))
+    if len(chosen) < count:
+        raise ConfigError("negative-pair sampling stalled; request too dense")
+    return sorted(chosen)
+
+
+def split_by_ids(table: PairColumns, gold: GoldTruth, spec: SplitSpec) -> Split:
+    """`dataset.split_dataset` drawn as id pairs: positives from the sorted
+    truth pairs, negatives from the sorted labeled ids, each pair mapped to
+    table indices through an id index."""
+    index: dict[str, int] = {}
+    for k, rid in enumerate(table.ids):
+        if index.setdefault(rid, k) != k:
+            raise DataError(f"duplicate record id {rid!r}")
+    unknown = set(gold.labels) - set(index)
+    if unknown:
+        raise DataError(f"gold labels reference unknown ids: {sorted(unknown)[:5]}")
+
+    n_pos_train = _positive_count(spec.n_train_pairs, spec.positive_fraction_train)
+    n_neg_train = spec.n_train_pairs - n_pos_train
+    n_pos_val = _positive_count(spec.n_validation_pairs, spec.positive_fraction_validation)
+    n_neg_val = spec.n_validation_pairs - n_pos_val
+
+    positives = sorted(pairs_from_labels(gold.labels))
+    labeled_ids = sorted(gold.labels)
+    n_labeled = len(labeled_ids)
+    negatives_available = n_labeled * (n_labeled - 1) // 2 - len(positives)
+    if n_pos_train + n_pos_val > len(positives):
+        raise ConfigError(
+            f"split needs {n_pos_train + n_pos_val} positive pairs but only "
+            f"{len(positives)} exist in the gold truth"
+        )
+    if n_neg_train + n_neg_val > negatives_available:
+        raise ConfigError(
+            f"split needs {n_neg_train + n_neg_val} negative pairs but only "
+            f"{negatives_available} exist among labeled records"
+        )
+
+    rng = np.random.default_rng(spec.seed)
+    pos_picks = rng.choice(len(positives), size=n_pos_train + n_pos_val, replace=False)
+    pos_pairs = [positives[k] for k in pos_picks]
+    neg_pairs = sample_negative_pairs(labeled_ids, gold.labels,
+                                      n_neg_train + n_neg_val, rng)
+
+    def labeled(positive: list[Pair], negative: list[Pair]) -> LabeledPairs:
+        at = np.array([(index[a], index[b]) for a, b in positive + negative],
+                      dtype=np.intp).reshape(-1, 2)
+        return LabeledPairs(at[:, 0], at[:, 1],
+                            np.repeat([1, 0], [len(positive), len(negative)]))
+
+    train = labeled(pos_pairs[:n_pos_train], neg_pairs[:n_neg_train])
+    validation = labeled(pos_pairs[n_pos_train:], neg_pairs[n_neg_train:])
+    used = np.zeros(len(table), dtype=bool)
+    for pairs in (train, validation):
+        used[pairs.rows] = used[pairs.cols] = True
+    test_records = table.take(np.flatnonzero(~used))
+    return Split(train, validation, test_records, gold.restricted(test_records.ids))
 
 
 def intra_cluster_pairs(partition: Iterable[Iterable[str]]) -> frozenset[Pair]:

@@ -21,6 +21,7 @@ from erbound.reference import (
     matcher_from_scores,
     merge_records,
     pair_metrics,
+    pairs_from_labels,
     pairwise_scores,
     resolve_connected_components,
     resolve_rswoosh,
@@ -200,7 +201,7 @@ def test_c09_wilson_interval():
 def test_c10_generator_fidelity():
     records, gold = generate_synthetic()
     assert len(records) == 1000
-    assert len(gold.truth_pairs()) == 4500
+    assert len(pairs_from_labels(gold.labels)) == 4500
 
 
 @criterion(11, "pairwise metrics equal a set-algebra oracle on 1000 random pair sets")

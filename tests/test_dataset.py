@@ -18,8 +18,9 @@ from erbound.dataset import (
     write_records_csv,
 )
 from erbound.errors import ConfigError, DataError
+from erbound.matching import PairColumns
 from erbound.records import NUMERIC, TEXT, Feature, FeatureSchema, canonical_value
-from erbound.reference import base_record, record_table
+from erbound.reference import base_record, pairs_from_labels, record_table, split_by_ids
 
 from conftest import WORDS, count_calls, random_records
 
@@ -74,12 +75,12 @@ class TestGenerator:
     def test_default_counts(self):
         records, gold = generate_synthetic(seed=0)
         assert len(records) == 1000
-        assert len(gold.truth_pairs()) == 4500
+        assert len(pairs_from_labels(gold.labels)) == 4500
 
     def test_single_record_entities_have_no_pairs(self):
         records, gold = generate_synthetic(n_entities=5, records_per_entity=1, seed=0)
         assert len(records) == 5
-        assert gold.truth_pairs() == frozenset()
+        assert pairs_from_labels(gold.labels) == frozenset()
 
     def test_zero_noise_collapses_entities(self):
         records, gold = generate_synthetic(n_entities=3, records_per_entity=4,
@@ -104,7 +105,7 @@ class TestGenerator:
             n_e = int(rng.integers(1, 8))
             per = int(rng.integers(1, 6))
             _, gold = generate_synthetic(n_e, per, dims=3, seed=int(rng.integers(1000)))
-            assert len(gold.truth_pairs()) == n_e * per * (per - 1) // 2
+            assert len(pairs_from_labels(gold.labels)) == n_e * per * (per - 1) // 2
 
     def test_bad_params(self):
         with pytest.raises(ConfigError):
@@ -338,14 +339,14 @@ class TestGold:
         path = tmp_path / "gold.csv"
         path.write_text("id,label\na,1\nb,1\nc,2\n")
         gold = load_gold(path)
-        assert gold.truth_pairs() == frozenset({("a", "b")})
+        assert pairs_from_labels(gold.labels) == frozenset({("a", "b")})
         path.write_bytes(b"\xef\xbb\xbf" + path.read_bytes())  # a UTF-8 byte-order mark
         assert load_gold(path) == gold
 
     def test_all_distinct(self, tmp_path):
         path = tmp_path / "gold.csv"
         path.write_text("id,label\na,1\nb,2\nc,3\n")
-        assert load_gold(path).truth_pairs() == frozenset()
+        assert pairs_from_labels(load_gold(path).labels) == frozenset()
 
     def test_empty_label_unlabeled(self, tmp_path):
         path = tmp_path / "gold.csv"
@@ -442,3 +443,82 @@ class TestSplit:
             SplitSpec(-1, 0)
         with pytest.raises(ConfigError):
             SplitSpec(10, 10, positive_fraction_train=1.0)
+
+    def test_duplicate_table_id_named(self):
+        table = PairColumns(synthetic_schema(1), ["a", "b", "a"], [np.arange(3.0)])
+        with pytest.raises(DataError, match="duplicate record id 'a'"):
+            split_dataset(table, GoldTruth({"b": "1"}), SplitSpec(0, 0))
+
+    def test_gold_id_not_in_table(self):
+        table = PairColumns(synthetic_schema(1), ["a", "b"], [np.arange(2.0)])
+        with pytest.raises(DataError, match="unknown ids: \\['zz'\\]"):
+            split_dataset(table, GoldTruth({"a": "1", "zz": "1"}), SplitSpec(0, 0))
+
+    def test_rejection_stall(self):
+        """700 labeled records, 699 of them one entity: 600 negatives are
+        too sparse a request for the full pool (244,650 pairs) but too dense
+        for rejection, which meets the one other entity in 1 draw of 350."""
+        ids = [f"r{k:03d}" for k in range(700)]
+        table = PairColumns(synthetic_schema(1), ids, [np.arange(700.0)])
+        gold = GoldTruth({rid: "solo" if rid == "r350" else "crowd" for rid in ids})
+        with pytest.raises(ConfigError, match="stalled"):
+            split_dataset(table, gold, SplitSpec(601, 0, positive_fraction_train=0.001))
+
+
+def shuffled_ids_table(rng, n: int, n_entities: int, unlabeled: float = 0.0):
+    """A record table of n records with the ids `id0`..`id<n-1>` in a
+    random order, so table order, numeric order and id order all differ
+    (`id10` < `id9`), and gold truth giving each record one of n_entities
+    labels, or none with probability `unlabeled`."""
+    ids = [f"id{k}" for k in rng.permutation(n)]
+    table = PairColumns(synthetic_schema(1), ids, [rng.uniform(size=n)])
+    return table, GoldTruth({rid: f"e{rng.integers(n_entities)}" for rid in ids
+                             if rng.random() >= unlabeled})
+
+
+class TestSplitOracle:
+    """`split_dataset` draws index pairs from entity codes;
+    `reference.split_by_ids` draws id pairs from sorted ids. Both give the
+    same labeled pairs, test ids and test gold on each sampler path."""
+
+    def assert_matches_oracle(self, monkeypatch, table, gold, spec, pool: bool):
+        pools, triu = [], np.triu_indices  # the pool path's one call
+        monkeypatch.setattr(np, "triu_indices", lambda *args: pools.append(args) or triu(*args))
+        split = split_dataset(table, gold, spec)
+        assert bool(pools) == pool
+        oracle = split_by_ids(table, gold, spec)
+        for pairs, expected in ((split.train_pairs, oracle.train_pairs),
+                                (split.validation_pairs, oracle.validation_pairs)):
+            for got, want in zip(pairs, expected):
+                assert got.dtype == want.dtype and np.array_equal(got, want)
+        assert split.test_records.ids == oracle.test_records.ids
+        assert split.test_gold == oracle.test_gold
+
+    @pytest.mark.parametrize("seed", range(20))
+    def test_small_pool(self, monkeypatch, seed):
+        """Up to 200k labeled pairs: the pool path, on tables with
+        unlabeled records and singleton entities."""
+        rng = np.random.default_rng(seed)
+        n = int(rng.integers(30, 90))
+        table, gold = shuffled_ids_table(rng, n, n // 2, unlabeled=0.2)
+        sizes = np.unique(list(gold.labels.values()), return_counts=True)[1]
+        assert len(gold.labels) < n and 1 in sizes
+        spec = SplitSpec(int(rng.integers(2, 12)), int(rng.integers(2, 12)),
+                         float(rng.uniform(0.2, 0.8)), float(rng.uniform(0.2, 0.8)), seed=seed)
+        self.assert_matches_oracle(monkeypatch, table, gold, spec, pool=True)
+
+    def test_dense_request_takes_the_pool(self, monkeypatch):
+        """Over 200k labeled pairs, but more negatives requested than a
+        quarter of them: the pool path."""
+        table, gold = shuffled_ids_table(np.random.default_rng(1), 640, 64)
+        total, negatives = 640 * 639 // 2, (53_000 - 1_060) + (20 - 10)
+        spec = SplitSpec(53_000, 20, positive_fraction_train=0.02, seed=1)
+        assert total > 200_000 and negatives > total // 4
+        self.assert_matches_oracle(monkeypatch, table, gold, spec, pool=True)
+
+    def test_sparse_request_takes_rejection(self, monkeypatch):
+        """Over 200k labeled pairs and a few negatives: rejection."""
+        table, gold = shuffled_ids_table(np.random.default_rng(2), 700, 70, unlabeled=0.05)
+        assert len(gold.labels) * (len(gold.labels) - 1) // 2 > 200_000
+        self.assert_matches_oracle(monkeypatch, table, gold, SplitSpec(100, 100, seed=2),
+                                   pool=False)

@@ -121,6 +121,10 @@ def test_scalar_levenshtein_defined_only_in_reference():
     assert defining_modules("levenshtein") == ["reference.py"]
 
 
+def test_pairs_from_labels_defined_only_in_reference():
+    assert defining_modules("pairs_from_labels") == ["reference.py"]
+
+
 def test_train_pipeline_scores_no_pair_alone(monkeypatch, mixed_schema):
     """Training and validation pairs go through the gather: no `score_pair`
     call, and the batch edit-distance DP is handed at most one pair per

@@ -3,13 +3,14 @@ from itertools import combinations
 import numpy as np
 import pytest
 
-from erbound.dataset import GoldTruth, pairs_from_labels
+from erbound.dataset import GoldTruth
 from erbound.pipeline import sweep_thresholds
 from erbound.reference import (
     base_match,
     intra_cluster_pairs,
     matcher_from_scores,
     pair_metrics,
+    pairs_from_labels,
     pairwise_scores,
     record_table,
     resolve_connected_components,
@@ -123,7 +124,7 @@ class TestCountBasedMetrics:
             model = random_model(rng, mixed_schema)
             ids = [r.record_id for r in records] + ["x1", "x2"]
             gold = GoldTruth({i: f"e{rng.integers(0, 4)}" for i in ids if rng.random() < 0.8})
-            truth = frozenset(p for p in gold.truth_pairs() if "x1" not in p and "x2" not in p)
+            truth = frozenset(p for p in pairs_from_labels(gold.labels) if "x1" not in p and "x2" not in p)
             sweep = sweep_thresholds(model, record_table(records, mixed_schema),
                                      val_scores, val_labels,
                                      rng.uniform(0.05, 0.95, size=3), gold=gold)

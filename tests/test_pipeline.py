@@ -19,6 +19,7 @@ from erbound.reference import (
     degradation_experiment,
     intra_cluster_pairs,
     pair_metrics,
+    pairs_from_labels,
     resolve_connected_components,
 )
 from erbound.resolver import components_from_condensed
@@ -64,7 +65,7 @@ class TestSweep:
                                  grid, gold=test_gold)
         condensed = all_pairs(model, list(test_records))
         rows, cols, condensed_scores = condensed
-        truth = test_gold.truth_pairs()
+        truth = pairs_from_labels(test_gold.labels)
         for row, row_labels in sweep:
             assert np.array_equal(row_labels, components_from_condensed(
                 len(test_records), condensed_scores, row.threshold, rows, cols))
