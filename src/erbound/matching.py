@@ -43,14 +43,13 @@ MODEL_FORMAT_VERSION = 1
 
 
 # row blocks of the condensed scores take their (F, k, k, pairs) differences
-# in one buffer of about this many elements, 256 KiB of float64, that every
+# in one buffer of about this many elements, 512 KiB of float64, that every
 # block of a call reuses. Fresh temporaries per block cost page faults, and
 # each block costs a fixed overhead. First call in a fresh process on the
-# seed-0 snowball test set at floor 0.5 (medians of 8, shared 2-core host):
-# 206 ms with fresh temporaries at 2^14; with the buffer, 124 ms at 2^14,
-# 108 ms at 2^15 and 90 ms at 2^16. The buffer of 2^16 takes a 2,000-point
-# sweep of 176 records past 1 MB of peak memory.
-BLOCK_ELEMENTS = 1 << 15
+# seed-0 snowball test set at floor 0.5 (medians of 9, shared 2-core host):
+# 126 ms at 2^15 and 96 ms at 2^16. A 2,000-point sweep of 176 records
+# peaks at 932 kB with 2^16; the buffer of 2^17 alone would take 1.05 MB.
+BLOCK_ELEMENTS = 1 << 16
 
 # bytes that scoring may hold in kept edges and cached edit distances: a
 # quarter of physical memory, since labelling and sweeping the edges takes

@@ -4,7 +4,11 @@ A sweep scores every test pair once (scores do not depend on the
 threshold) and keeps the pairs at or above the lowest grid threshold as
 (rows, cols, scores) edge arrays, then passes down the grid once: it labels
 every test record with its connected component at the top threshold and
-merges each lower score band into the labels of the band above. Each
+merges each lower score band into the labels of the band above. The band
+pass owns the edge arrays: it drops the scores once each edge's band is
+taken (one byte each up to 255 grid points) and the unsorted index arrays
+once they are sorted by band, so from the first row on the sweep holds 8
+bytes per edge. Each
 threshold counts |R| (and, with gold, true hits) as pairs sharing a label
 (a band that merged no edge keeps the counts of the row above), reads its
 validation confusion (one sort gives every threshold's), and takes the
@@ -125,6 +129,9 @@ def sweep_thresholds(model: MatchModel, test_records: PairColumns,
     # row pops its own stats off the end
     stats = ValidationStats.from_scores(val_scores, val_labels, np.sort(thresholds))
     rows, cols, scores = condensed_pairwise_scores(model, test_records, float(min(thresholds)))
+    # the band pass holds the only references to the edges, so it frees each array once read
+    passes = components_by_threshold(n, scores, thresholds, rows, cols)
+    del rows, cols, scores
     if gold is not None:
         entity = gold.entity_codes(test_records.ids)
         labeled = entity >= 0
@@ -133,7 +140,7 @@ def sweep_thresholds(model: MatchModel, test_records: PairColumns,
     def swept() -> Iterator[tuple[SweepRow, np.ndarray]]:
         r_above = tm_above = 0  # the counts of the row yielded before
         labels_above = None
-        for t, labels, tm_pairs in components_by_threshold(n, scores, thresholds, rows, cols):
+        for t, labels, tm_pairs in passes:
             if labels is not labels_above:  # the same labels when the band merged nothing
                 r_pairs = _pairs_within(labels)
                 if gold is not None:

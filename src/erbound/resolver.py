@@ -8,8 +8,11 @@ keeps them: only pairs at or above some floor, never all n(n-1)/2. This
 is the partition the match/merge fixpoint reaches with the
 max-over-constituents match rule and set-union merge; the slow engines
 that show it live in `erbound.reference`. A sweep merges each score band
-into the labels of the band above. The labels stay the resolution up to
-the output file, which names each record's cluster by its smallest id.
+into the labels of the band above: it keeps each edge's band in one byte
+(for grids of up to 255 points), orders the edges by band with a radix
+sort, and frees the scores and the unsorted index arrays once they are
+read. The labels stay the resolution up to the output file, which names
+each record's cluster by its smallest id.
 """
 
 from typing import Sequence
@@ -59,21 +62,33 @@ def components_by_threshold(n: int, scores: np.ndarray, thresholds: Sequence[flo
     into the labels of the band above. Yielded arrays are never changed
     afterwards. The counts are the whole graph's when the edges hold every
     pair scoring at or above min(thresholds).
+
+    Each edge's band, the number of distinct thresholds at or below its
+    score, is kept in the smallest unsigned type that holds them all (one
+    byte up to 255 thresholds), and one stable argsort, a radix sort for 8-
+    and 16-bit bands, lays the bands out in ascending slices. The pass
+    drops its references to `scores` once the bands are taken and to the
+    given `rows` and `cols` once they are permuted, so a caller that keeps
+    none frees them: 8 bytes per edge are held from then on.
     """
     ts, repeats = np.unique(np.asarray(thresholds, dtype=float), return_counts=True)
     labels = components_from_condensed(n, scores, ts[-1], rows, cols)
-    band = np.searchsorted(ts, scores, side="right") - 1  # -1: below every threshold
-    counts = np.bincount(band + 1, minlength=len(ts) + 1)
-    # above[k]: scores >= ts[k]; edges sorted by band, highest first
-    above = np.append(np.cumsum(counts[::-1])[::-1][1:], 0)
-    order = np.argsort(band)[::-1]  # merge order within a band leaves the labels
+    band = np.searchsorted(ts, scores, side="right").astype(np.min_scalar_type(len(ts)))
+    del scores
+    # band b holds the sorted edges starts[b]:starts[b + 1]; band 0 lies below every threshold.
+    # Counted before the sort: bincount takes an 8-byte copy of the bands
+    starts = np.append(0, np.cumsum(np.bincount(band, minlength=len(ts) + 1)))
+    order = np.argsort(band, kind="stable")  # merge order within a band leaves the labels
     del band
-    rows, cols = rows[order], cols[order]
+    # one at a time, so the unsorted rows are freed before the columns are copied
+    rows = rows[order]
+    cols = cols[order]
+    del order
     for k in range(len(ts) - 1, -1, -1):
-        lo, hi = above[k + 1], above[k]
+        lo, hi = starts[k + 1], starts[k + 2]
         if k + 1 < len(ts) and lo < hi:
             labels = _merge(labels.copy(), rows[lo:hi], cols[lo:hi])
-        yield from [(float(ts[k]), labels, int(hi))] * repeats[k]
+        yield from [(float(ts[k]), labels, int(starts[-1] - lo))] * repeats[k]
 
 
 def resolve_from_condensed(ids: Sequence[str], labels: np.ndarray) -> list[str]:

@@ -200,6 +200,27 @@ class TestSweep:
         assert n_rows == 2000
         assert peak < 1_000_000, f"sweep peaked at {peak} bytes"
 
+    def test_band_pass_frees_the_scan(self):
+        """The sweep hands its edges to the band pass, which frees the scores
+        once the bands are taken and the unsorted rows and columns once they
+        are sorted: past the scan, a 48-point sweep of 33,957 edges peaks
+        below 28 bytes per edge, 16 of them the edges it starts from (a
+        sweep that keeps every array read 40.4)."""
+        records, gold = generate_synthetic(120, 6, noise_sigma=0.05, seed=5)
+        model, split, scores = train_pipeline(records, gold, SplitSpec(60, 60, seed=5))
+        tracemalloc.start()
+        try:
+            sweep = sweep_thresholds(model, split.test_records, scores,
+                                     split.validation_pairs.labels, np.linspace(0.02, 0.96, 48))
+            tracemalloc.reset_peak()
+            swept = [row for row, _ in sweep]
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        edges = swept[-1].tm_pairs  # every kept edge clears the lowest threshold
+        assert len(swept) == 48 and edges == 33_957
+        assert peak / edges < 28, f"sweep peaked at {peak / edges:.1f} B/edge"
+
     def test_needs_two_records(self, small_run):
         _, _, model, split, scores, labels = small_run
         with pytest.raises(ConfigError, match="needs at least 2 test records"):

@@ -153,14 +153,19 @@ class TestComponentsByThreshold:
     def check(n, scores, thresholds):
         rows, cols = np.triu_indices(n, 1)
         kept = scores >= min(thresholds)
+        # the oracle's labels depend only on which scores clear the threshold
+        oracle = {}
         for edges in ((scores, rows, cols), (scores[kept], rows[kept], cols[kept])):
             passed = list(components_by_threshold(n, edges[0], thresholds, *edges[1:]))
             assert [t for t, _, _ in passed] == sorted(map(float, thresholds), reverse=True)
             # checked after the pass has finished: earlier label arrays must not change
             for t, labels, tm_pairs in passed:
-                assert labels.tolist() == \
-                    components_from_condensed(n, scores, t, rows, cols).tolist()
-                assert tm_pairs == int((scores >= t).sum())
+                clears = scores >= t
+                key = clears.tobytes()
+                if key not in oracle:
+                    oracle[key] = components_from_condensed(n, scores, t, rows, cols).tolist()
+                assert labels.tolist() == oracle[key]
+                assert tm_pairs == int(clears.sum())
 
     def test_random_condensed_arrays(self):
         rng = np.random.default_rng(16)
@@ -178,6 +183,20 @@ class TestComponentsByThreshold:
     def test_threshold_lists(self, thresholds):
         rng = np.random.default_rng(17)
         self.check(40, rng.random(40 * 39 // 2), thresholds)
+
+    @pytest.mark.parametrize("n,steps", [(40, 300), (6, 70_000)],
+                             ids=["two-byte-bands", "past-two-byte-bands"])
+    def test_band_type_follows_the_grid_length(self, n, steps):
+        """Grids with more band numbers than one byte holds (300 thresholds)
+        and than two bytes hold (70,000). Scores sit on the grid's lattice,
+        so many equal a threshold, and a third of them lie in its top
+        sixteenth, past band 255 or 65,535 of the smaller type."""
+        rng = np.random.default_rng(20)
+        pairs = n * (n - 1) // 2
+        lattice = np.concatenate([rng.integers(0, steps + 2, pairs - pairs // 3),
+                                  rng.integers(steps * 15 // 16, steps + 2, pairs // 3)])
+        self.check(n, rng.permutation(lattice) / (steps + 1),
+                   np.arange(1, steps + 1) / (steps + 1))
 
     @pytest.mark.parametrize("n,edges", [
         (2000, path_edges(2000, np.random.default_rng(10))),
@@ -215,10 +234,11 @@ class TestComponentsByThreshold:
         assert calls == [0.95]
 
     def test_band_pass_memory_per_edge(self):
-        """Sorting the edges into bands takes one int64 temporary beside
-        the permuted rows and columns: a 48-point pass over 33,957 edges
-        peaks below 27 bytes per edge (a negated band array on top of it
-        read 31.3)."""
+        """The pass holds one byte of band per edge, then the 8-byte sort
+        order beside the permuted rows and columns: a 48-point pass over
+        33,957 edges, whose caller keeps the scan's arrays, peaks below 18
+        bytes per edge (an 8-byte band and a descending int64 sort read
+        23.3)."""
         from erbound.dataset import SplitSpec, generate_synthetic
         from erbound.matching import condensed_pairwise_scores
         from erbound.pipeline import train_pipeline
@@ -236,7 +256,7 @@ class TestComponentsByThreshold:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak / len(scores) < 27, f"band pass peaked at {peak / len(scores):.1f} B/edge"
+        assert peak / len(scores) < 18, f"band pass peaked at {peak / len(scores):.1f} B/edge"
 
 
 class TestRSwoosh:
