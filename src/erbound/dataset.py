@@ -108,15 +108,15 @@ def write_csv(path, header: Sequence[str], rows: Iterable[Sequence]) -> None:
 
 def _numeric_column(column: Sequence[str]) -> np.ndarray:
     """A numeric column of at most one value per cell as one float array,
-    NaN for a blank cell, parsed by one `float` map over the other cells.
-    Raises ValueError when one of those is not a finite float (say, a
-    multi-valued cell)."""
+    NaN for a blank cell, the other cells parsed by one numpy conversion,
+    which reads each string as `float` does. Raises ValueError when one of
+    those is not a finite float (say, a multi-valued cell)."""
     try:
-        parsed, blank = np.fromiter(map(float, column), float, len(column)), False
+        parsed, blank = np.array(column, dtype=float), False
     except ValueError:  # blank cells, or a cell that is no float
         blank = np.array([not cell.strip() for cell in column], dtype=bool)
         parsed = np.full(len(column), np.nan)
-        parsed[~blank] = np.fromiter(map(float, compress(column, ~blank)), float)
+        parsed[~blank] = np.array(list(compress(column, ~blank)), dtype=float)
     if not (np.isfinite(parsed) | blank).all():
         raise ValueError("a numeric cell is not finite")
     return parsed

@@ -49,6 +49,8 @@ MODEL_FORMAT_VERSION = 1
 # seed-0 snowball test set at floor 0.5 (medians of 9, shared 2-core host):
 # 126 ms at 2^15 and 96 ms at 2^16. A 2,000-point sweep of 176 records
 # peaks at 932 kB with 2^16; the buffer of 2^17 alone would take 1.05 MB.
+# A block of r > 1 rows spans at least r columns, so r is at most the square
+# root of this over F k^2: the side of the one triangular mask a call builds.
 BLOCK_ELEMENTS = 1 << 16
 
 # bytes that scoring may hold in kept edges and cached edit distances: a
@@ -481,10 +483,13 @@ def condensed_pairwise_scores(model: MatchModel, records: PairColumns,
     hold about `BLOCK_ELEMENTS` values. Every block takes its differences
     and logits in the same two buffers, allocated once per call, and
     appends its pairs j > i whose logit clears `_logit_cut(floor)` to edge
-    arrays that grow in place. Once every block is scanned, `sigmoid` turns
-    the kept logits into scores in place, and the few pairs scoring below
-    the floor are dropped. Raises ConfigError once the edge arrays and the
-    cached edit distances pass `MEMORY_BUDGET` bytes.
+    arrays that grow in place. Row i + m meets a column at or before it
+    only among the block's first r columns, so one upper-triangular mask,
+    built once per call, drops those pairs from that r x r corner alone.
+    Once every block is scanned, `sigmoid` turns the kept logits into
+    scores in place, and the few pairs scoring below the floor are dropped.
+    Raises ConfigError once the edge arrays and the cached edit distances
+    pass `MEMORY_BUDGET` bytes.
     """
     n = len(records)
     logit = _scorer(model, records)
@@ -494,6 +499,9 @@ def condensed_pairwise_scores(model: MatchModel, records: PairColumns,
     # the widest block is one row, or as many rows as fill BLOCK_ELEMENTS
     pairs = max(n - 1, min(BLOCK_ELEMENTS // per_pair, (n - 1) ** 2))
     work, z = np.empty(per_pair * pairs), np.empty(pairs)
+    # r <= width and r * width <= BLOCK_ELEMENTS // per_pair bound a block of r > 1 rows
+    side = max(1, min(n - 1, math.isqrt(BLOCK_ELEMENTS // per_pair)))
+    tri = np.triu(np.ones((side, side), dtype=bool))  # tri[m, j]: column j pairs with row m
     edges = [np.empty(0, np.int32), np.empty(0, np.int32), np.empty(0)]
     held = i = 0
     while i < n - 1:
@@ -503,7 +511,7 @@ def condensed_pairwise_scores(model: MatchModel, records: PairColumns,
         block = logit(slots.reshape(-1, n_features), out=z[:r * width])
         keep = block >= cut
         if r > 1:  # row i + m pairs with the columns from i + m + 1
-            keep &= (np.arange(width) >= np.arange(r)[:, None]).ravel()
+            keep.reshape(r, width)[:, :r] &= tri[:r, :r]
         at = np.flatnonzero(keep)
         if held + len(at) > len(edges[2]):  # grow in place, so no copy coexists
             # by half, but never past every pair still to come

@@ -5,16 +5,17 @@ threshold) and keeps the pairs at or above the lowest grid threshold as
 (rows, cols, scores) edge arrays, then passes down the grid once: it labels
 every test record with its connected component at the top threshold and
 merges each lower score band into the labels of the band above. The band
-pass owns the edge arrays: it drops the scores once each edge's band is
-taken (one byte each up to 255 grid points) and the unsorted index arrays
-once they are sorted by band, so from the first row on the sweep holds 8
-bytes per edge. Each
-threshold counts |R| (and, with gold, true hits) as pairs sharing a label
-(a band that merged no edge keeps the counts of the row above), reads its
-validation confusion (one sort gives every threshold's), and takes the
-row's bound fields from `compute_bound_report`, which leaves the
-precision/F1 bound None where it is undefined. Rows are yielded with their
-labels and kept only by the caller, whatever the grid's length.
+pass owns the edge arrays: it reads each edge's band from a bucket table
+of the grid, one byte each up to 255 grid points, and drops the scores
+once every band is taken and the unsorted index arrays once they are
+sorted by band, so from the first row on the sweep holds 8 bytes per
+edge. Each threshold counts |R| (and, with gold, true hits) as pairs
+sharing a label (a band that merged no edge keeps the counts of the row
+above), reads its validation confusion (one sort gives every
+threshold's), and takes the row's bound fields from
+`compute_bound_report`, which leaves the precision/F1 bound None where
+it is undefined. Rows are yielded with their labels and kept only by the
+caller, whatever the grid's length.
 
 `sweep_thresholds` is the only code that turns scores and a threshold into
 counts, bounds and true metrics: `resolve` is a one-point sweep, and the

@@ -8,11 +8,13 @@ keeps them: only pairs at or above some floor, never all n(n-1)/2. This
 is the partition the match/merge fixpoint reaches with the
 max-over-constituents match rule and set-union merge; the slow engines
 that show it live in `erbound.reference`. A sweep merges each score band
-into the labels of the band above: it keeps each edge's band in one byte
-(for grids of up to 255 points), orders the edges by band with a radix
-sort, and frees the scores and the unsorted index arrays once they are
-read. The labels stay the resolution up to the output file, which names
-each record's cluster by its smallest id.
+into the labels of the band above: it reads each edge's band from a table
+over score buckets of width 2^-12, searching only where a bucket holds
+two thresholds, keeps it in one byte (for grids of up to 255 points),
+orders the edges by band with a radix sort, and frees the scores and the
+unsorted index arrays once they are read. The labels stay the resolution
+up to the output file, which names each record's cluster by its smallest
+id.
 """
 
 from typing import Sequence
@@ -53,6 +55,49 @@ def components_from_condensed(n: int, scores: np.ndarray, threshold: float,
     return _merge(np.arange(n), rows[keep], cols[keep])
 
 
+# a value v lies in bucket floor(v * 2^12), held to 0..2^12 + 1; the bands are
+# taken 2^13 scores at a time, in buffers of that many floats and indices
+BUCKETS_PER_UNIT = 1 << 12
+BAND_CHUNK = 1 << 13
+
+
+def _bands(ts: np.ndarray, scores: np.ndarray) -> np.ndarray:
+    """Each score's band, `np.searchsorted(ts, scores, side="right")` for
+    the sorted, distinct thresholds `ts`, in the smallest unsigned type that
+    holds len(ts).
+
+    The bucket is a nondecreasing function of the value, so a threshold in
+    a lower bucket than a score lies below it and one in a higher bucket
+    above it: a score's band is the number of thresholds in lower buckets,
+    read from a table, plus one if it clears the lowest threshold of its
+    own bucket. Only the scores whose bucket holds two or more thresholds
+    are searched. Each chunk's bands go straight into the returned array,
+    so no wider per-edge array is held.
+    """
+    dtype = np.min_scalar_type(len(ts))
+    top = float(BUCKETS_PER_UNIT + 1)
+    bucket = np.clip(ts * BUCKETS_PER_UNIT, 0.0, top).astype(np.intp)
+    held, first, count = np.unique(bucket, return_index=True, return_counts=True)
+    below = np.searchsorted(bucket, np.arange(BUCKETS_PER_UNIT + 2)).astype(dtype)
+    lowest = np.full(len(below), np.nan)  # no score clears the NaN of an empty bucket
+    lowest[held] = ts[first]
+    crowded = np.zeros(len(below), dtype=bool)
+    crowded[held[count > 1]] = True
+    band = np.empty(len(scores), dtype)
+    x, key, hit = np.empty(BAND_CHUNK), np.empty(BAND_CHUNK, np.intp), np.empty(BAND_CHUNK, bool)
+    for lo in range(0, len(scores), BAND_CHUNK):
+        s = scores[lo:lo + BAND_CHUNK]
+        k, h = key[:len(s)], hit[:len(s)]
+        np.clip(np.multiply(s, BUCKETS_PER_UNIT, out=x[:len(s)]), 0.0, top,
+                out=k, casting="unsafe")
+        np.greater_equal(s, lowest.take(k), out=h)
+        out = np.add(below.take(k), h, out=band[lo:lo + len(s)])
+        if len(held) < len(ts):  # some bucket holds two or more thresholds
+            search = crowded[k]
+            out[search] = np.searchsorted(ts, s[search], side="right")
+    return band
+
+
 def components_by_threshold(n: int, scores: np.ndarray, thresholds: Sequence[float],
                             rows: np.ndarray, cols: np.ndarray):
     """Yield (threshold, labels, tm_pairs) for each entry of the non-empty
@@ -64,16 +109,17 @@ def components_by_threshold(n: int, scores: np.ndarray, thresholds: Sequence[flo
     pair scoring at or above min(thresholds).
 
     Each edge's band, the number of distinct thresholds at or below its
-    score, is kept in the smallest unsigned type that holds them all (one
-    byte up to 255 thresholds), and one stable argsort, a radix sort for 8-
-    and 16-bit bands, lays the bands out in ascending slices. The pass
-    drops its references to `scores` once the bands are taken and to the
-    given `rows` and `cols` once they are permuted, so a caller that keeps
-    none frees them: 8 bytes per edge are held from then on.
+    score, is read from a bucket table (`_bands`) in chunks straight into
+    the smallest unsigned type that holds them all (one byte up to 255
+    thresholds), and one stable argsort, a radix sort for 8- and 16-bit
+    bands, lays the bands out in ascending slices. The pass drops its
+    references to `scores` once the bands are taken and to the given `rows`
+    and `cols` once they are permuted, so a caller that keeps none frees
+    them: 8 bytes per edge are held from then on.
     """
     ts, repeats = np.unique(np.asarray(thresholds, dtype=float), return_counts=True)
     labels = components_from_condensed(n, scores, ts[-1], rows, cols)
-    band = np.searchsorted(ts, scores, side="right").astype(np.min_scalar_type(len(ts)))
+    band = _bands(ts, scores)
     del scores
     # band b holds the sorted edges starts[b]:starts[b + 1]; band 0 lies below every threshold.
     # Counted before the sort: bincount takes an 8-byte copy of the bands

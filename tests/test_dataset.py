@@ -8,6 +8,7 @@ import pytest
 from erbound.dataset import (
     GoldTruth,
     SplitSpec,
+    _numeric_column,
     generate_synthetic,
     load_gold,
     load_records_csv,
@@ -283,6 +284,40 @@ class TestRecordsCsv:
         oracle = record_table(records, NUMBERS_SCHEMA)
         assert table.cells.tobytes() == oracle.cells.tobytes()
         assert table.complete == oracle.complete == bool(expected)
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_numeric_column_parses_as_float_does(self, seed):
+        """The one-pass parse of a numeric column equals, bit for bit,
+        `float` on each cell that `str.strip` leaves non-empty, NaN on each
+        other cell, and raises ValueError exactly when a cell is refused or
+        not finite, which sends the column to the per-cell path. Columns mix
+        plain numbers with cells at the edges of `float`'s grammar: digit
+        separators, non-ASCII digits and spaces, hex, overflow, NaN and
+        infinity in any case, blanks and multi-valued cells."""
+        rng = np.random.default_rng(40 + seed)
+        odd = ["1_000", " 2.5 ", "\u0661\u0662\u066b\u0665", "\uff11\uff12", "Infinity",
+               "-nan", "1e400", "-1e400", "1e-400", "4.9e-324", "1.7976931348623159e308",
+               "0x1p3", "", " ", "\x1c", "\x1c1.5", "\xa01\u3000", "1|2", "nan", "-0", "+.5",
+               "5.", "1e", "ten", "\t3\n", "1__0", "_1", "INF", "1,5", "0b1", "1e+05"]
+        paths = {"one pass": 0, "blank": 0, "refused": 0}
+        for _ in range(300):
+            size = int(rng.integers(0, 12))
+            plain = [repr(float(v)) for v in rng.normal(0, 1e3, size)]
+            draw = rng.random(size)
+            column = tuple(rng.choice(odd) if u < 0.1 else rng.choice(["", " ", "\t"])
+                           if u < 0.2 else cell for u, cell in zip(draw, plain))
+            try:
+                want = np.array([float(cell) if cell.strip() else np.nan for cell in column])
+                if not np.isfinite(want[[bool(cell.strip()) for cell in column]]).all():
+                    raise ValueError("a numeric cell is not finite")
+            except ValueError:
+                with pytest.raises(ValueError):
+                    _numeric_column(column)
+                paths["refused"] += 1
+                continue
+            assert _numeric_column(column).tobytes() == want.tobytes(), column
+            paths["blank" if np.isnan(want).any() else "one pass"] += 1
+        assert min(paths.values()) >= 20, paths
 
     @pytest.mark.parametrize("cell, message", [
         ("ten", "not a numeric value: 'ten'"),

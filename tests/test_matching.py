@@ -622,6 +622,46 @@ class TestKernel:
                 for got, want in zip(edges, dense):
                     assert np.array_equal(got, want[kept]), (block, floor)
 
+    def test_diagonal_mask_of_many_row_blocks(self, monkeypatch):
+        """Complete one-value numeric cells, so blocks span many rows: each
+        block's lower triangle is masked off its first r columns only. The
+        edges are bit for bit those of one-row blocks, which mask nothing,
+        over blocks of 2 to 18 rows and of the whole table (r = width). The
+        model weighs one feature, so each logit is one rounded product: the
+        matmul's summation order over several features depends on a pair's
+        place in its block, and with it the last bit of the score."""
+        from erbound import matching
+        from erbound.dataset import generate_synthetic, synthetic_schema
+
+        table, _ = generate_synthetic(60, 6, seed=7)
+        n, (n_features, k) = len(table), table.cells.shape[:2]
+        assert table.complete and k == 1
+        model = random_model(np.random.default_rng(31), synthetic_schema(n_features))
+        model = replace(model, weights=np.where(np.arange(2 * n_features) == 3, -40.0, 0.0))
+        shapes = []  # (rows, width) of each block's gather
+        gather = table.slots
+
+        def recording(rows, cols, out=None):
+            shapes.append((len(rows), n - cols.start))
+            return gather(rows, cols, out)
+
+        monkeypatch.setattr(table, "slots", recording)
+        monkeypatch.setattr(matching, "BLOCK_ELEMENTS", 1)
+        one_row = condensed_pairwise_scores(model, table, 0.0)
+        assert len(one_row[2]) == n * (n - 1) // 2
+        assert {r for r, _ in shapes} == {1}
+        middle = float(np.median(one_row[2]))
+        for block in (1 << 6, 1 << 10, 1 << 16, n_features * (n - 1) * n):
+            monkeypatch.setattr(matching, "BLOCK_ELEMENTS", block)
+            for floor in (0.0, middle):
+                shapes.clear()
+                edges = condensed_pairwise_scores(model, table, floor)
+                kept = one_row[2] >= floor
+                for got, want in zip(edges, one_row):
+                    assert got.tobytes() == want[kept].tobytes(), (block, floor)
+            assert max(r for r, _ in shapes) > 1
+        assert shapes == [(n - 1, n - 1)]
+
 
 class TestModelIO:
     def test_round_trip(self, tmp_path, mixed_schema):

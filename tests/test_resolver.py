@@ -17,6 +17,9 @@ from erbound.reference import (
     resolve_rswoosh,
 )
 from erbound.resolver import (
+    BAND_CHUNK,
+    BUCKETS_PER_UNIT,
+    _bands,
     components_by_threshold,
     components_from_condensed,
     resolve_from_condensed,
@@ -209,6 +212,40 @@ class TestComponentsByThreshold:
         scores = condensed_from_edges(n, edges)
         scores *= np.random.default_rng(18).random(len(scores))
         self.check(n, scores, np.linspace(0.05, 0.95, 19))
+
+    @pytest.mark.parametrize("grid", ["random", "crowded-bucket", "edges-of-the-range", "empty"])
+    def test_band_table_is_searchsorted(self, grid):
+        """Every score's band, taken from the bucket table, is the count of
+        thresholds at or below it: for random grids, grids with 2 to 5
+        thresholds in one bucket, thresholds at or past 0 and 1, and no
+        edges. The scores include every threshold, bucket edges k/2^12,
+        0.0 and 1.0, and span several chunks."""
+        rng = np.random.default_rng(21)
+        edge = np.arange(BUCKETS_PER_UNIT + 1) / BUCKETS_PER_UNIT
+        for _ in range(20):
+            if grid == "random":
+                ts = rng.random(int(rng.integers(1, 300)))
+            elif grid == "crowded-bucket":  # 2 to 5 thresholds in one bucket, some on its edge
+                k = rng.integers(0, BUCKETS_PER_UNIT, size=int(rng.integers(1, 4)))
+                within = rng.integers(0, 4, size=(len(k), int(rng.integers(2, 6)))) / 4
+                ts = ((k[:, None] + within) / BUCKETS_PER_UNIT).ravel()
+                ts = np.concatenate([ts, rng.random(int(rng.integers(0, 30)))])
+            elif grid == "edges-of-the-range":
+                ts = rng.choice([-0.5, -1e-300, 0.0, 1e-300, 1.0, 1 + 1e-9, 1.5, 2.0 ** 60],
+                                size=int(rng.integers(1, 6)))
+                ts = np.concatenate([ts, rng.random(int(rng.integers(0, 5)))])
+            else:
+                ts = rng.random(int(rng.integers(1, 60)))
+            ts = np.unique(ts)
+            if grid == "empty":
+                scores = np.empty(0)
+            else:
+                scores = rng.permutation(np.concatenate([
+                    rng.random(2 * BAND_CHUNK), ts, np.nextafter(ts, -np.inf), edge,
+                    np.nextafter(edge, -np.inf), [0.0, 1.0, -0.0, 1.5, -0.25]]))
+            band = _bands(ts, scores)
+            assert band.dtype == np.min_scalar_type(len(ts))
+            assert np.array_equal(band, np.searchsorted(ts, scores, side="right"))
 
     def test_sweep_labels_once(self, monkeypatch, mixed_schema):
         """A 19-point sweep labels every record outright once, at its top
