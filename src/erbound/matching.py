@@ -11,16 +11,19 @@ feature column once. Every pair is featurized by one gather on it,
 `PairColumns.slots`, which returns the value slots of any index pairs.
 Training, validation (`score_pairs`) and test pairs all go through it, and
 every score comes from one formula, the logistic function of a logit. The
-test pairs are gathered in blocks of rows, each block in the same buffers,
-and of each block only the pairs scoring at or above a floor are kept, as
-(rows, cols, scores) edge arrays from which the resolver and the bounds
-read every threshold at or above it. Only the pairs whose logit clears a
-cut just below the floor's are passed through the logistic function, and
-the n(n-1)/2 scores of all pairs are never held at once. The text edit
+test pairs are gathered in blocks of rows, each block a view of a range of
+rows against the later records, and every block of a call takes its
+differences, logits and keep mask in the same three buffers. Of each block
+only the pairs scoring at or above a floor are kept, as (rows, cols,
+scores) edge arrays from which the resolver and the bounds read every
+threshold at or above it. Only the pairs whose logit clears a cut just
+below the floor's are passed through the logistic function, and the
+n(n-1)/2 scores of all pairs are never held at once. The text edit
 distances a gather needs are computed in one vectorized Levenshtein DP
-over the value pairs not yet known, and cached as sorted keys. The per-pair definition the gather
-reproduces is `erbound.reference.featurize_pair`, kept there with the
-scalar edit distance as their oracles.
+over the value pairs not yet known, and cached as sorted keys. The
+per-pair definition the gather reproduces is
+`erbound.reference.featurize_pair`, kept there with the scalar edit
+distance as their oracles.
 """
 
 import copy
@@ -47,11 +50,20 @@ MODEL_FORMAT_VERSION = 1
 # block of a call reuses. Fresh temporaries per block cost page faults, and
 # each block costs a fixed overhead. First call in a fresh process on the
 # seed-0 snowball test set at floor 0.5 (medians of 9, shared 2-core host):
-# 126 ms at 2^15 and 96 ms at 2^16. A 2,000-point sweep of 176 records
-# peaks at 932 kB with 2^16; the buffer of 2^17 alone would take 1.05 MB.
+# 46 ms at 2^15, 33 ms at 2^16 and 28 ms at 2^17. A 2,000-point sweep of
+# 176 records peaks at 856 kB with 2^16; with 2^17 it peaks at 1.47 MB.
 # A block of r > 1 rows spans at least r columns, so r is at most the square
 # root of this over F k^2: the side of the one triangular mask a call builds.
 BLOCK_ELEMENTS = 1 << 16
+
+# the ufunc buffer, in elements, while a gather takes its differences.
+# numpy 2.4 copies an operand that broadcasts along the innermost axis (a
+# block's row values, against its columns) into the buffer whenever that
+# holds two of its rows, and the copy costs more than the subtract: on a
+# shared 2-core host the subtract of a 20 x 2,329 block took 60 us with the
+# default 8,192 and 15 us with 16, the least numpy accepts, which holds two
+# rows only of a block 8 columns wide or less
+UFUNC_BUFFER = 16
 
 # bytes that scoring may hold in kept edges and cached edit distances: a
 # quarter of physical memory, since labelling and sweeping the edges takes
@@ -184,23 +196,31 @@ class PairColumns(Sequence):
 
     def slots(self, rows, cols, out: np.ndarray | None = None) -> np.ndarray:
         """(..., F) value slots of the pairs (rows[p], cols[p]) in schema
-        order, NaN exactly where a side is missing. `rows` and `cols` are
-        index arrays or slices whose gathers broadcast: equal lengths give
-        (P, F), and `rows` of shape (r, 1) against C columns gives the
-        (r, C, F) grid of every row against every column. A slot is the
+        order, NaN exactly where a side is missing. `rows` and `cols` index
+        the record axis, by index arrays or slices, and `rows` also by a
+        tuple such as `np.s_[i:j, None]`, a range of rows on a new axis. Their
+        gathers broadcast: equal lengths give (P, F), and rows of shape
+        (r, 1), or that range of r rows as a view, against C columns give
+        the (r, C, F) grid of every row against every column. A slot is the
         closest match over the two value sets: the least absolute difference
         or edit distance, or for a categorical feature 1 when the sets share
         a value and 0 when not. The slots lie feature-major in memory. With
         `out`, a flat float array of at least F k^2 values per pair, the
         differences are taken in it, and with one value per cell (k = 1) the
-        slots are a view of it."""
-        a, b = self.cells[:, :, rows], self.cells[:, :, cols]
-        # rows of shape (r, 1) against a slice of columns: (F, k, r, 1) and (F, k, 1, C)
+        slots are a view of it. The differences are one broadcast subtract
+        with the ufunc buffer at `UFUNC_BUFFER`."""
+        a = self.cells[(slice(None), slice(None)) + (rows if isinstance(rows, tuple) else (rows,))]
+        b = self.cells[:, :, cols]
+        # rows on a new axis against columns: (F, k, r, 1) and (F, k, 1, C)
         b = b.reshape(b.shape[:2] + (1,) * (a.ndim - b.ndim) + b.shape[2:])
         a, b = a[:, :, None], b[:, None]
         shape = tuple(map(max, a.shape, b.shape))
         out = np.empty(shape) if out is None else out[:math.prod(shape)].reshape(shape)
-        diff = np.subtract(b, a, out=out)  # (F, k, k, ...), NaN at padding; 0 between equal codes
+        size = np.setbufsize(UFUNC_BUFFER)
+        try:  # (F, k, k, ...), NaN at padding; 0 between equal codes
+            diff = np.subtract(b, a, out=out)
+        finally:
+            np.setbufsize(size)
         np.abs(diff, out=diff)
         if shape[1] == 1:  # the least over one value is that value
             closest = diff.reshape(shape[:1] + shape[3:])
@@ -342,17 +362,27 @@ def sigmoid(z, out: np.ndarray | None = None) -> np.ndarray:
 def logistic_loss(weights: np.ndarray, bias: float, X: np.ndarray,
                   y: np.ndarray, l2: float) -> float:
     """Mean L2-regularized logistic loss. The bias is not regularized."""
-    z = X @ weights + bias
+    return _loss(X @ weights + bias, weights, y, l2)
+
+
+def logistic_gradient(weights: np.ndarray, bias: float, X: np.ndarray,
+                      y: np.ndarray, l2: float) -> tuple[np.ndarray, float]:
+    """Analytic gradient of `logistic_loss` in (weights, bias)."""
+    return _gradient(X @ weights + bias, weights, X, y, l2)
+
+
+def _loss(z: np.ndarray, weights: np.ndarray, y: np.ndarray, l2: float) -> float:
+    """`logistic_loss` at the logits z = X @ weights + bias."""
     # log(1 + exp(-s)) with s = z for y=1 and -z for y=0, computed stably
     s = np.where(y > 0.5, z, -z)
     nll = np.logaddexp(0.0, -s).mean()
     return float(nll + 0.5 * l2 * float(weights @ weights))
 
 
-def logistic_gradient(weights: np.ndarray, bias: float, X: np.ndarray,
-                      y: np.ndarray, l2: float) -> tuple[np.ndarray, float]:
-    """Analytic gradient of `logistic_loss` in (weights, bias)."""
-    resid = sigmoid(X @ weights + bias) - y
+def _gradient(z: np.ndarray, weights: np.ndarray, X: np.ndarray,
+              y: np.ndarray, l2: float) -> tuple[np.ndarray, float]:
+    """`logistic_gradient` at the logits z = X @ weights + bias."""
+    resid = sigmoid(z) - y
     grad_w = X.T @ resid / len(y) + l2 * weights
     grad_b = float(resid.mean())
     return grad_w, grad_b
@@ -364,21 +394,24 @@ def fit_logistic(X: np.ndarray, y: np.ndarray,
 
     The step size starts at config.learning_rate and is halved whenever a
     step would increase the loss, so the returned per-epoch loss history is
-    non-increasing. Deterministic.
+    non-increasing. Each epoch's gradient reads the logits that the loss of
+    the accepted step computed. Deterministic.
     """
     w = np.zeros(X.shape[1])
     b = 0.0
     lr = config.learning_rate
-    loss = logistic_loss(w, b, X, y, config.l2)
+    z = X @ w + b
+    loss = _loss(z, w, y, config.l2)
     losses = [loss]
     for _ in range(config.epochs):
-        grad_w, grad_b = logistic_gradient(w, b, X, y, config.l2)
+        grad_w, grad_b = _gradient(z, w, X, y, config.l2)
         for _ in range(60):
             w_new = w - lr * grad_w
             b_new = b - lr * grad_b
-            new_loss = logistic_loss(w_new, b_new, X, y, config.l2)
+            z_new = X @ w_new + b_new
+            new_loss = _loss(z_new, w_new, y, config.l2)
             if new_loss <= loss:
-                w, b, loss = w_new, b_new, new_loss
+                w, b, z, loss = w_new, b_new, z_new, new_loss
                 break
             lr *= 0.5
         losses.append(loss)
@@ -478,16 +511,20 @@ def condensed_pairwise_scores(model: MatchModel, records: PairColumns,
     table that score at or above `floor`: pair k is the records rows[k] <
     cols[k], scoring scores[k], in condensed order (by row, then column).
 
-    Each gather is a block of rows i..i+r-1 against the columns i+1..n-1, a
-    view of the coded array, with r chosen so that the gather's differences
-    hold about `BLOCK_ELEMENTS` values. Every block takes its differences
-    and logits in the same two buffers, allocated once per call, and
+    Each gather is a block of rows i..i+r-1 against the columns i+1..n-1,
+    both read as views of the coded array (the rows as `np.s_[i:i + r,
+    None]`), with r chosen so that the gather's differences hold about
+    `BLOCK_ELEMENTS` values. Every block takes its differences, logits and
+    keep mask in the same three buffers, allocated once per call, and
     appends its pairs j > i whose logit clears `_logit_cut(floor)` to edge
-    arrays that grow in place. Row i + m meets a column at or before it
-    only among the block's first r columns, so one upper-triangular mask,
-    built once per call, drops those pairs from that r x r corner alone.
-    Once every block is scanned, `sigmoid` turns the kept logits into
-    scores in place, and the few pairs scoring below the floor are dropped.
+    arrays that grow in place. Every block keeps the (r, width) layout, and
+    the logits read the slots feature-major, since the last bit of a
+    pair's logit depends on its place in the block. Row i + m meets a
+    column at or before it only among the block's first r columns, so one
+    upper-triangular mask, built once per call, drops those pairs from
+    that r x r corner alone. Once every block is scanned, `sigmoid` turns
+    the kept logits into scores in place, and the few pairs scoring below
+    the floor are dropped.
     Raises ConfigError once the edge arrays and the cached edit distances
     pass `MEMORY_BUDGET` bytes.
     """
@@ -498,7 +535,7 @@ def condensed_pairwise_scores(model: MatchModel, records: PairColumns,
     per_pair = n_features * k * k
     # the widest block is one row, or as many rows as fill BLOCK_ELEMENTS
     pairs = max(n - 1, min(BLOCK_ELEMENTS // per_pair, (n - 1) ** 2))
-    work, z = np.empty(per_pair * pairs), np.empty(pairs)
+    work, z, above = np.empty(per_pair * pairs), np.empty(pairs), np.empty(pairs, bool)
     # r <= width and r * width <= BLOCK_ELEMENTS // per_pair bound a block of r > 1 rows
     side = max(1, min(n - 1, math.isqrt(BLOCK_ELEMENTS // per_pair)))
     tri = np.triu(np.ones((side, side), dtype=bool))  # tri[m, j]: column j pairs with row m
@@ -507,9 +544,9 @@ def condensed_pairwise_scores(model: MatchModel, records: PairColumns,
     while i < n - 1:
         width = n - 1 - i
         r = min(width, max(1, BLOCK_ELEMENTS // (per_pair * width)))
-        slots = records.slots(np.arange(i, i + r)[:, None], slice(i + 1, n), work)
+        slots = records.slots(np.s_[i:i + r, None], np.s_[i + 1:n], work)
         block = logit(slots.reshape(-1, n_features), out=z[:r * width])
-        keep = block >= cut
+        keep = np.greater_equal(block, cut, out=above[:r * width])
         if r > 1:  # row i + m pairs with the columns from i + m + 1
             keep.reshape(r, width)[:, :r] &= tri[:r, :r]
         at = np.flatnonzero(keep)
@@ -529,7 +566,7 @@ def condensed_pairwise_scores(model: MatchModel, records: PairColumns,
                 f"{MEMORY_BUDGET} bytes of edges and edit distances; a higher "
                 f"--threshold or --grid-start keeps fewer pairs")
         i += r
-    work = z = slots = block = None  # free the workspace before the trim
+    work = z = above = slots = block = keep = None  # free the workspace before the trim
     for part in edges:
         part.resize(held, refcheck=False)
     sigmoid(edges[2], out=edges[2])

@@ -969,13 +969,3 @@ class TestImports:
                               capture_output=True, text=True, timeout=120)
         assert done.returncode == 0, done.stderr
         assert done.stdout.splitlines()[-1] == f"{[EXIT_OK] * 3} False"
-
-    def test_import_leaves_numpy_random_unimported(self):
-        """Importing the CLI loads no `numpy.random`: `sweep` and `resolve`
-        draw no random number, and `train` imports it when it splits."""
-        env = dict(os.environ, PYTHONPATH=str(Path(erbound.__file__).parents[1]))
-        script = "import sys, erbound.cli; print('numpy.random' in sys.modules)"
-        done = subprocess.run([sys.executable, "-c", script], env=env,
-                              capture_output=True, text=True, timeout=60)
-        assert done.returncode == 0, done.stderr
-        assert done.stdout.split() == ["False"]

@@ -1,9 +1,12 @@
 """Module layering rules, checked on the source text with `ast`, the one
 featurizer that training and validation share with test scoring, and the
-one record table the commands keep records in."""
+one record table the commands keep records in, and the numpy modules that
+start-up leaves unloaded."""
 
 import ast
 import json
+import os
+import subprocess
 import sys
 from pathlib import Path
 
@@ -245,3 +248,24 @@ def test_resolve_scores_in_large_blocks(monkeypatch, tmp_path):
     assert main(resolve) == 0
     assert set(blocks) == {814}
     assert len(blocks) < 237 / 2
+
+
+def test_startup_loads_neither_numpy_ma_nor_numpy_random(tmp_path):
+    """In a fresh process, importing the CLI and then running `sweep` and
+    `resolve` on a set that `train` fitted in another process load neither
+    `numpy.ma` nor `numpy.random`. A plain `np.unique` imports `numpy.ma`
+    (about 12 ms of import and a slow first call), and only `train` draws
+    random numbers."""
+    train, sweep, resolve = generated_commands(tmp_path)
+    assert main(train) == 0
+    script = ("import json, sys\n"
+              "loaded = lambda: [m for m in ('numpy.ma', 'numpy.random') if m in sys.modules]\n"
+              "from erbound.cli import main\n"
+              "imported = loaded()\n"
+              "codes = [main(argv) for argv in json.loads(sys.argv[1])]\n"
+              "print(json.dumps([imported, codes, loaded()]))")
+    done = subprocess.run([sys.executable, "-c", script, json.dumps([sweep, resolve])],
+                          env=dict(os.environ, PYTHONPATH=str(PACKAGE.parent)),
+                          capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    assert json.loads(done.stdout.splitlines()[-1]) == [[], [0, 0], []]

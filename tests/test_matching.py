@@ -1,4 +1,5 @@
 import copy
+import hashlib
 import json
 import tracemalloc
 from dataclasses import replace
@@ -263,6 +264,34 @@ class TestTraining:
             y = (rng.random(50) < 0.5).astype(float)
             _, _, losses = fit_logistic(X, y, TrainConfig(epochs=300, learning_rate=0.5))
             assert all(b <= a + 1e-15 for a, b in zip(losses, losses[1:]))
+
+    def test_descent_equals_one_from_the_public_loss_and_gradient(self):
+        """`fit_logistic` reuses the accepted step's logits for the next
+        gradient; weights, bias and loss history are bit for bit those of
+        the descent that recomputes them with `logistic_loss` and
+        `logistic_gradient`, halvings of the step included."""
+        rng = np.random.default_rng(12)
+        X = rng.normal(size=(60, 8)) * rng.uniform(0.5, 4.0, size=8)
+        y = (X[:, 0] + rng.normal(size=60) > 0).astype(float)
+        config = TrainConfig(epochs=200, learning_rate=4.0, l2=0.01)
+        w, b, lr = np.zeros(8), 0.0, config.learning_rate
+        loss = logistic_loss(w, b, X, y, config.l2)
+        losses, halvings = [loss], 0
+        for _ in range(config.epochs):
+            grad_w, grad_b = logistic_gradient(w, b, X, y, config.l2)
+            for _ in range(60):
+                w_new, b_new = w - lr * grad_w, b - lr * grad_b
+                new_loss = logistic_loss(w_new, b_new, X, y, config.l2)
+                if new_loss <= loss:
+                    w, b, loss = w_new, b_new, new_loss
+                    break
+                lr *= 0.5
+                halvings += 1
+            losses.append(loss)
+        assert halvings > 0
+        got_w, got_b, got_losses = fit_logistic(X, y, config)
+        assert got_w.tobytes() == w.tobytes() and got_b == b
+        assert got_losses == losses
 
     def test_synthetic_validation_accuracy(self):
         from erbound.dataset import SplitSpec, generate_synthetic, split_dataset
@@ -582,6 +611,15 @@ class TestEdges:
             int((all_pairs(model, records)[2] >= floor).sum())
 
 
+# sha256 of the rows, cols and scores bytes of `test_edges_keep_their_bytes`
+EDGE_DIGESTS = {
+    ("complete-numeric", 0.02): "cdb95677cac3aa4799a6b108e5316b479b1c86c462f1550685aeac31c7e3d4a9",
+    ("complete-numeric", 0.5): "13a2dac8490d31477cefe5047e4b1975fb8af4a291fa9a4985f33ae9e09ec30e",
+    ("multi-valued-text", 0.02): "592520d5e3276421fa93f8777d04b5bf6b4a2cd631fdf08e7b183e4256281201",
+    ("multi-valued-text", 0.5): "886979b11ad841e648a808eb293357a8b4004ca380416df988fd7bfa67b797f6",
+}
+
+
 class TestKernel:
     """The block scan against the per-pair oracle, over block sizes from
     one row to the whole table and over floors at the edges of `sigmoid`'s
@@ -641,8 +679,10 @@ class TestKernel:
         shapes = []  # (rows, width) of each block's gather
         gather = table.slots
 
-        def recording(rows, cols, out=None):
-            shapes.append((len(rows), n - cols.start))
+        def recording(rows, cols, out=None):  # rows: the block's range on a new axis
+            block, new_axis = rows
+            assert new_axis is None
+            shapes.append((block.stop - block.start, n - cols.start))
             return gather(rows, cols, out)
 
         monkeypatch.setattr(table, "slots", recording)
@@ -661,6 +701,33 @@ class TestKernel:
                     assert got.tobytes() == want[kept].tobytes(), (block, floor)
             assert max(r for r, _ in shapes) > 1
         assert shapes == [(n - 1, n - 1)]
+
+    @pytest.mark.parametrize("floor", [0.02, 0.5])
+    @pytest.mark.parametrize("case", ["complete-numeric", "multi-valued-text"])
+    def test_edges_keep_their_bytes(self, mixed_schema, case, floor):
+        """The scan's edges, to the last bit, at the default block size: a
+        complete ten-feature numeric table scanned in blocks of 18 rows or
+        more, and a table of up to three values a cell, missing cells, text
+        and categorical features, in blocks of 23 or more. Thresholds only
+        see a score that crosses them; this sees any change in any score."""
+        from erbound.dataset import generate_synthetic, synthetic_schema
+
+        if case == "complete-numeric":
+            table, _ = generate_synthetic(60, 6, seed=7)
+            weights = np.concatenate([-np.linspace(0.5, 2.0, 10), np.zeros(10)])
+            model = MatchModel(synthetic_schema(10), weights, 2.0, 0.5,
+                               np.zeros(20), np.ones(20))
+        else:
+            rng = np.random.default_rng(32)
+            table = record_table(random_records(rng, mixed_schema, 80, max_values=3,
+                                                missing_rate=0.3,
+                                                words=random_words(rng, 40)), mixed_schema)
+            model = MatchModel(mixed_schema, [-2.5, -1.5, 2.0, -0.4, -0.3, -0.2, -0.5, 0.1],
+                               0.3, 0.5, np.zeros(8), np.ones(8))
+        edges = condensed_pairwise_scores(model, table, floor)
+        assert [part.dtype for part in edges] == [np.int32, np.int32, np.float64]
+        digest = hashlib.sha256(b"".join(part.tobytes() for part in edges)).hexdigest()
+        assert digest == EDGE_DIGESTS[case, floor]
 
 
 class TestModelIO:
