@@ -128,9 +128,9 @@ def _out_dir(args) -> Path:
 
 
 def _check_ranges(args) -> None:
-    """Range-check the command's probability and grid flags before any work
-    is done. Only --recall-floor and the gate floors may take the endpoints
-    0 and 1."""
+    """Range-check the command's probability, seed and grid flags before any
+    work is done. Only --recall-floor and the gate floors may take the
+    endpoints 0 and 1."""
     for dest in ("threshold", "confidence", "ct", "recall_floor",
                  "min_precision_lb", "min_recall_lb", "min_f1_lb"):
         value = getattr(args, dest, None)
@@ -139,6 +139,8 @@ def _check_ranges(args) -> None:
             continue
         where = "in [0, 1]" if closed else "strictly inside (0, 1)"
         raise ErboundError(f"--{dest.replace('_', '-')} must lie {where}, got {value}")
+    if getattr(args, "seed", 0) < 0:  # numpy's own error names no flag
+        raise ErboundError(f"--seed must be non-negative, got {args.seed}")
     if args.command != "sweep":
         return
     if not (0.0 < args.grid_start <= args.grid_stop < 1.0 and args.grid_steps >= 1):

@@ -12,6 +12,11 @@ records CSV       : header `id,<feature...>`; multi-valued cells joined with
 gold CSV          : header `id,label`; an empty label leaves the id unlabeled.
 schema JSON       : {"features": [{"name": ..., "kind": ...}, ...]}
 
+In both CSVs each data row has the header's width and an id, stripped of
+surrounding space, that is not empty and that no earlier row holds; a gold
+row counts whether it is labeled or not. One reader (`_id_rows`) checks
+this for both.
+
 Gold truth enters the split and the sweep's true metrics in one form: an
 entity code for each id of a record table, equal for ids that share a
 label, -1 for an unlabeled id (`GoldTruth.entity_codes`).
@@ -98,6 +103,24 @@ def _csv_rows(path) -> Iterator[list[str]]:
         raise DataError(f"{path}: not UTF-8 text: {exc}") from exc
 
 
+def _id_rows(path, rows: Iterable[list[str]], width: int, id_col: int,
+             ids: dict) -> Iterator[list[str]]:
+    """Yield a CSV's data rows, the rows after its header, one at a time,
+    adding each row's id, stripped, to the keys of `ids`. Each row must
+    have `width` cells and, in column `id_col`, an id that is not empty and
+    that no earlier row holds; else DataError names the file and line."""
+    for row_no, row in enumerate(rows, start=2):
+        if len(row) != width:
+            raise DataError(f"{path}:{row_no}: expected {width} cells, got {len(row)}")
+        rid = row[id_col].strip()
+        if not rid:
+            raise DataError(f"{path}:{row_no}: empty id")
+        if rid in ids:
+            raise DataError(f"{path}:{row_no}: duplicate id {rid!r}")
+        ids[rid] = None
+        yield row
+
+
 def write_csv(path, header: Sequence[str], rows: Iterable[Sequence]) -> None:
     """Write a UTF-8 CSV: the header row, then `rows`."""
     with open(path, "w", newline="", encoding="utf-8") as fh:
@@ -142,18 +165,8 @@ def load_records_csv(path, schema: FeatureSchema) -> PairColumns:
     repeated = [name for k, name in enumerate(header) if name in header[:k]]
     if repeated:
         raise DataError(f"{path}: header repeats column {repeated[0]!r}")
-    body = list(rows)
-    id_col = header.index("id")
     ids: dict[str, None] = {}
-    for row_no, row in enumerate(body, start=2):
-        if len(row) != len(header):
-            raise DataError(f"{path}:{row_no}: expected {len(header)} cells, got {len(row)}")
-        rid = row[id_col].strip()
-        if not rid:
-            raise DataError(f"{path}:{row_no}: empty id")
-        if rid in ids:
-            raise DataError(f"{path}:{row_no}: duplicate id {rid!r}")
-        ids[rid] = None
+    body = list(_id_rows(path, rows, len(header), header.index("id"), ids))
     cells = list(zip(*body)) or [()] * len(header)
     columns = []
     for feat in schema.features:
@@ -201,26 +214,20 @@ def load_gold(path, valid_ids: Iterable[str] | None = None) -> GoldTruth:
     """Read `id,label` rows into a GoldTruth. The label is an entity id or
     any shared natural key (e.g. a phone number) standing in for one; the
     truth pairs are all same-label pairs. Rows with an empty label are
-    unlabeled.
+    unlabeled. Given `valid_ids`, every row's id must be one of them.
     """
-    known = set(valid_ids) if valid_ids is not None else None
-    labels = {}
     rows = _csv_rows(path)
     header = next(rows)
     if [h.strip() for h in header] != ["id", "label"]:
         raise DataError(f"{path}: expected header `id,label`, got {header}")
-    for row_no, row in enumerate(rows, start=2):
-        if len(row) != 2:
-            raise DataError(f"{path}:{row_no}: expected 2 cells, got {len(row)}")
-        rid, label = row[0].strip(), row[1].strip()
-        if not rid:
-            raise DataError(f"{path}:{row_no}: empty id")
-        if rid in labels:
-            raise DataError(f"{path}:{row_no}: duplicate id {rid!r}")
-        if known is not None and rid not in known:
-            raise DataError(f"{path}:{row_no}: unknown id {rid!r}")
-        if label:
-            labels[rid] = label
+    labels: dict[str, str] = {}  # every row's id, until the unlabeled ones leave
+    for row in _id_rows(path, rows, 2, 0, labels):
+        labels[row[0].strip()] = row[1].strip()
+    if valid_ids is not None and not (known := set(valid_ids)).issuperset(labels):
+        row_no, rid = next((k, rid) for k, rid in enumerate(labels, start=2) if rid not in known)
+        raise DataError(f"{path}:{row_no}: unknown id {rid!r}")
+    for rid in [rid for rid, label in labels.items() if not label]:
+        del labels[rid]
     return GoldTruth(labels)
 
 

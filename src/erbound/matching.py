@@ -333,7 +333,11 @@ def _number(value, name: str, integer: bool = False) -> float | int:
     if type(value) not in ((int,) if integer else (int, float)):
         kind = "integer" if integer else "number"
         raise DataError(f"model field {name!r} must be a JSON {kind}, got {value!r}")
-    return value if integer else float(value)
+    try:
+        return value if integer else float(value)
+    except OverflowError:
+        raise DataError(f"model field {name} must be finite, got an integer "
+                        "beyond the float range") from None
 
 
 def save_model(path, model: MatchModel) -> None:
@@ -359,20 +363,9 @@ def sigmoid(z, out: np.ndarray | None = None) -> np.ndarray:
     return np.divide(1.0, out, out=out)
 
 
-def logistic_loss(weights: np.ndarray, bias: float, X: np.ndarray,
-                  y: np.ndarray, l2: float) -> float:
-    """Mean L2-regularized logistic loss. The bias is not regularized."""
-    return _loss(X @ weights + bias, weights, y, l2)
-
-
-def logistic_gradient(weights: np.ndarray, bias: float, X: np.ndarray,
-                      y: np.ndarray, l2: float) -> tuple[np.ndarray, float]:
-    """Analytic gradient of `logistic_loss` in (weights, bias)."""
-    return _gradient(X @ weights + bias, weights, X, y, l2)
-
-
 def _loss(z: np.ndarray, weights: np.ndarray, y: np.ndarray, l2: float) -> float:
-    """`logistic_loss` at the logits z = X @ weights + bias."""
+    """Mean L2-regularized logistic loss at the logits z = X @ weights + bias.
+    The bias is not regularized. Its oracle is `reference.logistic_loss`."""
     # log(1 + exp(-s)) with s = z for y=1 and -z for y=0, computed stably
     s = np.where(y > 0.5, z, -z)
     nll = np.logaddexp(0.0, -s).mean()
@@ -381,7 +374,8 @@ def _loss(z: np.ndarray, weights: np.ndarray, y: np.ndarray, l2: float) -> float
 
 def _gradient(z: np.ndarray, weights: np.ndarray, X: np.ndarray,
               y: np.ndarray, l2: float) -> tuple[np.ndarray, float]:
-    """`logistic_gradient` at the logits z = X @ weights + bias."""
+    """The analytic gradient of `_loss` in (weights, bias) at the logits
+    z = X @ weights + bias. Its oracle is `reference.logistic_gradient`."""
     resid = sigmoid(z) - y
     grad_w = X.T @ resid / len(y) + l2 * weights
     grad_b = float(resid.mean())

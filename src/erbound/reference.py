@@ -7,6 +7,9 @@ production module imports this one.
 - The per-pair featurization and score, which the production gather
   `matching.PairColumns` and its one scoring formula reproduce, and the
   scalar edit distance, which its batch Levenshtein DP reproduces.
+- The logistic objective, `logistic_loss` and `logistic_gradient`, written
+  from X @ w + b: the oracle of the loss and gradient that
+  `matching.fit_logistic` computes from the logits it keeps.
 - R-Swoosh, the iterative match/merge fixpoint (Benjelloun et al.,
   "Swoosh: a generic approach to entity resolution", VLDB J. 2009), with
   set-union merge of records.
@@ -123,6 +126,24 @@ def pair_score(model: MatchModel, a: Record, b: Record) -> float:
     before the weights: sigmoid(w . (x - mean)/scale + bias)."""
     z = (featurize_pair(a, b, model.schema) - model.feature_means) / model.feature_scales
     return float(sigmoid(model.weights @ z + model.bias))
+
+
+def logistic_loss(weights: np.ndarray, bias: float, X: np.ndarray,
+                  y: np.ndarray, l2: float) -> float:
+    """Mean L2-regularized logistic loss of the logits X @ weights + bias,
+    the objective `matching.fit_logistic` descends. The bias is not
+    regularized."""
+    z = X @ weights + bias
+    # log(1 + exp(-z)) for y=1 and log(1 + exp(z)) for y=0, computed stably
+    nll = np.logaddexp(0.0, -np.where(y > 0.5, z, -z)).mean()
+    return float(nll + 0.5 * l2 * float(weights @ weights))
+
+
+def logistic_gradient(weights: np.ndarray, bias: float, X: np.ndarray,
+                      y: np.ndarray, l2: float) -> tuple[np.ndarray, float]:
+    """Analytic gradient of `logistic_loss` in (weights, bias)."""
+    resid = sigmoid(X @ weights + bias) - y
+    return X.T @ resid / len(y) + l2 * weights, float(resid.mean())
 
 
 def merge_records(o1: Record, o2: Record) -> Record:

@@ -188,6 +188,26 @@ class TestSweep:
         for path, threshold in zip(files, (0.5, 0.9)):
             assert_clustering_file(path, oracle_resolution(model, records, threshold))
 
+    def test_no_defined_bound_selects_no_row(self, trained, tmp_path, capsys):
+        """With every validation label flipped, TPR never exceeds FPR: no row
+        has an F1 bound, so the sweep names no best threshold."""
+        _, run = trained
+        doc = json.loads((run / "validation_stats.json").read_text())
+        for pair in doc["pairs"]:
+            pair["label"] = 1 - pair["label"]
+        flipped = tmp_path / "validation_stats.json"
+        flipped.write_text(json.dumps(doc))
+        out = tmp_path / "sweep"
+        assert main(["sweep", "--model", str(run / "model.json"),
+                     "--records", str(run / "test_records.csv"),
+                     "--validation-stats", str(flipped), "--grid-steps", "4",
+                     "--out", str(out)]) == EXIT_OK
+        assert "no threshold produced a defined bound" in capsys.readouterr().out
+        rows, comments = read_sweep_csv(out / "sweep.csv")
+        assert len(rows) == 4 and all(r["f1_lb"] == "" for r in rows)
+        assert comments == ["# select_metric=f1_lb"]
+        assert json.loads((out / "best.json").read_text()) is None
+
     def test_bad_grid(self, trained, tmp_path, capsys):
         data, run = trained
         sweep = ["sweep", "--model", str(run / "model.json"),
@@ -475,6 +495,18 @@ class TestRangeChecks:
         assert flag in capsys.readouterr().err
         assert not (out / output).exists()
 
+    @pytest.mark.parametrize("command", ["generate", "train"])
+    def test_negative_seed_names_the_flag(self, trained, tmp_path, capsys, command):
+        """numpy's own error for a negative seed names no flag; the range
+        check names it before any input is read."""
+        data, _ = trained
+        out = tmp_path / "out"
+        extra = ("--seed", "-1")
+        code = run_train(data, out, extra) if command == "train" else run_generate(out, extra=extra)
+        assert code == EXIT_DATA
+        assert "--seed must be non-negative, got -1" in capsys.readouterr().err
+        assert not out.exists()
+
     @pytest.mark.parametrize("command,flag,value,field", [
         ("train", "--learning-rate", "nan", "learning_rate"),
         ("train", "--learning-rate", "inf", "learning_rate"),
@@ -594,6 +626,7 @@ class TestMalformedInputs:
         ("weights", float("nan")), ("weights", float("inf")), ("bias", float("nan")),
         ("bias", float("-inf")), ("feature_means", float("nan")),
         ("feature_scales", float("inf")),
+        pytest.param("weights", 10 ** 400, id="weights-401-digits"),  # beyond float range
     ])
     def test_model_value_not_finite(self, trained, tmp_path, capsys, field, value):
         _, run = trained
@@ -609,6 +642,28 @@ class TestMalformedInputs:
         err = capsys.readouterr().err
         assert str(bad) in err and f"{field} must be finite" in err
         assert not (tmp_path / "out" / "clustering.csv").exists()
+
+    def test_stats_format_version_unsupported(self, trained, tmp_path, capsys):
+        _, run = trained
+        doc = json.loads((run / "validation_stats.json").read_text())
+        doc["format_version"] = 99
+        bad = tmp_path / "validation_stats.json"
+        bad.write_text(json.dumps(doc))
+        assert self.resolve(run, tmp_path, stats=bad) == EXIT_DATA
+        assert f"{bad}: unsupported stats format_version 99" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    def test_gold_id_repeated_after_unlabeled_row(self, trained, tmp_path, capsys):
+        """A gold row's id counts whether it is labeled or not: `r1,` then
+        `r1,e1` is a repeat, not a label given late."""
+        data, _ = trained
+        gold = tmp_path / "gold.csv"
+        gold.write_text("id,label\nr1,\nr1,e1\n")
+        assert main(["train", "--records", str(data / "records.csv"), "--gold", str(gold),
+                     "--schema", str(data / "schema.json"),
+                     "--out", str(tmp_path / "out")]) == EXIT_DATA
+        assert f"{gold}:3: duplicate id 'r1'" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("score", [float("nan"), float("inf"), float("-inf"), 1.7, -0.2])
     def test_stats_score_outside_unit_interval(self, trained, tmp_path, capsys, score):

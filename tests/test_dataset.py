@@ -399,6 +399,35 @@ class TestGold:
         assert gold.restricted(["a", "c"]).labels == {"a": "1", "c": "2"}
 
 
+RECORDS_HEADER = "id,name1,name2,phone,age\n"
+
+
+class TestIdRows:
+    """Both CSV loaders hold their data rows to one rule: the header's width,
+    and an id, stripped, that is not empty and that no earlier row holds,
+    labeled or not in a gold file."""
+
+    @pytest.mark.parametrize("kind,text,message", [
+        ("records", RECORDS_HEADER + "r1,a,b,,\nr2,a,b,\n", ":3: expected 5 cells, got 4"),
+        ("records", RECORDS_HEADER + "r1,a,b,,\n  ,a,b,,\n", ":3: empty id"),
+        ("gold", "id,lbl\na,1\n", ": expected header `id,label`, got ['id', 'lbl']"),
+        ("gold", "id,label\na,1\nb,1,x\n", ":3: expected 2 cells, got 3"),
+        ("gold", "id,label\na,1\n ,1\n", ":3: empty id"),
+        ("gold", "id,label\nr1,\nr1,e1\n", ":3: duplicate id 'r1'"),
+        ("gold", "id,label\nr1,e1\nr1,\n", ":3: duplicate id 'r1'"),
+    ], ids=["records-width", "records-empty-id", "gold-header",
+            "gold-width", "gold-empty-id", "gold-unlabeled-then-labeled",
+            "gold-labeled-then-unlabeled"])
+    def test_bad_row_names_file_and_line(self, tmp_path, mixed_schema, kind, text, message):
+        path = tmp_path / f"{kind}.csv"
+        path.write_text(text)
+        with pytest.raises(DataError, match=f"^{re.escape(str(path) + message)}$"):
+            if kind == "records":
+                load_records_csv(path, mixed_schema)
+            else:
+                load_gold(path, valid_ids=["a", "b", "r1"])
+
+
 class TestSchemaJson:
     def test_round_trip(self, tmp_path, mixed_schema):
         path = tmp_path / "schema.json"

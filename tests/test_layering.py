@@ -120,6 +120,13 @@ def test_featurize_pair_defined_only_in_reference():
     assert defining_modules("featurize_pair") == ["reference.py"]
 
 
+def test_logistic_objective_defined_only_in_reference():
+    """Production keeps one objective, `matching._loss` and `_gradient`;
+    the public loss and gradient written from X @ w + b are its oracle."""
+    assert defining_modules("logistic_loss") == ["reference.py"]
+    assert defining_modules("logistic_gradient") == ["reference.py"]
+
+
 def test_scalar_levenshtein_defined_only_in_reference():
     assert defining_modules("levenshtein") == ["reference.py"]
 

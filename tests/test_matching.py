@@ -19,8 +19,6 @@ from erbound.matching import (
     condensed_pairwise_scores,
     fit_logistic,
     load_model,
-    logistic_gradient,
-    logistic_loss,
     save_model,
     score_pair,
     score_pairs,
@@ -39,6 +37,8 @@ from erbound.reference import (
     base_record,
     featurize_pair,
     levenshtein,
+    logistic_gradient,
+    logistic_loss,
     matcher_from_scores,
     merge_records,
     normalized_levenshtein,
@@ -268,8 +268,9 @@ class TestTraining:
     def test_descent_equals_one_from_the_public_loss_and_gradient(self):
         """`fit_logistic` reuses the accepted step's logits for the next
         gradient; weights, bias and loss history are bit for bit those of
-        the descent that recomputes them with `logistic_loss` and
-        `logistic_gradient`, halvings of the step included."""
+        the descent that recomputes them from X with the reference
+        `logistic_loss` and `logistic_gradient`, halvings of the step
+        included."""
         rng = np.random.default_rng(12)
         X = rng.normal(size=(60, 8)) * rng.uniform(0.5, 4.0, size=8)
         y = (X[:, 0] + rng.normal(size=60) > 0).astype(float)
