@@ -27,6 +27,9 @@ EXIT_DATA = 3
 EXIT_GATE = 4
 
 STATS_FORMAT_VERSION = 1
+# the Wilson intervals' confidence level: `train`'s validation summary always
+# takes it, and it is the default of `sweep --confidence` and `resolve --confidence`
+CONFIDENCE = 0.95
 
 # one column per `pipeline.SweepRow` field, in field order
 SWEEP_COLUMNS = [
@@ -130,7 +133,9 @@ def _out_dir(args) -> Path:
 def _check_ranges(args) -> None:
     """Range-check the command's probability, seed and grid flags before any
     work is done. Only --recall-floor and the gate floors may take the
-    endpoints 0 and 1."""
+    endpoints 0 and 1. Counts and learning settings are checked where they
+    are used: by `generate_synthetic`, and by `SplitSpec` and `TrainConfig`,
+    which `cmd_train` builds before it opens a file."""
     for dest in ("threshold", "confidence", "ct", "recall_floor",
                  "min_precision_lb", "min_recall_lb", "min_f1_lb"):
         value = getattr(args, dest, None)
@@ -173,9 +178,10 @@ def cmd_generate(args) -> int:
 
 
 def _stats_payload(split: dataset.Split, scores: np.ndarray, ids: list[str],
-                   threshold: float, confidence: float) -> dict:
+                   threshold: float) -> dict:
     """The validation stats file: each validation pair, its records named
-    by the table's `ids` in sorted order, and the confusion at `threshold`."""
+    by the table's `ids` in sorted order, and the confusion at `threshold`
+    with Wilson intervals at `CONFIDENCE`."""
     rows, cols, labels = split.validation_pairs
     stats, = bounds.ValidationStats.from_scores(scores, labels, [threshold])
     summary = {
@@ -183,15 +189,15 @@ def _stats_payload(split: dataset.Split, scores: np.ndarray, ids: list[str],
         "c_v": stats.c_v,
         "recall_v": stats.recall_v,
         "wilson_recall": list(bounds.wilson_interval(
-            stats.n_true_match, stats.n_positive, confidence)),
+            stats.n_true_match, stats.n_positive, CONFIDENCE)),
         "precision_v": stats.precision_v,
         "wilson_precision": None if stats.precision_v is None else list(
-            bounds.wilson_interval(stats.n_true_match, stats.n_predicted_match, confidence)),
+            bounds.wilson_interval(stats.n_true_match, stats.n_predicted_match, CONFIDENCE)),
     }
     return {
         "format_version": STATS_FORMAT_VERSION,
         "threshold": threshold,
-        "confidence": confidence,
+        "confidence": CONFIDENCE,
         "pairs": [
             {"id_a": min(ids[i], ids[j]), "id_b": max(ids[i], ids[j]),
              "label": label, "score": score}
@@ -234,23 +240,20 @@ def load_validation_stats(path) -> tuple[np.ndarray, np.ndarray]:
 
 
 def cmd_train(args) -> int:
+    """Split the labeled records, train the match model and score the
+    validation pairs. The split and training settings are checked, by
+    building `SplitSpec` and `TrainConfig`, before any input is opened."""
+    # the flags are named after the fields they set
+    spec, config = (cls(**{f.name: getattr(args, f.name) for f in fields(cls)})
+                    for cls in (dataset.SplitSpec, matching.TrainConfig))
     schema = dataset.load_schema_json(args.schema)
     records = dataset.load_records_csv(args.records, schema)
     gold = dataset.load_gold(args.gold, valid_ids=records.ids)
-    spec = dataset.SplitSpec(
-        n_train_pairs=args.n_train_pairs,
-        n_validation_pairs=args.n_validation_pairs,
-        positive_fraction_train=args.positive_fraction_train,
-        positive_fraction_validation=args.positive_fraction_validation,
-        seed=args.seed,
-    )
-    config = matching.TrainConfig(learning_rate=args.learning_rate,
-                                  epochs=args.epochs, l2=args.l2, seed=args.seed)
     model, split, scores = pipeline.train_pipeline(records, gold, spec, config,
                                                    threshold=args.threshold)
     out = _out_dir(args)
     matching.save_model(out / "model.json", model)
-    payload = _stats_payload(split, scores, records.ids, args.threshold, args.confidence)
+    payload = _stats_payload(split, scores, records.ids, args.threshold)
     _write_json(out / "validation_stats.json", payload)
     dataset.write_records_csv(out / "test_records.csv", split.test_records)
     dataset.write_gold_csv(out / "test_gold.csv", split.test_gold)
@@ -383,7 +386,7 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argument
         p.add_argument("--model")
         p.add_argument("--records")
         p.add_argument("--validation-stats")
-        p.add_argument("--confidence", type=float, default=0.95)
+        p.add_argument("--confidence", type=float, default=CONFIDENCE)
         p.add_argument("--ct", type=float, default=None,
                        help="fixed test class balance; default: estimate it")
 
@@ -410,7 +413,6 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argument
     t.add_argument("--epochs", type=int, default=500)
     t.add_argument("--l2", type=float, default=0.01)
     t.add_argument("--threshold", type=float, default=0.5)
-    t.add_argument("--confidence", type=float, default=0.95)
     t.add_argument("--seed", type=int, default=0)
     t.set_defaults(func=cmd_train)
 

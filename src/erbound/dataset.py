@@ -72,10 +72,12 @@ def generate_synthetic(n_entities: int = 100, records_per_entity: int = 10,
     Deterministic given the seed. The defaults produce 1000 records in 100
     entities of 10, i.e. 4500 truth pairs.
     """
-    if n_entities < 1 or records_per_entity < 1 or dims < 1:
-        raise ConfigError("entity, record, and dimension counts must be positive")
+    for name, count in (("n_entities", n_entities),
+                        ("records_per_entity", records_per_entity), ("dims", dims)):
+        if count < 1:
+            raise ConfigError(f"{name} must be positive, got {count}")
     if not 0 <= noise_sigma < np.inf:
-        raise ConfigError("noise_sigma must be nonnegative and finite")
+        raise ConfigError(f"noise_sigma must be nonnegative and finite, got {noise_sigma}")
     rng = np.random.default_rng(seed)
     total = n_entities * records_per_entity
     latents = rng.uniform(size=(n_entities, dims))
@@ -259,12 +261,13 @@ class SplitSpec:
     seed: int = 0
 
     def __post_init__(self):
-        if self.n_train_pairs < 0 or self.n_validation_pairs < 0:
-            raise ConfigError("pair counts must be nonnegative")
+        for name in ("n_train_pairs", "n_validation_pairs"):
+            if getattr(self, name) < 0:
+                raise ConfigError(f"{name} must be nonnegative, got {getattr(self, name)}")
         for name in ("positive_fraction_train", "positive_fraction_validation"):
             f = getattr(self, name)
             if not 0.0 < f < 1.0:
-                raise ConfigError(f"{name} must lie strictly inside (0, 1)")
+                raise ConfigError(f"{name} must lie strictly inside (0, 1), got {f}")
 
 
 class LabeledPairs(NamedTuple):

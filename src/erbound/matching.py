@@ -249,11 +249,12 @@ class TrainConfig:
 
     def __post_init__(self):
         if not 0 < self.learning_rate < np.inf:
-            raise ValueError("learning_rate must be positive and finite")
+            raise ValueError(f"learning_rate must be positive and finite, "
+                             f"got {self.learning_rate}")
         if self.epochs < 1:
-            raise ValueError("epochs must be >= 1")
+            raise ValueError(f"epochs must be >= 1, got {self.epochs}")
         if not 0 <= self.l2 < np.inf:
-            raise ValueError("l2 must be nonnegative and finite")
+            raise ValueError(f"l2 must be nonnegative and finite, got {self.l2}")
 
 
 @dataclass(frozen=True, eq=False)

@@ -156,6 +156,11 @@ class TestPrecisionLowerBound:
         with pytest.raises(ValueError):
             precision_lower_bound(11, 10, 0.9, 0.5, 0.1)
 
+    @pytest.mark.parametrize("tm,r", [(-1, 10), (0, -1)])
+    def test_negative_count_rejected(self, tm, r):
+        with pytest.raises(ValueError, match="pair counts must be nonnegative"):
+            precision_lower_bound(tm, r, 0.9, 0.5, 0.1)
+
     def test_never_exceeds_direct_fraction(self):
         rng = np.random.default_rng(5)
         for _ in range(200):
@@ -200,6 +205,8 @@ class TestValidationStats:
             make_stats(10, 8, 9, 4)   # five false positives, two negatives
         with pytest.raises(ValueError):
             make_stats(10, 4, 11, 4)  # predictions exceed the pair count
+        with pytest.raises(ValueError, match="counts must be nonnegative"):
+            make_stats(10, 5, 3, -1)
 
     @pytest.mark.parametrize("label", [2, -1, 0.7])
     def test_labels_must_be_zero_or_one(self, label):
@@ -300,6 +307,11 @@ class TestClassBalanceEstimate:
     def test_uninformative_matcher(self):
         stats = make_stats(200, 100, 100, 50)  # tpr 0.5 == fpr 0.5
         assert estimate_test_class_balance(0.2, stats) is None
+
+    @pytest.mark.parametrize("rate", [-0.1, 1.5, float("nan")])
+    def test_rate_outside_unit_interval_rejected(self, rate):
+        with pytest.raises(ValueError, match=r"predicted_match_rate must lie in \[0, 1\]"):
+            estimate_test_class_balance(rate, make_stats(200, 100, 100, 90))
 
 
 def intervals(stats, tm, r, c_t, confidence=0.95):

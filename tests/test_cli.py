@@ -117,6 +117,13 @@ class TestTrain:
         assert code == EXIT_DATA
         assert "error:" in capsys.readouterr().err
 
+    def test_no_training_pairs_is_data_error(self, trained, tmp_path, capsys):
+        data, _ = trained
+        code = run_train(data, tmp_path / "none", extra=("--n-train-pairs", "0"))
+        assert code == EXIT_DATA
+        assert "error: no training pairs" in capsys.readouterr().err
+        assert not (tmp_path / "none").exists()
+
     def test_degenerate_threshold_flags_undefined_precision(self, trained, tmp_path, capsys):
         data, _ = trained
         out = tmp_path / "deg"
@@ -467,7 +474,6 @@ class TestResolve:
 
 class TestRangeChecks:
     @pytest.mark.parametrize("command,flag,value,output", [
-        ("train", "--confidence", "1.5", "model.json"),
         ("train", "--threshold", "0", "model.json"),
         ("sweep", "--recall-floor", "7", "sweep.csv"),
         ("sweep", "--recall-floor", "-0.1", "sweep.csv"),
@@ -494,6 +500,30 @@ class TestRangeChecks:
         assert code == EXIT_DATA
         assert flag in capsys.readouterr().err
         assert not (out / output).exists()
+
+    @pytest.mark.parametrize("command,flag,value,shown", [
+        ("train", "--n-train-pairs", "-5", "n_train_pairs must be nonnegative, got -5"),
+        ("train", "--n-validation-pairs", "-1", "n_validation_pairs must be nonnegative, got -1"),
+        ("train", "--epochs", "0", "epochs must be >= 1, got 0"),
+        ("train", "--positive-fraction-train", "1",
+         "positive_fraction_train must lie strictly inside (0, 1), got 1.0"),
+        ("generate", "--n-entities", "0", "n_entities must be positive, got 0"),
+        ("generate", "--records-per-entity", "0", "records_per_entity must be positive, got 0"),
+        ("generate", "--dims", "0", "dims must be positive, got 0"),
+    ])
+    def test_count_setting_named_before_any_input(self, tmp_path, capsys,
+                                                  command, flag, value, shown):
+        """A bad count or split setting is named with its value before any
+        input is opened: `train`'s inputs here do not exist."""
+        out = tmp_path / "out"
+        if command == "train":
+            code = run_train(tmp_path / "missing", out, extra=(flag, value))
+        else:
+            code = run_generate(out, extra=(flag, value))
+        assert code == EXIT_DATA
+        err = capsys.readouterr().err
+        assert shown in err and "missing" not in err
+        assert not out.exists()
 
     @pytest.mark.parametrize("command", ["generate", "train"])
     def test_negative_seed_names_the_flag(self, trained, tmp_path, capsys, command):
@@ -900,6 +930,15 @@ class TestUsageErrors:
         with pytest.raises(SystemExit) as exc:
             run_train(data, tmp_path / "t", extra=("--gold-mode", "cluster-labels"))
         assert exc.value.code == 2
+
+    def test_train_confidence_option_removed(self, trained, tmp_path):
+        """`train`'s validation summary takes its Wilson intervals at 0.95;
+        the confidence of the bounds is set by `sweep` and `resolve`."""
+        data, _ = trained
+        with pytest.raises(SystemExit) as exc:
+            run_train(data, tmp_path / "t", extra=("--confidence", "0.9"))
+        assert exc.value.code == 2
+        assert not (tmp_path / "t").exists()
 
     def test_unknown_command_exits_2(self):
         with pytest.raises(SystemExit) as exc:
