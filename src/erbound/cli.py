@@ -11,6 +11,7 @@ request too large for memory, 4 quality-gate failure.
 
 import argparse
 import csv
+import gc
 import json
 import os
 import sys
@@ -134,8 +135,9 @@ def _check_ranges(args) -> None:
     """Range-check the command's probability, seed and grid flags before any
     work is done. Only --recall-floor and the gate floors may take the
     endpoints 0 and 1. Counts and learning settings are checked where they
-    are used: by `generate_synthetic`, and by `SplitSpec` and `TrainConfig`,
-    which `cmd_train` builds before it opens a file."""
+    are used: by `generate_synthetic`, and by `SplitSpec`, `TrainConfig` and
+    `pipeline.check_train_pair_counts`, which `cmd_train` runs before it
+    opens a file. A grid error names the flags and their values."""
     for dest in ("threshold", "confidence", "ct", "recall_floor",
                  "min_precision_lb", "min_recall_lb", "min_f1_lb"):
         value = getattr(args, dest, None)
@@ -148,8 +150,11 @@ def _check_ranges(args) -> None:
         raise ErboundError(f"--seed must be non-negative, got {args.seed}")
     if args.command != "sweep":
         return
-    if not (0.0 < args.grid_start <= args.grid_stop < 1.0 and args.grid_steps >= 1):
-        raise ErboundError("threshold grid must lie inside (0, 1) with steps >= 1")
+    if args.grid_steps < 1:
+        raise ErboundError(f"--grid-steps must be at least 1, got {args.grid_steps}")
+    if not 0.0 < args.grid_start <= args.grid_stop < 1.0:
+        raise ErboundError("--grid-start must be at most --grid-stop, both inside (0, 1), "
+                           f"got {args.grid_start} and {args.grid_stop}")
     grid = _grid(args).tolist()
     if args.write_clusterings and len({f"{t:.6f}" for t in grid}) < len(set(grid)):
         raise ErboundError(f"--grid-steps {args.grid_steps} gives distinct thresholds that "
@@ -242,10 +247,12 @@ def load_validation_stats(path) -> tuple[np.ndarray, np.ndarray]:
 def cmd_train(args) -> int:
     """Split the labeled records, train the match model and score the
     validation pairs. The split and training settings are checked, by
-    building `SplitSpec` and `TrainConfig`, before any input is opened."""
+    building `SplitSpec` and `TrainConfig` and by
+    `pipeline.check_train_pair_counts`, before any input is opened."""
     # the flags are named after the fields they set
     spec, config = (cls(**{f.name: getattr(args, f.name) for f in fields(cls)})
                     for cls in (dataset.SplitSpec, matching.TrainConfig))
+    pipeline.check_train_pair_counts(spec)
     schema = dataset.load_schema_json(args.schema)
     records = dataset.load_records_csv(args.records, schema)
     gold = dataset.load_gold(args.gold, valid_ids=records.ids)
@@ -465,7 +472,13 @@ def main(argv: list[str] | None = None) -> int:
 
 
 def console_main() -> None:
-    sys.exit(main())
+    """The process entry: `main`, then exit with its code. The objects alive
+    at that point are frozen first, so the interpreter's shutdown collections
+    skip the ones that importing numpy and the stdlib left (in-process callers
+    of `main` keep a normal collector)."""
+    code = main()
+    gc.freeze()
+    sys.exit(code)
 
 
 if __name__ == "__main__":

@@ -364,23 +364,24 @@ def sigmoid(z, out: np.ndarray | None = None) -> np.ndarray:
     return np.divide(1.0, out, out=out)
 
 
-def _loss(z: np.ndarray, weights: np.ndarray, y: np.ndarray, l2: float) -> float:
-    """Mean L2-regularized logistic loss at the logits z = X @ weights + bias.
-    The bias is not regularized. Its oracle is `reference.logistic_loss`."""
+def _loss(z: np.ndarray, weights: np.ndarray, sign: np.ndarray, l2: float,
+          out: np.ndarray) -> float:
+    """Mean L2-regularized logistic loss at the logits z = X @ weights + bias,
+    with `sign` -1 where the label is 1 and 1 where it is 0; the terms are
+    taken in `out`. The bias is not regularized. Its oracle is
+    `reference.logistic_loss`."""
     # log(1 + exp(-s)) with s = z for y=1 and -z for y=0, computed stably
-    s = np.where(y > 0.5, z, -z)
-    nll = np.logaddexp(0.0, -s).mean()
-    return float(nll + 0.5 * l2 * float(weights @ weights))
+    np.logaddexp(0.0, np.multiply(z, sign, out=out), out=out)
+    return float(np.add.reduce(out) / len(out) + 0.5 * l2 * float(weights @ weights))
 
 
 def _gradient(z: np.ndarray, weights: np.ndarray, X: np.ndarray,
-              y: np.ndarray, l2: float) -> tuple[np.ndarray, float]:
+              y: np.ndarray, l2: float, out: np.ndarray) -> tuple[np.ndarray, float]:
     """The analytic gradient of `_loss` in (weights, bias) at the logits
-    z = X @ weights + bias. Its oracle is `reference.logistic_gradient`."""
-    resid = sigmoid(z) - y
-    grad_w = X.T @ resid / len(y) + l2 * weights
-    grad_b = float(resid.mean())
-    return grad_w, grad_b
+    z = X @ weights + bias, with the residuals taken in `out`. Its oracle
+    is `reference.logistic_gradient`."""
+    resid = np.subtract(sigmoid(z, out=out), y, out=out)
+    return X.T @ resid / len(y) + l2 * weights, float(np.add.reduce(resid) / len(y))
 
 
 def fit_logistic(X: np.ndarray, y: np.ndarray,
@@ -390,21 +391,23 @@ def fit_logistic(X: np.ndarray, y: np.ndarray,
     The step size starts at config.learning_rate and is halved whenever a
     step would increase the loss, so the returned per-epoch loss history is
     non-increasing. Each epoch's gradient reads the logits that the loss of
-    the accepted step computed. Deterministic.
+    the accepted step computed. The loss terms and the residuals share one
+    buffer. Deterministic.
     """
     w = np.zeros(X.shape[1])
     b = 0.0
     lr = config.learning_rate
+    sign, buf = np.where(y > 0.5, -1.0, 1.0), np.empty(len(y))
     z = X @ w + b
-    loss = _loss(z, w, y, config.l2)
+    loss = _loss(z, w, sign, config.l2, buf)
     losses = [loss]
     for _ in range(config.epochs):
-        grad_w, grad_b = _gradient(z, w, X, y, config.l2)
+        grad_w, grad_b = _gradient(z, w, X, y, config.l2, buf)
         for _ in range(60):
             w_new = w - lr * grad_w
             b_new = b - lr * grad_b
             z_new = X @ w_new + b_new
-            new_loss = _loss(z_new, w_new, y, config.l2)
+            new_loss = _loss(z_new, w_new, sign, config.l2, buf)
             if new_loss <= loss:
                 w, b, z, loss = w_new, b_new, z_new, new_loss
                 break

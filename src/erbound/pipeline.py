@@ -43,15 +43,23 @@ def score_labeled_pairs(model: MatchModel, table: PairColumns,
     return score_pairs(model, table, pairs.rows, pairs.cols)
 
 
+def check_train_pair_counts(split_spec: SplitSpec) -> None:
+    """Training and validation each need both labels, so at least 2 pairs:
+    a single pair carries one label."""
+    for name in ("n_train_pairs", "n_validation_pairs"):
+        if (count := getattr(split_spec, name)) < 2:
+            raise ConfigError(f"{name} must be at least 2 for train, got {count}")
+
+
 def train_pipeline(table: PairColumns, gold: GoldTruth, split_spec: SplitSpec,
                    config: TrainConfig | None = None,
                    threshold: float = 0.5) -> tuple[MatchModel, Split, np.ndarray]:
     """Split the labeled pool, train the match model on the train pairs,
     and score the validation pairs once: the model, the split, and the
-    scores of `split.validation_pairs` in pair order."""
+    scores of `split.validation_pairs` in pair order. The pair counts are
+    checked by `check_train_pair_counts` before the split."""
+    check_train_pair_counts(split_spec)
     split = split_dataset(table, gold, split_spec)
-    if len(split.validation_pairs.labels) < 2:
-        raise ConfigError("validation split needs at least 2 labeled pairs")
     model = train_match_model(table, split.train_pairs, config, threshold=threshold)
     return model, split, score_labeled_pairs(model, table, split.validation_pairs)
 

@@ -1,4 +1,5 @@
 import csv
+import gc
 import hashlib
 import json
 import os
@@ -121,7 +122,8 @@ class TestTrain:
         data, _ = trained
         code = run_train(data, tmp_path / "none", extra=("--n-train-pairs", "0"))
         assert code == EXIT_DATA
-        assert "error: no training pairs" in capsys.readouterr().err
+        assert "error: n_train_pairs must be at least 2 for train, got 0" in \
+            capsys.readouterr().err
         assert not (tmp_path / "none").exists()
 
     def test_degenerate_threshold_flags_undefined_precision(self, trained, tmp_path, capsys):
@@ -235,6 +237,25 @@ class TestSweep:
                      "--write-clusterings", "--out", str(tmp_path / "w")]) == EXIT_OK
         assert [f.name for f in (tmp_path / "w").glob("clustering_*.csv")] == \
             ["clustering_0.500000.csv"]
+
+    @pytest.mark.parametrize("grid,shown", [
+        (("--grid-steps", "0"), "--grid-steps must be at least 1, got 0"),
+        (("--grid-start", "0"), "--grid-start must be at most --grid-stop, both inside (0, 1), "
+                                "got 0.0 and 0.95"),
+        (("--grid-stop", "1"), "--grid-start must be at most --grid-stop, both inside (0, 1), "
+                               "got 0.05 and 1.0"),
+        (("--grid-start", "0.9", "--grid-stop", "0.2"),
+         "--grid-start must be at most --grid-stop, both inside (0, 1), got 0.9 and 0.2"),
+    ])
+    def test_grid_error_names_flag_and_value(self, trained, tmp_path, capsys, grid, shown):
+        _, run = trained
+        out = tmp_path / "out"
+        assert main(["sweep", "--model", str(run / "model.json"),
+                     "--records", str(run / "test_records.csv"),
+                     "--validation-stats", str(run / "validation_stats.json"),
+                     *grid, "--out", str(out)]) == EXIT_DATA
+        assert f"error: {shown}\n" in capsys.readouterr().err
+        assert not out.exists()
 
 
 class TestScoreOnce:
@@ -504,6 +525,9 @@ class TestRangeChecks:
     @pytest.mark.parametrize("command,flag,value,shown", [
         ("train", "--n-train-pairs", "-5", "n_train_pairs must be nonnegative, got -5"),
         ("train", "--n-validation-pairs", "-1", "n_validation_pairs must be nonnegative, got -1"),
+        ("train", "--n-train-pairs", "1", "n_train_pairs must be at least 2 for train, got 1"),
+        ("train", "--n-validation-pairs", "1",
+         "n_validation_pairs must be at least 2 for train, got 1"),
         ("train", "--epochs", "0", "epochs must be >= 1, got 0"),
         ("train", "--positive-fraction-train", "1",
          "positive_fraction_train must lie strictly inside (0, 1), got 1.0"),
@@ -1063,3 +1087,54 @@ class TestImports:
                               capture_output=True, text=True, timeout=120)
         assert done.returncode == 0, done.stderr
         assert done.stdout.splitlines()[-1] == f"{[EXIT_OK] * 3} False"
+
+
+class TestProcessEntry:
+    def test_process_matches_main(self, tmp_path, capsys, monkeypatch):
+        """`python -m erbound.cli`, whose `console_main` freezes the
+        collector before it exits, gives the exit codes, standard output and
+        error, and output bytes of `main` called in process: `train`, `sweep
+        --gold` and `resolve` with a failing gate (0, 0, 4), then a usage
+        error (2). Each side runs in its own directory with the same
+        relative paths, so the effective configs name the same paths.
+        `main` leaves the collector unfrozen."""
+        assert run_generate(tmp_path / "data") == EXIT_OK
+        common = ["--model", "run/model.json", "--records", "run/test_records.csv",
+                  "--validation-stats", "run/validation_stats.json"]
+        argvs = [
+            ["train", "--out", "run", "--records", "../data/records.csv",
+             "--gold", "../data/gold.csv", "--schema", "../data/schema.json",
+             "--n-train-pairs", "40", "--n-validation-pairs", "60"],
+            ["sweep", "--out", "sweep", *common, "--gold", "run/test_gold.csv",
+             "--grid-steps", "7"],
+            ["resolve", "--out", "resolve", *common, "--threshold", "0.2",
+             "--min-precision-lb", "0.99"],
+            ["resolve", "--out", "usage", *common, "--no-such-flag"],
+        ]
+        env = dict(os.environ, PYTHONPATH=str(Path(erbound.__file__).parents[1]))
+        env.pop("PYTHONUNBUFFERED", None)  # a pipe is then block-buffered until the exit flush
+        cwd = tmp_path / "process"
+        cwd.mkdir()
+        runs = [subprocess.run([sys.executable, "-m", "erbound.cli", *argv], env=env, cwd=cwd,
+                               capture_output=True, text=True, timeout=120) for argv in argvs]
+        process = [(done.returncode, done.stdout, done.stderr) for done in runs]
+
+        def in_process(argv):
+            try:
+                code = main(argv)
+            except SystemExit as exc:  # argparse's usage error
+                code = exc.code
+            return (code, *capsys.readouterr())
+
+        capsys.readouterr()
+        (tmp_path / "in_process").mkdir()
+        monkeypatch.chdir(tmp_path / "in_process")
+        assert [in_process(argv) for argv in argvs] == process
+        assert [code for code, _, _ in process] == [EXIT_OK, EXIT_OK, EXIT_GATE, 2]
+        assert "unrecognized arguments: --no-such-flag" in process[-1][2]
+        assert gc.get_freeze_count() == 0
+        files = {name: {str(p.relative_to(tmp_path / name)): p.read_bytes()
+                        for p in sorted((tmp_path / name).rglob("*")) if p.is_file()}
+                 for name in ("process", "in_process")}
+        assert "resolve/resolve.effective.cfg" in files["process"]
+        assert files["in_process"] == files["process"]

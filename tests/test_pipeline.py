@@ -50,7 +50,8 @@ class TestTrainPipeline:
 
     def test_validation_required(self):
         records, gold = generate_synthetic(n_entities=6, records_per_entity=3, seed=2)
-        with pytest.raises(ConfigError):
+        with pytest.raises(ConfigError, match="n_validation_pairs must be at least 2 for "
+                                               "train, got 0"):
             train_pipeline(records, gold,
                            SplitSpec(10, 0, seed=2))
 
